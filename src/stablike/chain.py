@@ -11,12 +11,12 @@ downstream verdicts as conditional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .stable import StableParams, _cms_scalar, sas_density, sas_sample, tail_constant
+from .stable import StableParams, _cms_scalar, sas_sample, tail_constant
 
 
 @dataclass(frozen=True)
@@ -127,18 +127,11 @@ class SasJump:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Full chain description; immutable and shareable across workers.
-
-    The heavy-tail coefficient and envelope constants that the model
-    assumptions mention are not consumed by any numeric routine, so
-    they are recorded as metadata placeholders.
-    """
+    """Full chain description; immutable and shareable across workers."""
 
     alpha_profile: ProfileFn
     family: SasJump
     unchecked: bool = False
-    tail_uniformity_const: str = field(default="not computed", compare=False)
-    small_scale_infimum_const: str = field(default="not computed", compare=False)
 
     def __post_init__(self):
         if self.unchecked:
@@ -199,11 +192,6 @@ def c_at(spec: ChainSpec, x: float) -> float:
 
 def jump_params(spec: ChainSpec, x: float) -> StableParams:
     return StableParams(alpha_at(spec, x), gamma_at(spec, x), delta_at(spec, x))
-
-
-def jump_density(spec: ChainSpec, x: float, y: float) -> float:
-    """Density of the jump J (not the landing point) from state x at y."""
-    return sas_density(jump_params(spec, x), y)
 
 
 def step(spec: ChainSpec, x: float, rng: np.random.Generator) -> float:

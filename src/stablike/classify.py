@@ -33,7 +33,6 @@ Extra evidence channels:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +46,6 @@ from .drift import (
     tail_scan,
 )
 from .errors import DomainError
-from .stable import DensityTable
 from .thresholds import r1, r2
 
 RECURRENT_CONDITIONS = ("log_rec", "pow_rec", "mom_rec")
@@ -61,7 +59,7 @@ _DECAY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Grid and resource knobs shared by all classification scans.
+    """Grid and horizon knobs shared by all classification scans.
 
     None fields fall back to the drift-layer defaults. decay_horizon
     only affects the small-index decay shortcut, which is pointwise
@@ -73,7 +71,6 @@ class ScanSettings:
     delta_grid: tuple | None = None
     d_grid: tuple | None = None
     betas: tuple | None = None
-    threads: int = 1
     decay_horizon: float = 1e16
 
 
@@ -164,14 +161,11 @@ def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list) -> list:
     delta_grid = (
         settings.delta_grid if settings.delta_grid is not None else DEFAULT_DELTA_GRID
     )
-    # warm the per-alpha density tables before fanning out, so worker
-    # threads never build the same table twice
-    for a in spec.alpha_profile.value_set():
-        DensityTable.for_alpha(a)
-
-    def run(job):
-        cid, beta, weight = job
-        return tail_scan(
+    # scans with the same kernel (log_rec/log_erg, pow_rec/pow_erg per
+    # beta, the five first-moment scans) share one raw-integral set
+    integrals: dict = {}
+    return [
+        tail_scan(
             spec,
             x_grid=x_grid,
             delta_grid=delta_grid,
@@ -179,12 +173,10 @@ def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list) -> list:
             condition_id=cid,
             beta=beta,
             d_weight=weight,
+            integrals=integrals,
         )
-
-    if settings.threads > 1:
-        with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
+        for cid, beta, weight in jobs
+    ]
 
 
 def _best_per_condition(reports) -> dict:
@@ -194,35 +186,6 @@ def _best_per_condition(reports) -> dict:
         if cur is None or rep.margin > cur.margin:
             best[rep.condition_id] = rep
     return best
-
-
-def _outer_levels_from_points(report: TailScanReport):
-    """Rebuild per-delta outer-half aggregates at the smallest d.
-
-    The scan report keeps every point, so the minimizing (inf-side)
-    trajectory can be reconstructed for the reversed-inequality null
-    check without re-running quadrature.
-    """
-    pts = report.points
-    d_min = min(p.d for p in pts)
-    mags = sorted({abs(p.x) for p in pts})
-    cut = float(np.median(mags))
-    deltas = sorted({p.delta for p in pts}, reverse=True)
-    infs, worst_q = [], 0.0
-    for delta in deltas:
-        level = [
-            p for p in pts if p.d == d_min and p.delta == delta and abs(p.x) >= cut
-        ]
-        infs.append(min(p.normalized_lhs for p in level))
-        if delta == deltas[-1]:
-            worst_q = max(p.quadrature_error for p in level)
-    gap = 0.0
-    if len(deltas) >= 2:
-        v1, v2 = infs[-2], infs[-1]
-        d_prev, d_last = deltas[-2], deltas[-1]
-        extrap = v2 + (v2 - v1) * d_last / (d_prev - d_last)
-        gap = abs(v2 - extrap)
-    return infs[-1], gap, worst_q
 
 
 def _null_evidence(spec: ChainSpec, base_reports: dict) -> Evidence:
@@ -245,9 +208,8 @@ def _null_evidence(spec: ChainSpec, base_reports: dict) -> Evidence:
         else:
             tv = r2(a_sup, rep.beta)
             thr, thr_err = tv.value, tv.est_abs_error
-        tail_inf, gap, worst_q = _outer_levels_from_points(rep)
-        margin = tail_inf - thr
-        err = worst_q + gap + thr_err
+        margin = rep.tail_inf_estimate - thr
+        err = rep.quad_error + rep.inf_delta_gap + thr_err
         margins[cid + "_null"] = margin
         if margin > 0.0 and margin >= 2.0 * err:
             holds = True

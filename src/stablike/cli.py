@@ -429,14 +429,13 @@ def _write_csv(path: str, config: RunConfig, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _scan_settings(config: RunConfig, threads: int) -> ScanSettings:
+def _scan_settings(config: RunConfig) -> ScanSettings:
     lo, hi = config.scan.x_decades
     return ScanSettings(
         x_grid=default_x_grid(config.scan.x_per_side, 10.0 ** lo, 10.0 ** hi),
         delta_grid=config.scan.delta_ladder,
         d_grid=config.scan.d_ladder,
         betas=config.scan.betas,
-        threads=threads,
     )
 
 
@@ -463,8 +462,8 @@ def _run_thresholds(config: RunConfig) -> int:
     return 0
 
 
-def _run_classify(config: RunConfig, threads: int) -> int:
-    result = classify(config.chain, _scan_settings(config, threads))
+def _run_classify(config: RunConfig) -> int:
+    result = classify(config.chain, _scan_settings(config))
     print(result.summary_line())
     if config.output.json_out:
         with open(_out_path(config, "classification.json"), "w") as fh:
@@ -473,9 +472,8 @@ def _run_classify(config: RunConfig, threads: int) -> int:
     return 2 if result.verdict == "Inconclusive" else 0
 
 
-def _run_drift_scan(config: RunConfig, threads: int) -> int:
-    del threads  # a single scan is not worth fanning out
-    settings = _scan_settings(config, 1)
+def _run_drift_scan(config: RunConfig) -> int:
+    settings = _scan_settings(config)
     beta = None
     if config.scan.condition in _NEEDS_BETA:
         beta = settings.betas[0] if settings.betas else 0.5
@@ -554,14 +552,14 @@ def _run_mc_diagnose(config: RunConfig) -> int:
     return 0
 
 
-def run(subcommand: str, config: RunConfig, threads: int = 1) -> int:
+def run(subcommand: str, config: RunConfig) -> int:
     """Dispatch one subcommand; returns the process exit code."""
     if subcommand == "thresholds":
         return _run_thresholds(config)
     if subcommand == "classify":
-        return _run_classify(config, threads)
+        return _run_classify(config)
     if subcommand == "drift-scan":
-        return _run_drift_scan(config, threads)
+        return _run_drift_scan(config)
     if subcommand == "simulate":
         return _run_simulate(config)
     if subcommand == "mc-diagnose":
@@ -576,14 +574,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_threads() -> int:
-    env = os.environ.get("STABLIKE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def main(argv=None) -> int:
     parser = _Parser(
         prog="stablike",
@@ -595,21 +585,13 @@ def main(argv=None) -> int:
         choices=("thresholds", "classify", "drift-scan", "simulate", "mc-diagnose"),
     )
     parser.add_argument("--config", required=True, help="path to a YAML config")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="worker cap for scans (default: STABLIKE_THREADS or 1)",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    threads = args.threads if args.threads is not None else _default_threads()
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         config = load_config(args.config)
-        return run(args.subcommand, config, threads)
+        return run(args.subcommand, config)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

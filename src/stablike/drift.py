@@ -40,14 +40,14 @@ using them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .chain import ChainSpec, alpha_at, c_at, delta_at, gamma_at
-from .errors import DomainError, FinitenessError
+from .errors import DomainError
 from .specfun import real_binom
 from .stable import DensityTable
 from .thresholds import r1, r2, t as t_threshold
@@ -120,10 +120,15 @@ class TailScanReport:
     margin: float
     beta: float | None = None
     scan_error: float = 0.0
-    trend_flag: str = "ok"  # "ok" | "non-monotone"
+    trend_flag: str = "ok"  # "ok" | "non-monotone" | "extrapolated" | "diverging"
     threshold_error: float = 0.0
+    # finest (d, delta) level, outer half of the grid: the worst
+    # quadrature error and the delta-extrapolation gap of tail_inf
+    quad_error: float = 0.0
+    inf_delta_gap: float = 0.0
 
 
+@functools.lru_cache(maxsize=64)
 def _binom_coefs(s: float, odd: bool) -> tuple:
     # binomial-series coefficients of (1+t)^s restricted to odd/even powers
     ks = range(1, 23, 2) if odd else range(2, 24, 2)
@@ -131,7 +136,7 @@ def _binom_coefs(s: float, odd: bool) -> tuple:
 
 
 def kernel_parts(kernel: DriftKernel, x: float):
-    """Scalar evaluator y -> (E(y), O(y)) with sgn(x) factored out.
+    """Evaluator y -> (E(y), O(y)) over arrays, with sgn(x) factored out.
 
     E and O are the even and odd parts of the shifted kernel in y; the
     caller multiplies O by sgn(x). Small |t| goes through the binomial
@@ -140,13 +145,13 @@ def kernel_parts(kernel: DriftKernel, x: float):
     ax = abs(x)
     kind = kernel.kind
     if kind == "first_moment":
-        return lambda y: (0.0, y)
+        return lambda y: (np.zeros_like(y), y)
     if kind == "log_shift":
         den = 1.0 + ax
 
         def eo_log(y):
-            t = y / den
-            return 0.5 * math.log1p(-t * t), math.atanh(t)
+            t = np.divide(y, den)
+            return 0.5 * np.log1p(-t * t), np.arctanh(t)
 
         return eo_log
     if kind == "power_beta":
@@ -157,19 +162,20 @@ def kernel_parts(kernel: DriftKernel, x: float):
     od = tuple(reversed(_binom_coefs(s, odd=True)))
 
     def eo_pow(y):
-        t = y / den
-        if abs(t) < 1e-2:
-            t2 = t * t
-            e = 0.0
-            for cf in ev:
-                e = e * t2 + cf
-            o = 0.0
-            for cf in od:
-                o = o * t2 + cf
-            return flip * e * t2, flip * o * t
-        pp = math.expm1(s * math.log1p(t))
-        pm = math.expm1(s * math.log1p(-t))
-        return flip * 0.5 * (pp + pm), flip * 0.5 * (pp - pm)
+        t = np.atleast_1d(np.divide(y, den))
+        e, o = np.empty_like(t), np.empty_like(t)
+        small = np.abs(t) < 1e-2
+        ts = t[small]
+        t2 = ts * ts
+        e[small] = np.polyval(ev, t2) * t2
+        o[small] = np.polyval(od, t2) * ts
+        tb = t[~small]
+        pp = np.expm1(s * np.log1p(tb))
+        pm = np.expm1(s * np.log1p(-tb))
+        e[~small] = 0.5 * (pp + pm)
+        o[~small] = 0.5 * (pp - pm)
+        shape = np.shape(y)
+        return flip * e.reshape(shape), flip * o.reshape(shape)
 
     return eo_pow
 
@@ -184,63 +190,112 @@ def truncated_integral(
 def truncated_integral_with_error(
     spec: ChainSpec, x: float, delta: float, kernel: DriftKernel
 ) -> tuple[float, float]:
-    """Integral of kernel(y) * jump_density(x, y) over |y| <= delta*|x|.
+    """Integral of kernel(y) times the jump density from x over |y| <= delta*|x|.
 
-    Absolute error target 1e-8 * (1 + |result|); the density comes from
-    the per-alpha spline table whose own error (~1e-11) is folded into
-    the returned estimate.
+    One point of the engine that tail scans run over whole grids: a
+    fixed 3-point Gauss-Legendre rule on every spline segment of the
+    per-alpha density table and on geometric panels of its power tail
+    (DensityTable.rule). The error estimate is the Gauss minus Simpson
+    difference summed over the cells, plus table_error * min(L, 100
+    gamma) for the density table's own error.
     """
+    value, err = _integrals_at(spec, kernel, x, (delta,))
+    return float(value[0]), float(err[0])
+
+
+def _branch(table: DensityTable, g, a, b):
+    """Integrals of g(u) * density(u) over [a_j, b_j], 0 <= a_j <= b_j.
+
+    The rule cells strictly between the smallest and the largest bound
+    are summed once and accumulated; only the cells that a bound cuts
+    get nodes of their own. g is called once, on every point at once.
+    Returns values and error estimates.
+    """
+    n = len(a)
+    pts = np.concatenate([a, b])
+    lo, hi = pts.min(), pts.max()
+    if hi <= lo:
+        return np.zeros(n), np.zeros(n)
+    edges, nodes, weights, diff, left, right = table.rule(hi)
+    ip = np.minimum(np.searchsorted(edges, pts, side="right") - 1, len(edges) - 2)
+    i0, i1 = ip.min(), ip.max()
+    # G(v) = integral over [lo, v]: the head piece [lo, end of lo's cell],
+    # the full cells after it, and the piece of v's own cell up to v
+    past = ip > i0
+    cut_lo = np.append(np.where(past, edges[ip], lo), lo)
+    cut_hi = np.append(pts, edges[i0 + 1] if i1 > i0 else lo)
+    c_nodes, c_weights, c_diff, c_left, c_right = table.cells(cut_lo, cut_hi)
+    full = slice(i0 + 1, i1)
+    parts = (nodes[full].ravel(), edges[i0 + 1:i1 + 1], c_nodes.ravel(), cut_lo, cut_hi)
+    gv = g(np.concatenate(parts))
+    g_full, g_edge, g_cut, g_lo, g_hi = np.split(gv, np.cumsum([len(p) for p in parts[:-1]]))
+    g_full, g_cut = g_full.reshape(-1, 3), g_cut.reshape(-1, 3)
+
+    val = (weights[full] * g_full).sum(axis=1)
+    err = np.abs((diff[full] * g_full).sum(axis=1)
+                 - left[full] * g_edge[:-1] - right[full] * g_edge[1:])
+    cum_v = np.concatenate(([0.0], np.cumsum(val)))
+    cum_e = np.concatenate(([0.0], np.cumsum(err)))
+    pv = (c_weights * g_cut).sum(axis=1)
+    pe = np.abs((c_diff * g_cut).sum(axis=1) - c_left * g_lo - c_right * g_hi)
+    k = np.maximum(ip - i0 - 1, 0)
+    big_g = pv[:-1] + np.where(past, pv[-1] + cum_v[k], 0.0)
+    big_e = pe[:-1] + np.where(past, pe[-1] + cum_e[k], 0.0)
+    return big_g[n:] - big_g[:n], big_e[n:] + big_e[:n]
+
+
+def _z_integrals(table: DensityTable, kern, gamma: float, m: float, z1):
+    """Integrals of kern(gamma*z - m) * density(|z|) over z in [m/gamma, z1_j].
+
+    The substitution y = gamma*z - m carries the scaled, shifted jump
+    density onto the table; z < 0 is folded onto |z|.
+    """
+    z0 = m / gamma
+    if z0 >= 0.0:
+        return _branch(table, lambda u: kern(gamma * u - m), np.full_like(z1, z0), z1)
+    v_neg, e_neg = _branch(
+        table, lambda u: kern(-gamma * u - m), np.maximum(-z1, 0.0), np.full_like(z1, -z0)
+    )
+    v_pos, e_pos = _branch(
+        table, lambda u: kern(gamma * u - m), np.zeros_like(z1), np.maximum(z1, 0.0)
+    )
+    return v_neg + v_pos, e_neg + e_pos
+
+
+def _integrals_at(spec: ChainSpec, kernel: DriftKernel, x: float, deltas):
+    """Raw integrals and error estimates at one x for every delta level."""
     if x == 0.0:
         raise DomainError("truncated_integral requires x != 0")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    L = delta * abs(x)
-    a = alpha_at(spec, x)
+    for delta in deltas:
+        if not 0.0 < delta < 1.0:
+            raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    L = np.asarray(deltas, dtype=float) * abs(x)
     g = gamma_at(spec, x)
     dshift = delta_at(spec, x)
-    symmetric = dshift == 0.0
-    if kernel.kind == "first_moment" and symmetric:
+    if kernel.kind == "first_moment" and dshift == 0.0:
         # odd kernel against an even density: exactly zero
-        return 0.0, 0.0
-
-    table = DensityTable.for_alpha(a)
-    # the shifted kernels compose as g(sgn(x) * t), so their odd part
-    # carries sgn(x); the first-moment kernel is plain y and must not,
-    # the display-level sgn(x) is applied by normalized_lhs instead
-    sgn = 1.0 if x > 0 or kernel.kind == "first_moment" else -1.0
+        return np.zeros_like(L), np.zeros_like(L)
+    table = DensityTable.for_alpha(alpha_at(spec, x))
     eo = kernel_parts(kernel, x)
-    pdf = table.pdf_scalar
-    inv_g = 1.0 / g
-
-    if symmetric:
-
-        def integrand(y: float) -> float:
-            e, _ = eo(y)
-            return 2.0 * e * pdf(y * inv_g) * inv_g
-
+    if dshift == 0.0:
+        val, err = _z_integrals(table, lambda y: 2.0 * eo(y)[0], g, 0.0, L / g)
     else:
+        # the shifted kernels compose as g(sgn(x) * t), so their odd part
+        # carries sgn(x); the first-moment kernel is plain y and must not,
+        # the display-level sgn(x) is applied by normalized_lhs instead
+        sgn = 1.0 if x > 0 or kernel.kind == "first_moment" else -1.0
 
-        def integrand(y: float) -> float:
-            e, o = eo(y)
-            fp = pdf((y - dshift) * inv_g) * inv_g
-            fm = pdf((-y - dshift) * inv_g) * inv_g
-            return e * (fp + fm) + sgn * o * (fp - fm)
+        def along(side):
+            # kernel at side*y, against the density at side*y
+            def kern(y):
+                e, o = eo(y)
+                return e + side * sgn * o
+            return kern
 
-    # absolute tolerance scaled so the error stays ~1e-10 after the
-    # condition prefactor |x|^a / c multiplies it back up
-    scale = c_at(spec, x) / abs(x) ** (a - 1.0 if kernel.kind == "first_moment" else a)
-    # tell the subdivision about the density core and the tail change-over
-    marks = sorted(
-        {p for p in (abs(dshift) + g, abs(dshift) + 5 * g, abs(dshift) + 30 * g)
-         if 0.0 < p < L}
-    )
-    out = integrate.quad(
-        integrand, 0.0, L,
-        points=marks if marks else None,
-        epsabs=1e-10 * scale, epsrel=1e-11, limit=400, full_output=1,
-    )
-    val, err = float(out[0]), float(out[1])
-    return val, err + table.table_error * min(L, 100.0 * g)
+        v_p, e_p = _z_integrals(table, along(1.0), g, -dshift, (L - dshift) / g)
+        v_m, e_m = _z_integrals(table, along(-1.0), g, dshift, (L + dshift) / g)
+        val, err = v_p + v_m, e_p + e_m
+    return val, err + table.table_error * np.minimum(L, 100.0 * g)
 
 
 _D_TERM = {
@@ -277,14 +332,20 @@ def normalized_lhs(
         raise DomainError(f"{condition_id} requires beta")
     kernel = _kernel_for(condition_id, beta)
     raw, raw_err = truncated_integral_with_error(spec, x, delta, kernel)
+    return _point(x, delta, d, condition_id, beta, raw, raw_err,
+                  _prefactor(spec, x, condition_id))
+
+
+def _prefactor(spec: ChainSpec, x: float, condition_id: str) -> float:
     a = alpha_at(spec, x)
-    c = c_at(spec, x)
+    power = a - 1.0 if condition_id in MOMENT_CONDITIONS else a
+    return abs(x) ** power / c_at(spec, x)
+
+
+def _point(x, delta, d, condition_id, beta, raw, raw_err, prefactor) -> DriftPoint:
+    signed = raw
     if condition_id in MOMENT_CONDITIONS:
-        prefactor = abs(x) ** (a - 1.0) / c
         signed = (1.0 if x > 0 else -1.0) * raw
-    else:
-        prefactor = abs(x) ** a / c
-        signed = raw
     dterm = _D_TERM.get(condition_id, lambda *_: 0.0)(x, d, beta)
     value = prefactor * (signed + dterm)
     return DriftPoint(x, delta, d, raw, value, prefactor * raw_err)
@@ -342,6 +403,7 @@ def tail_scan(
     condition_id: str = "mom_rec",
     beta: float | None = None,
     d_weight=None,
+    integrals: dict | None = None,
 ) -> TailScanReport:
     """Scan the condition over (d, delta, x) in the display's nesting order.
 
@@ -358,6 +420,11 @@ def tail_scan(
     d_weight, if given, is a position-dependent multiplier on the
     d-term (the weighted-ergodicity displays use the target weight
     function there); it has no effect on conditions without a d-term.
+
+    The raw integrals depend only on the kernel and the (x, delta) grid,
+    not on d or the prefactor. integrals, if given, is a dict shared by
+    scans of one classification: each raw-integral set is computed once
+    and stored there for the other scans with the same kernel.
     """
     if condition_id not in ALL_CONDITIONS:
         raise DomainError(f"unknown condition id {condition_id}")
@@ -378,31 +445,36 @@ def tail_scan(
     if len(d_grid) > 1 and any(a <= b for a, b in zip(d_grid, d_grid[1:])):
         raise DomainError("d_grid must be strictly decreasing")
 
+    kernel = _kernel_for(condition_id, beta)
+    integrals = {} if integrals is None else integrals
+    key = (spec, kernel, x_grid, delta_grid)
+    if key not in integrals:
+        # shape (x, value/error, delta)
+        integrals[key] = np.array([_integrals_at(spec, kernel, x, delta_grid) for x in x_grid])
+    raw = integrals[key]
+    prefs = [_prefactor(spec, x, condition_id) for x in x_grid]
+    # d = 0 points, shape (x, delta)
+    bases = [
+        [_point(x, delta, 0.0, condition_id, beta, float(raw[i, 0, j]),
+                float(raw[i, 1, j]), prefs[i])
+         for j, delta in enumerate(delta_grid)]
+        for i, x in enumerate(x_grid)
+    ]
+
     outer = set(_outer_half(x_grid))
     points = []
-    # raw integrals are d-independent: compute once per (x, delta)
-    raw_cache: dict = {}
     sup_by_level: dict = {}
     inf_by_level: dict = {}
     quad_by_level: dict = {}
     for d in d_grid:
-        for delta in delta_grid:
+        for j, delta in enumerate(delta_grid):
             sup_v, inf_v, worst_q = -math.inf, math.inf, 0.0
-            for x in x_grid:
-                key = (x, delta)
-                if key not in raw_cache:
-                    base = normalized_lhs(spec, x, delta, 0.0, condition_id, beta)
-                    raw_cache[key] = base
-                base = raw_cache[key]
+            for i, x in enumerate(x_grid):
+                base = bases[i][j]
                 if d == 0.0:
                     pt = base
                 else:
-                    a = alpha_at(spec, x)
-                    c = c_at(spec, x)
-                    pref = (
-                        abs(x) ** (a - 1.0) if condition_id in MOMENT_CONDITIONS
-                        else abs(x) ** a
-                    ) / c
+                    pref = prefs[i]
                     dterm = _D_TERM.get(condition_id, lambda *_: 0.0)(x, d, beta)
                     if d_weight is not None:
                         dterm *= d_weight(x)
@@ -428,17 +500,20 @@ def tail_scan(
     final = agg[(d_min, delta_min)]
 
     # Richardson-style linear extrapolation gaps toward delta -> 0, d -> 0
-    trend = "ok"
-    delta_gap = 0.0
-    if len(delta_grid) >= 2:
-        v1 = agg[(d_min, delta_grid[-2])]
-        v2 = final
+    def delta_gap_of(levels):
+        if len(delta_grid) < 2:
+            return 0.0
+        v1, v2 = levels[(d_min, delta_grid[-2])], levels[(d_min, delta_min)]
         extrap = v2 + (v2 - v1) * delta_min / (delta_grid[-2] - delta_min)
-        delta_gap = abs(v2 - extrap)
-        if len(delta_grid) >= 3:
-            v0 = agg[(d_min, delta_grid[-3])]
-            if (v1 - v0) * (v2 - v1) < 0 and abs(v2 - v1) > 1e-12:
-                trend = "non-monotone"
+        return abs(v2 - extrap)
+
+    inf_gap = delta_gap_of(inf_by_level)
+    delta_gap = delta_gap_of(sup_by_level) if is_lt else inf_gap
+    trend = "ok"
+    if len(delta_grid) >= 3:
+        v0, v1 = agg[(d_min, delta_grid[-3])], agg[(d_min, delta_grid[-2])]
+        if (v1 - v0) * (final - v1) < 0 and abs(final - v1) > 1e-12:
+            trend = "non-monotone"
     d_gap = 0.0
     if len(d_grid) >= 2:
         w1 = agg[(d_grid[-2], delta_min)]
@@ -498,110 +573,6 @@ def tail_scan(
         scan_error=scan_error,
         trend_flag=trend,
         threshold_error=thr_err,
+        quad_error=worst_q,
+        inf_delta_gap=inf_gap,
     )
-
-
-def truncated_second_moment(spec: ChainSpec, x: float, delta: float) -> float:
-    """Integral of y^2 * jump_density over |y| <= delta|x| (test support)."""
-    if x == 0.0:
-        raise DomainError("requires x != 0")
-    L = delta * abs(x)
-    a = alpha_at(spec, x)
-    g = gamma_at(spec, x)
-    dshift = delta_at(spec, x)
-    pdf = DensityTable.for_alpha(a).pdf_scalar
-    inv_g = 1.0 / g
-
-    def integrand(y):
-        fp = pdf((y - dshift) * inv_g) * inv_g
-        fm = pdf((-y - dshift) * inv_g) * inv_g
-        return y * y * (fp + fm)
-
-    out = integrate.quad(
-        integrand, 0.0, L,
-        points=[p for p in (abs(dshift) + g, abs(dshift) + 30 * g) if p < L] or None,
-        epsabs=1e-12, epsrel=1e-10, limit=300, full_output=1,
-    )
-    return out[0]
-
-
-def delta_v(
-    spec: ChainSpec, x: float, test_function: str, beta: float | None = None,
-    y_max: float | None = None,
-) -> float:
-    """Mean one-step change of a test function V from state x.
-
-    test_function is one of "log" (V = log(1+|x|)), "power"
-    (V = |x|^beta) or "bounded" (V = 1 - (1+|x|)^(-beta)). Quadrature
-    runs over |y| <= y_max (default 1e6*(1+|x|)) in three pieces with
-    log-space substitution on the far flanks, plus an analytic
-    power-tail correction beyond y_max using the known tail law of the
-    jump density.
-    """
-    if test_function not in ("log", "power", "bounded"):
-        raise DomainError(f"unknown test function {test_function}")
-    if test_function in ("power", "bounded") and beta is None:
-        raise DomainError(f"{test_function} requires beta")
-    a = alpha_at(spec, x)
-    g = gamma_at(spec, x)
-    dshift = delta_at(spec, x)
-    c = c_at(spec, x)
-    if test_function == "power" and beta >= a:
-        raise FinitenessError(
-            f"power test function with beta={beta} >= alpha={a} has infinite drift"
-        )
-    if y_max is None:
-        y_max = 1e6 * (1.0 + abs(x))
-    pdf = DensityTable.for_alpha(a).pdf_scalar
-    inv_g = 1.0 / g
-
-    if test_function == "log":
-        v_of = lambda w: math.log1p(abs(w))
-    elif test_function == "power":
-        v_of = lambda w: abs(w) ** beta
-    else:
-        v_of = lambda w: 1.0 - (1.0 + abs(w)) ** (-beta)
-    vx = v_of(x)
-
-    def h(y):
-        f = pdf((y - dshift) * inv_g) * inv_g
-        return (v_of(x + y) - vx) * f
-
-    L0 = abs(dshift) + 30.0 * g + 1.0
-    out = integrate.quad(
-        h, -L0, L0, epsabs=1e-12, epsrel=1e-10, limit=400,
-        points=[p for p in (-abs(x), 0.0, abs(x)) if -L0 < p < L0] or None,
-        full_output=1,
-    )
-    core, core_err = float(out[0]), float(out[1])
-    total = core
-    total_err = core_err
-    # far flanks in log space: y = +-exp(w)
-    for sign in (1.0, -1.0):
-
-        def h_log(w):
-            y = sign * math.exp(w)
-            return h(y) * abs(y)
-
-        out = integrate.quad(
-            h_log, math.log(L0), math.log(y_max),
-            epsabs=1e-12, epsrel=1e-10, limit=400,
-            points=[math.log(abs(x))] if L0 < abs(x) < y_max else None,
-            full_output=1,
-        )
-        total += float(out[0])
-        total_err += float(out[1])
-    # analytic tail beyond y_max: density ~ c |y|^(-a-1) on both flanks
-    for sign in (1.0, -1.0):
-
-        def tail_sub(v):
-            y = sign * y_max / v
-            return (v_of(x + y) - vx) * c * abs(y) ** (-a - 1.0) * y_max / (v * v)
-
-        out = integrate.quad(
-            tail_sub, 0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200,
-            full_output=1,
-        )
-        total += float(out[0])
-        total_err += float(out[1])
-    return total

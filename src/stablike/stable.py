@@ -42,6 +42,10 @@ from .specfun import gamma as gamma_fn
 _TAIL_Z = 30.0
 _SMALL_Z = 0.05
 _ENVELOPE_CUT = 41.45  # exp(-41.45) ~ 1e-18
+_TAIL_RATIO = 1.1  # geometric tail panels of DensityTable.rule
+# 3-point Gauss-Legendre nodes (0, +-sqrt(3/5)) and weights on [-1, 1]
+_GL_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
 
 
 @dataclass(frozen=True)
@@ -71,13 +75,11 @@ class DensityGrid:
 
 
 def tail_constant(params: StableParams) -> float:
-    """Coefficient of the |y|^(-alpha-1) power tail of the density."""
+    """Coefficient gamma^alpha Gamma(alpha+1) sin(pi alpha/2)/pi of the |y|^(-alpha-1) tail."""
     a, g = params.alpha, params.gamma_scale
     if a == 2.0:
         raise DomainError("no power tail at alpha = 2")
-    if a == 1.0:
-        return g / 2.0
-    return g * gamma_fn(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
+    return g ** a * gamma_fn(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
 
 
 def _tail_series(alpha: float, z: float) -> tuple[float, float]:
@@ -191,19 +193,6 @@ def sas_density(params: StableParams, y):
     return np.array(flat).reshape(z.shape)
 
 
-def density_grid(params: StableParams, points) -> DensityGrid:
-    """Density sampled at sorted points, with the worst error recorded."""
-    pts = sorted(float(p) for p in points)
-    g = params.gamma_scale
-    vals = []
-    worst = 0.0
-    for p in pts:
-        v, e = _std_density(params.alpha, (p - params.delta_shift) / g)
-        vals.append(v / g)
-        worst = max(worst, e / g)
-    return DensityGrid(tuple(pts), tuple(vals), worst)
-
-
 def cms_transform(alpha, u, e):
     """Chambers-Mallows-Stuck map of (uniform angle, exponential) to S(alpha,1,0).
 
@@ -266,12 +255,20 @@ class DensityTable:
     """Cubic-spline table of the standard-scale density on z in [0, 30].
 
     Built once per alpha (the scale and shift reduce to the standard
-    grid by affine change of variables) and reused inside the drift
-    quadratures, where a single tail scan needs ~10^5 density values.
-    Spline error is ~1e-11, far below the 1e-8 quadrature contract;
-    beyond the table a precompiled power-tail series takes over. The
-    scalar evaluator avoids numpy dispatch so adaptive quadrature
-    callbacks stay cheap.
+    grid by affine change of variables) and shared by every drift
+    integral at that alpha. Spline error is measured off-knot and kept
+    as table_error; beyond the table the power-tail series takes over,
+    truncated where it stops improving at z = 30 and summed by Horner's
+    rule. Both pieces are plain arrays, so every lookup is vectorised.
+
+    rule() lays a fixed 3-point Gauss-Legendre rule on every spline
+    segment and on geometric tail panels (ratio 1.1, nodes in log z),
+    with the density folded into the weights once per table. Each cell
+    also carries Simpson's rule, which shares the Gauss midpoint, so
+    the difference of the two rules estimates the quadrature error. The
+    Gauss rule integrates the spline times a quadratic exactly and the
+    power tail of a panel to ~1e-14 relative; the Simpson difference
+    overstates its error by orders of magnitude.
     """
 
     _cache: dict = {}
@@ -292,13 +289,6 @@ class DensityTable:
             [start + step * np.arange(count) for start, step, count in zones]
         )
         zs = np.append(zs, _TAIL_Z)
-        seg_zones = []
-        base = 0
-        for start, step, count in zones:
-            seg_zones.append((start, 1.0 / step, base, base + count - 1))
-            base += count
-        # descending start order so the scalar lookup takes the first match
-        self._zones = tuple(reversed(seg_zones))
         vals = np.empty_like(zs)
         worst = 0.0
         for i, z in enumerate(zs):
@@ -306,41 +296,44 @@ class DensityTable:
             vals[i] = v
             worst = max(worst, e)
         # even extension so the spline is smooth through z = 0, then keep
-        # only the z >= 0 coefficient block for the scalar fast path
+        # only the z >= 0 coefficient block
         full_z = np.concatenate([-zs[:0:-1], zs])
         full_v = np.concatenate([vals[:0:-1], vals])
         spline = CubicSpline(full_z, full_v)
-        n0 = len(zs) - 1  # segment starting at z = 0 in the mirrored grid
-        self._coef = tuple(tuple(float(v) for v in row) for row in spline.c[:, n0:])
-        self._left = tuple(float(z) for z in zs[:-1])
-        self._n_seg = len(zs) - 1
-        self._spline = spline
+        self._knots = zs
+        self._coef = np.ascontiguousarray(spline.c[:, len(zs) - 1:])
         # measure the interpolation error off-knot instead of assuming it:
         # the peak turns cusp-like as alpha drops and the head segments
         # carry visibly more error than the smooth body
         probes = np.concatenate(
             [(zs[:20] + zs[1:21]) / 2.0, np.geomspace(0.01, zs[-2], 40)]
         )
-        interp_err = 0.0
-        for z in probes:
-            i = self._seg_index(float(z))
-            dz = float(z) - self._left[i]
-            c = self._coef
-            s = ((c[0][i] * dz + c[1][i]) * dz + c[2][i]) * dz + c[3][i]
-            interp_err = max(interp_err, abs(s - _std_density(alpha, float(z))[0]))
+        direct = np.array([_std_density(alpha, float(z))[0] for z in probes])
+        interp_err = float(np.max(np.abs(self._spline_std(probes) - direct)))
         self.table_error = float(worst + interp_err + 1e-13)
-        # tail coefficients: f(z) = sum_k coef_k z^(-k*alpha - 1). Each
-        # entry carries the sine-free envelope as well, because the
-        # stopping tests must not be fooled by sine zeros at rational
-        # alpha (every 4th coefficient vanishes at alpha = 1/2)
-        tail = []
+        # tail coefficients: f(z) = sum_k coef_k z^(-k*alpha - 1), cut where
+        # the series stops improving at z = 30; every later term is smaller
+        # still at larger z. The stopping tests run on the sine-free
+        # envelope, because sine zeros at rational alpha (every 4th
+        # coefficient vanishes at alpha = 1/2) must not stop the sum early
+        za = _TAIL_Z ** -alpha
+        w = za / _TAIL_Z
+        total, prev, coefs = 0.0, math.inf, []
         k = 1
         while k * alpha + 1.0 < 170.0 and k <= 80:
             env = gamma_fn(k * alpha + 1.0) / gamma_fn(k + 1.0) / math.pi
+            if env * w > prev:
+                break
             signed = (-1.0) ** (k + 1) * env * math.sin(k * math.pi * alpha / 2.0)
-            tail.append((signed, env))
+            coefs.append(signed)
+            total += signed * w
+            prev = env * w
+            if prev < 1e-17 * abs(total):
+                break
+            w *= za
             k += 1
-        self._tail_coef = tuple(tail)
+        self._tail_coef = np.array(coefs[::-1])  # highest power first
+        self._rule = None
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "DensityTable":
@@ -350,39 +343,17 @@ class DensityTable:
             cls._cache[alpha] = tab
         return tab
 
-    def _seg_index(self, z: float) -> int:
-        for start, inv, base, last in self._zones:
-            if z >= start:
-                i = base + int((z - start) * inv)
-                return i if i < last else last
-        return 0
-
-    def tail_value(self, z: float) -> float:
-        """Power-tail series value at |z| (caller guarantees z > table end)."""
-        za = z ** (-self.alpha)
-        w = za / z
-        total = 0.0
-        prev = math.inf
-        for signed, env in self._tail_coef:
-            mag = env * w
-            if mag > prev:
-                break
-            total += signed * w
-            prev = mag
-            if mag < 1e-17 * abs(total):
-                break
-            w *= za
-        return total
-
-    def pdf_scalar(self, z: float) -> float:
-        """Standard-scale density at one point, minimal overhead."""
-        z = abs(z)
-        if z > _TAIL_Z:
-            return self.tail_value(z)
-        i = self._seg_index(z)
-        dz = z - self._left[i]
+    def _spline_std(self, z):
+        # z in [0, 30]: cubic of the segment that holds z
         c = self._coef
-        return ((c[0][i] * dz + c[1][i]) * dz + c[2][i]) * dz + c[3][i]
+        i = np.minimum(np.searchsorted(self._knots, z, side="right") - 1, c.shape[1] - 1)
+        dz = z - self._knots[i]
+        return ((c[0, i] * dz + c[1, i]) * dz + c[2, i]) * dz + c[3, i]
+
+    def _tail_std(self, z):
+        # z > 30: power-tail series in w = z^(-alpha)
+        w = z ** -self.alpha
+        return np.polyval(self._tail_coef, w) * w / z
 
     def pdf_std(self, z):
         """Standard-scale density, vectorized; series beyond the table."""
@@ -391,7 +362,54 @@ class DensityTable:
         z = np.atleast_1d(z)
         out = np.empty_like(z)
         inside = z <= _TAIL_Z
-        out[inside] = self._spline(z[inside])
-        for idx in np.argwhere(~inside).ravel():
-            out[idx] = self.tail_value(float(z[idx]))
+        out[inside] = self._spline_std(z[inside])
+        if not inside.all():
+            out[~inside] = self._tail_std(z[~inside])
         return out[0] if scalar_in else out
+
+    def cells(self, lo, hi):
+        """Weights of the Gauss and Simpson rules for g(z) * density on [lo, hi].
+
+        Each [lo_i, hi_i] must lie inside one spline segment or one tail
+        panel; tail panels are integrated in log z. Returns (nodes,
+        weights, diff, left, right): the Gauss rule is sum(weights *
+        g(nodes)) per row, and the Gauss minus Simpson difference is
+        sum(diff * g(nodes)) - left * g(lo) - right * g(hi).
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        tail = lo >= _TAIL_Z
+        a = np.where(tail, np.log(np.maximum(lo, _TAIL_Z)), lo)
+        b = np.where(tail, np.log(np.maximum(hi, _TAIL_Z)), hi)
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        nodes = np.where(tail[:, None], np.exp(s), s)
+        # density times the Jacobian dz/ds of the log-z substitution
+        pts = np.concatenate([nodes.ravel(), lo, hi])
+        jac = np.concatenate([np.where(tail[:, None], nodes, 1.0).ravel(),
+                              np.where(tail, lo, 1.0), np.where(tail, hi, 1.0)])
+        dens = self.pdf_std(pts) * jac
+        k = nodes.size
+        weights = half[:, None] * _GL_WEIGHTS * dens[:k].reshape(nodes.shape)
+        sixth = (b - a) / 6.0
+        diff = weights.copy()
+        diff[:, 1] -= 4.0 * sixth * dens[1:k:3]
+        left = sixth * dens[k:k + len(lo)]
+        right = sixth * dens[k + len(lo):]
+        return nodes, weights, diff, left, right
+
+    def rule(self, z_max: float):
+        """Cached cells() over all of [0, z_max] and beyond, with their edges.
+
+        The edges are the spline knots, then 30 * 1.1^k; a request past
+        the cached reach rebuilds with more panels, which leaves every
+        existing cell unchanged.
+        """
+        if self._rule is None or self._rule[0][-1] <= z_max:
+            reach = math.log(max(z_max, _TAIL_Z) / _TAIL_Z) / math.log(_TAIL_RATIO)
+            n = max(160, math.ceil(reach) + 1)
+            edges = np.concatenate(
+                [self._knots, _TAIL_Z * _TAIL_RATIO ** np.arange(1, n + 1)]
+            )
+            self._rule = (edges,) + self.cells(edges[:-1], edges[1:])
+        return self._rule

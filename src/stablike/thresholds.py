@@ -132,8 +132,3 @@ def t(alpha: float, beta: float) -> ThresholdValue:
 def r2_over_beta_profile(alpha: float, beta_grid: list[float]) -> list[float]:
     """R2(alpha, beta)/beta per grid point; decreasing in beta, -> r1(alpha)."""
     return [r2(alpha, b).value / b for b in beta_grid]
-
-
-def indistinguishable_from_zero(tv: ThresholdValue) -> bool:
-    """True when the computed value is within its own error estimate of 0."""
-    return abs(tv.value) <= tv.est_abs_error

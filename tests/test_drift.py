@@ -1,9 +1,11 @@
 """Truncated drift integrals, normalization and tail scans."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from stablike import (
     DomainError,
@@ -15,7 +17,10 @@ from stablike import (
     truncated_integral,
 )
 from stablike.drift import kernel_parts, truncated_integral_with_error
-from stablike.stable import StableParams, sas_density, sas_sample_n
+from stablike.specfun import real_binom
+from stablike.stable import (
+    DensityTable, StableParams, sas_density, sas_sample_n, tail_constant,
+)
 
 
 def test_symmetric_first_moment_is_exactly_zero(sas15):
@@ -148,3 +153,126 @@ def test_tail_scan_grid_controls(sas15):
 def test_tail_scan_needs_beta():
     with pytest.raises(DomainError):
         tail_scan(make_chain(1.5), condition_id="pow_rec")
+
+
+def test_tail_scan_reports_inf_side_levels(sas15):
+    # the inf-side aggregate, its delta gap and the worst quadrature error
+    # at the finest level, rebuilt here from the points
+    rep = tail_scan(sas15, condition_id="log_erg")
+    d_min = min(p.d for p in rep.points)
+    cut = float(np.median(sorted({abs(p.x) for p in rep.points})))
+
+    def level(delta):
+        return [p for p in rep.points
+                if p.d == d_min and p.delta == delta and abs(p.x) >= cut]
+
+    v1 = min(p.normalized_lhs for p in level(0.1))
+    v2 = min(p.normalized_lhs for p in level(0.05))
+    assert rep.tail_inf_estimate == v2
+    assert rep.inf_delta_gap == abs(v2 - (v2 + (v2 - v1) * 0.05 / (0.1 - 0.05)))
+    assert rep.quad_error == max(p.quadrature_error for p in level(0.05))
+
+
+# Reference for the fixed-rule engine: scipy's adaptive quad on every
+# spline segment (the density is a piecewise cubic, so each knot is a
+# breakpoint) and in log z on the power tail, with scalar kernels and
+# densities read from the same table and the pieces summed by fsum.
+
+
+def _scalar_density(table):
+    knots, coef = table._knots.tolist(), table._coef.T.tolist()
+    tail, alpha, last = table._tail_coef.tolist(), table.alpha, len(coef) - 1
+
+    def pdf(z):
+        z = abs(z)
+        if z > 30.0:
+            w, acc = z ** -alpha, 0.0
+            for cf in tail:
+                acc = acc * w + cf
+            return acc * w / z
+        i = min(bisect.bisect_right(knots, z) - 1, last)
+        dz = z - knots[i]
+        c0, c1, c2, c3 = coef[i]
+        return ((c0 * dz + c1) * dz + c2) * dz + c3
+
+    return pdf
+
+
+def _scalar_parts(kernel, x):
+    if kernel.kind == "first_moment":
+        return lambda y: (0.0, y)
+    if kernel.kind == "log_shift":
+        den = 1.0 + abs(x)
+        return lambda y: (0.5 * math.log1p(-((y / den) ** 2)), math.atanh(y / den))
+    if kernel.kind == "power_beta":
+        s, den, flip = kernel.beta, abs(x), 1.0
+    else:
+        s, den, flip = -kernel.beta, 1.0 + abs(x), -1.0
+    ev = [real_binom(s, k) for k in range(22, 0, -2)]
+    od = [real_binom(s, k) for k in range(21, 0, -2)]
+
+    def eo(y):
+        t = y / den
+        if abs(t) < 1e-2:
+            t2, e, o = t * t, 0.0, 0.0
+            for ce, co in zip(ev, od):
+                e, o = e * t2 + ce, o * t2 + co
+            return flip * e * t2, flip * o * t
+        pp, pm = math.expm1(s * math.log1p(t)), math.expm1(s * math.log1p(-t))
+        return flip * 0.5 * (pp + pm), flip * 0.5 * (pp - pm)
+
+    return eo
+
+
+def _quad_reference(alpha, gamma, shift, x, deltas, kernel):
+    """Truncated integrals at one x for each delta, keyed by delta."""
+    table = DensityTable.for_alpha(alpha)
+    pdf, eo = _scalar_density(table), _scalar_parts(kernel, x)
+    sgn = 1.0 if x > 0 or kernel.kind == "first_moment" else -1.0
+    knots = table._knots.tolist()
+    knots = [-k for k in knots[:0:-1]] + knots
+    pieces = {delta: [] for delta in deltas}
+    # kernel at +y against f(y), kernel at -y against f(-y), in z = (y + m)/gamma
+    passes = [(0.0, 0.0, 2.0)] if shift == 0.0 else [(-shift, 1.0, 1.0), (shift, -1.0, 1.0)]
+    for m, side, scale in passes:
+        def f(z, m=m, side=side, scale=scale):
+            e, o = eo(gamma * z - m)
+            return scale * (e + side * sgn * o) * pdf(z)
+
+        ends = {delta: (delta * abs(x) + m) / gamma for delta in deltas}
+        top = max(ends.values())
+        cuts = sorted({m / gamma, *ends.values()} | {k for k in knots if m / gamma < k < top})
+        done = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            if lo >= 30.0:
+                out = integrate.quad(lambda s: f(math.exp(s)) * math.exp(s),
+                                     math.log(lo), math.log(hi),
+                                     epsabs=0.0, epsrel=1e-13, limit=400)
+            else:
+                out = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=50)
+            done.append(out[0])
+            for delta, end in ends.items():
+                if hi == end:
+                    pieces[delta].extend(done)
+    return {delta: math.fsum(v) for delta, v in pieces.items()}
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5, 1.9])
+def test_truncated_integral_matches_quad_reference(alpha):
+    kernels = (DriftKernel.log_shift(), DriftKernel.power_beta(0.5),
+               DriftKernel.bounded_beta(0.4), DriftKernel.first_moment())
+    for gamma in (1.0, 2.0):
+        c = tail_constant(StableParams(alpha, gamma))
+        for shift in (0.0, 0.5, -0.5):
+            spec = make_chain(alpha, gamma=gamma, delta=shift)
+            for kernel in kernels:
+                power = alpha - 1.0 if kernel.kind == "first_moment" else alpha
+                for x in (-1e5, -1e3, -1e2, 1e2, 1e3, 1e5):
+                    ref = _quad_reference(alpha, gamma, shift, x, (0.5, 0.05), kernel)
+                    for delta in (0.5, 0.05):
+                        value, err = truncated_integral_with_error(spec, x, delta, kernel)
+                        diff = abs(value - ref[delta])
+                        where = (gamma, shift, kernel.kind, x, delta)
+                        # normalized units: the display prefactor |x|^power / c
+                        assert abs(x) ** power / c * diff <= 1e-9, where
+                        assert diff <= err, where

@@ -89,6 +89,19 @@ def test_tail_constant_frozen_values():
     )
 
 
+@pytest.mark.parametrize("alpha, gamma", [(1.0, 1.0), (1.0, 2.0), (1.5, 2.0)])
+def test_tail_constant_matches_the_density_tail(alpha, gamma):
+    # f(y) |y|^(a+1) / c = 1 + c2 (|y|/gamma)^(-a) + O(|y|^(-2a)); at a = 1
+    # the second term vanishes and the third is -(gamma/y)^2
+    params = StableParams(alpha, gamma, 0.0)
+    c2 = -math.gamma(2.0 * alpha + 1.0) * math.sin(math.pi * alpha) / (
+        2.0 * math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0)
+    )
+    for y in (1e3, -1e4):
+        ratio = sas_density(params, y) * abs(y) ** (alpha + 1.0) / tail_constant(params)
+        assert ratio - 1.0 - c2 * (abs(y) / gamma) ** -alpha == pytest.approx(0.0, abs=1e-4)
+
+
 @pytest.mark.parametrize("alpha", [0.9, 1.4])
 def test_tail_law_ratio_inside_tolerance(alpha):
     params = StableParams(alpha, 1.0, 0.0)
