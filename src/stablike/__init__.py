@@ -10,7 +10,7 @@ constants, and corroborates the verdicts with Monte Carlo diagnostics.
 
 __version__ = "0.1.0"
 
-from .chain import ChainSpec, ProfileFn, SasJump, Trajectory, make_chain, simulate, step
+from .chain import ChainSpec, ProfileFn, SasJump, Trajectory, make_chain, simulate
 from .classify import (
     Classification,
     Evidence,
@@ -45,7 +45,7 @@ from .mc import (
     tv_convergence,
 )
 from .specfun import SpecFunResult, digamma, gamma, hyp2f1, real_binom
-from .stable import DensityGrid, StableParams, sas_density, sas_sample, tail_constant
+from .stable import DensityGrid, StableParams, sas_density, tail_constant
 from .thresholds import ThresholdValue, r1, r2, r2_over_beta_profile, t
 
 __all__ = [
@@ -89,9 +89,7 @@ __all__ = [
     "real_binom",
     "return_stats",
     "sas_density",
-    "sas_sample",
     "simulate",
-    "step",
     "t",
     "tail_constant",
     "tail_scan",

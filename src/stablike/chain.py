@@ -7,16 +7,26 @@ S(alpha(x), gamma(x), delta(x)). Profiles taking finitely many values
 keep the heavy-tail uniformity assumptions valid by construction;
 arbitrary callables are accepted behind an `unchecked` flag that marks
 downstream verdicts as conditional.
+
+simulate runs one path. It needs an enumerable alpha profile: each
+block of its random stream becomes a table of jumps, one row per alpha
+value, from one vectorised Chambers-Mallows-Stuck call. A path that
+reaches |x| >= FREEZE stays at +-FREEZE, the same rule the Monte Carlo
+ensembles in `mc` apply.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .stable import StableParams, _cms_scalar, sas_sample, tail_constant
+from .stable import StableParams, cms_transform, tail_constant
+
+FREEZE = 1e300  # overflow guard: transient low-index chains overflow doubles
+_STEP_BLOCK = 4096  # steps per block of simulate's random stream
 
 
 @dataclass(frozen=True)
@@ -190,34 +200,39 @@ def c_at(spec: ChainSpec, x: float) -> float:
     return tail_constant(StableParams(alpha_at(spec, x), gamma_at(spec, x)))
 
 
-def jump_params(spec: ChainSpec, x: float) -> StableParams:
-    return StableParams(alpha_at(spec, x), gamma_at(spec, x), delta_at(spec, x))
-
-
-def step(spec: ChainSpec, x: float, rng: np.random.Generator) -> float:
-    """One transition from x."""
-    return x + sas_sample(jump_params(spec, x), rng)
-
-
 def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     """Single path of n_steps transitions from x0 with a derived stream.
 
-    states[0] is the state after the first step. Constant-parameter
-    stretches could be vectorized, but a position-dependent chain is
-    inherently sequential, so this is a plain loop.
+    states[0] is the state after the first step. default_rng(
+    SeedSequence(seed)) is read in whole blocks of 4096 steps: 4096
+    uniform angles on (-pi/2, pi/2), then 4096 standard exponentials, so
+    a longer run extends a shorter one. One cms_transform call per block
+    gives each step a jump J for every alpha value; a step looks up the
+    row of alpha(x) and sets x <- x + delta(x) + gamma(x) * J. A custom
+    alpha profile raises DomainError (custom gamma and delta are fine).
+    Once |x| >= FREEZE or x is not finite, the path stays at +-FREEZE.
     """
     if n_steps < 1:
         raise DomainError("simulate requires n_steps >= 1")
+    alphas = spec.alpha_profile.value_set()
+    row_of = {a: i for i, a in enumerate(alphas)}
+    a_col = np.array(alphas)[:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    states = np.empty(n_steps)
-    x = float(x0)
     a_fn = spec.alpha_profile
     g_fn = spec.family.gamma_profile
     d_fn = spec.family.delta_profile
-    half_pi = np.pi / 2.0
+    states = np.empty(n_steps)
+    x = float(x0)
     for i in range(n_steps):
-        u = rng.uniform(-half_pi, half_pi)
-        e = rng.standard_exponential()
-        x = x + d_fn(x) + g_fn(x) * _cms_scalar(a_fn(x), u, e)
-        states[i] = x
+        j = i % _STEP_BLOCK
+        if j == 0:
+            u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, _STEP_BLOCK)
+            e = rng.standard_exponential(_STEP_BLOCK)
+            rows = cms_transform(a_col, u, e).tolist()
+        x_new = x + d_fn(x) + g_fn(x) * rows[row_of[a_fn(x)]][j]
+        if not -FREEZE < x_new < FREEZE:
+            # a nan jump (inf * 0 in the transform) keeps the old sign
+            states[i:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
+            break
+        x = states[i] = x_new
     return Trajectory(float(x0), states, seed)

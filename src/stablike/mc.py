@@ -1,17 +1,21 @@
 """Monte Carlo diagnostics for chain verdicts.
 
 These routines corroborate classifier output empirically; they never
-replace it. All of them run the chain as a vectorized ensemble: paths
-are grouped into fixed-size blocks, each block draws from its own
-stream spawned off the master seed, and every step consumes one
-uniform angle and one exponential per path in a fixed order. That
-makes every statistic bit-reproducible for identical (spec, args,
-seed) and makes return events for a given seed a prefix-stable
-function of n_steps (longer runs extend, never rewrite, history).
+replace it. The return, occupation and total-variation diagnostics
+run the chain as a vectorized ensemble: paths are grouped into
+fixed-size blocks, each block draws from its own stream spawned off
+the master seed, and every step consumes one uniform angle and one
+exponential per path in a fixed order. That makes every statistic
+bit-reproducible for identical (spec, args, seed) and makes return
+events for a given seed a prefix-stable function of n_steps (longer
+runs extend, never rewrite, history).
 
-Heavy-tail guard: a path whose |state| reaches 1e300 is frozen there
-and counted as non-returning; transient low-index chains can genuinely
-overflow doubles.
+invariant_histogram reads one path of chain.simulate (block-drawn
+stream, enumerable alpha only); the ensembles also take a custom alpha.
+
+Heavy-tail guard: a path whose |state| reaches chain.FREEZE = 1e300 is
+frozen there, here and in simulate alike, and counted as non-returning;
+transient low-index chains can genuinely overflow doubles.
 
 The total-variation diagnostic is a two-start proxy: the distance
 between empirical laws started from two points, on a fixed histogram,
@@ -27,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, simulate
+from .chain import FREEZE, ChainSpec, simulate
 from .errors import DomainError
 from .stable import DensityGrid, cms_transform
 
 _BLOCK = 8192
-_FREEZE = 1e300
 _HIST_HALF_RANGE = 500.0
 _HALF_PI = math.pi / 2.0
 
@@ -83,9 +86,9 @@ def _step_ensemble(spec: ChainSpec, x: np.ndarray, frozen: np.ndarray,
     d = spec.family.delta_profile.at(x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         xn = x + d + g * cms_transform(a, u, e)
-    np.clip(xn, -_FREEZE, _FREEZE, out=xn)
+    np.clip(xn, -FREEZE, FREEZE, out=xn)
     xn = np.where(frozen, x, xn)
-    frozen |= np.abs(xn) >= _FREEZE
+    frozen |= np.abs(xn) >= FREEZE
     return xn
 
 

@@ -17,21 +17,6 @@ from .errors import ConvergenceError, DomainError, QuadratureError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Lanczos coefficients, g = 7, n = 9. Relative error below 1e-13 on the
-# positive real axis, which is tighter than the 1e-12 contract.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 # Bernoulli numbers B_2..B_14 for the digamma asymptotic series.
 _BERNOULLI = (
     1.0 / 6.0,
@@ -56,25 +41,12 @@ class SpecFunResult:
 
 
 def gamma(z: float) -> float:
-    """Gamma function for z > 0 via the Lanczos approximation."""
+    """Gamma function for z > 0; inf above 171.6, where doubles overflow."""
     if not z > 0.0:
         raise DomainError(f"gamma requires z > 0, got {z}")
     if z > 171.6:
-        # would overflow double precision; no consumer needs it
         return math.inf
-    if z < 0.5:
-        # lift into the stable region with the recurrence G(z) = G(z+1)/z
-        return gamma(z + 1.0) / z
-    w = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    # square the half-power so intermediates stay near sqrt(Gamma):
-    # t**(w+0.5) alone overflows a double from z ~ 143 even though
-    # Gamma(z) itself is representable up to 171.6
-    half = t ** ((w + 0.5) / 2.0) * math.exp(-t / 2.0)
-    return math.sqrt(2.0 * math.pi) * half * half * acc
+    return math.gamma(z)
 
 
 def digamma(z: float) -> float:

@@ -22,7 +22,9 @@ tail law at large z):
   |z| > 30    power-tail series sum_k (-1)^(k+1) Gamma(k a + 1)/k!
               * sin(k pi a / 2) z^(-k a - 1) / pi, convergent for a < 1
               and asymptotic (min-term truncation) for a > 1; at z = 30
-              it agrees with quadrature to ~1e-12 relative
+              it agrees with quadrature to ~1e-12 relative. One
+              coefficient set per alpha, cut at z = 30, serves both
+              sas_density and DensityTable
 
 Sampling is exact through the Chambers-Mallows-Stuck transform of a
 uniform angle and a standard exponential.
@@ -30,6 +32,7 @@ uniform angle and a standard exponential.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,32 +85,43 @@ def tail_constant(params: StableParams) -> float:
     return g ** a * gamma_fn(a + 1.0) * math.sin(math.pi * a / 2.0) / math.pi
 
 
-def _tail_series(alpha: float, z: float) -> tuple[float, float]:
-    # power-tail expansion of the standard density at z > 0; convergent for
-    # alpha < 1, asymptotic with min-term truncation for alpha > 1. The
-    # stopping tests run on the sine-free envelope: sin(k pi alpha / 2)
-    # passes through zero at rational alpha (e.g. every 4th term at
-    # alpha = 1/2), which would otherwise fake an early min-term stop.
-    total = 0.0
-    prev_env = math.inf
+@functools.lru_cache(maxsize=None)
+def _tail_coefficients(alpha: float):
+    """Power-tail series f(z) = sum_k c_k z^(-k alpha - 1) of the standard density.
+
+    Returns the c_k, highest k first, and the sine-free envelope
+    Gamma(K alpha + 1) / (K! pi) of the last kept term k = K. The sum is
+    cut where it stops improving at z = 30, the smallest z it serves;
+    every later term is smaller still at larger z. It converges for
+    alpha < 1 and is asymptotic (min-term truncation) for alpha > 1.
+    The stopping tests run on the envelope, because sine zeros at
+    rational alpha (every 4th coefficient vanishes at alpha = 1/2) must
+    not stop the sum early.
+    """
+    za = _TAIL_Z ** -alpha
+    w = za / _TAIL_Z
+    total, prev, coefs, last = 0.0, math.inf, [], 0.0
     k = 1
-    env = math.inf
-    while k * alpha + 1.0 < 170.0:
-        env = (
-            gamma_fn(k * alpha + 1.0)
-            / gamma_fn(k + 1.0)
-            * z ** (-k * alpha - 1.0)
-            / math.pi
-        )
-        if env > prev_env:
-            env = prev_env  # divergence onset: stop at the minimal term
+    while k * alpha + 1.0 < 170.0 and k <= 80:
+        env = gamma_fn(k * alpha + 1.0) / gamma_fn(k + 1.0) / math.pi
+        if env * w > prev:
+            break  # divergence onset: stop at the minimal term
+        signed = (-1.0) ** (k + 1) * env * math.sin(k * math.pi * alpha / 2.0)
+        coefs.append(signed)
+        last = env
+        total += signed * w
+        prev = env * w
+        if prev < 1e-17 * abs(total):
             break
-        total += (-1.0) ** (k + 1) * env * math.sin(k * math.pi * alpha / 2.0)
-        prev_env = env
-        if env < 1e-17 * abs(total):
-            break
+        w *= za
         k += 1
-    return total, env
+    return tuple(coefs[::-1]), last
+
+
+def _tail_std(alpha: float, z):
+    """Standard density at z > 30 (scalar or array) by Horner's rule in w = z^(-alpha)."""
+    w = z ** -alpha
+    return np.polyval(_tail_coefficients(alpha)[0], w) * w / z
 
 
 def _contour_quad(alpha: float, z: float) -> tuple[float, float]:
@@ -162,7 +176,8 @@ def _std_density(alpha: float, z: float) -> tuple[float, float]:
     if alpha == 2.0:
         return math.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi)), 0.0
     if z > _TAIL_Z:
-        return _tail_series(alpha, z)
+        coefs, last = _tail_coefficients(alpha)
+        return float(_tail_std(alpha, z)), last * z ** (-len(coefs) * alpha - 1.0)
     if z == 0.0:
         return gamma_fn(1.0 + 1.0 / alpha) / math.pi, 1e-16
     if alpha < 1.0:
@@ -205,7 +220,7 @@ def cms_transform(alpha, u, e):
     u = np.asarray(u, dtype=float)
     e = np.asarray(e, dtype=float)
     cu = np.cos(u)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = (
             np.sin(alpha * u)
             * cu ** (-1.0 / alpha)
@@ -214,41 +229,11 @@ def cms_transform(alpha, u, e):
     return out
 
 
-def _cms_scalar(alpha: float, u: float, e: float) -> float:
-    # scalar twin of cms_transform for tight simulation loops
-    if alpha == 1.0:
-        return math.tan(u)
-    try:
-        return (
-            math.sin(alpha * u)
-            * math.cos(u) ** (-1.0 / alpha)
-            * (math.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
-        )
-    except (OverflowError, ZeroDivisionError):
-        # astronomically large jump; sign from the first factor
-        return math.copysign(math.inf, math.sin(alpha * u))
-
-
-def sas_sample(params: StableParams, rng: np.random.Generator) -> float:
-    """One exact sample from S(alpha, gamma, delta)."""
-    a, g, d = params.alpha, params.gamma_scale, params.delta_shift
-    if a == 2.0:
-        return d + g * math.sqrt(2.0) * rng.standard_normal()
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-    e = rng.standard_exponential()
-    return d + g * _cms_scalar(a, u, e)
-
-
 def sas_sample_n(params: StableParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n exact samples, vectorized, one (u, e) draw pair per sample."""
-    a, g, d = params.alpha, params.gamma_scale, params.delta_shift
-    if a == 2.0:
-        return d + g * math.sqrt(2.0) * rng.standard_normal(n)
+    """n exact samples, vectorized: n uniform angles, then n exponentials."""
     u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
     e = rng.standard_exponential(n)
-    if a == 1.0:
-        return d + g * np.tan(u)
-    return d + g * cms_transform(a, u, e)
+    return params.delta_shift + params.gamma_scale * cms_transform(params.alpha, u, e)
 
 
 class DensityTable:
@@ -311,28 +296,6 @@ class DensityTable:
         direct = np.array([_std_density(alpha, float(z))[0] for z in probes])
         interp_err = float(np.max(np.abs(self._spline_std(probes) - direct)))
         self.table_error = float(worst + interp_err + 1e-13)
-        # tail coefficients: f(z) = sum_k coef_k z^(-k*alpha - 1), cut where
-        # the series stops improving at z = 30; every later term is smaller
-        # still at larger z. The stopping tests run on the sine-free
-        # envelope, because sine zeros at rational alpha (every 4th
-        # coefficient vanishes at alpha = 1/2) must not stop the sum early
-        za = _TAIL_Z ** -alpha
-        w = za / _TAIL_Z
-        total, prev, coefs = 0.0, math.inf, []
-        k = 1
-        while k * alpha + 1.0 < 170.0 and k <= 80:
-            env = gamma_fn(k * alpha + 1.0) / gamma_fn(k + 1.0) / math.pi
-            if env * w > prev:
-                break
-            signed = (-1.0) ** (k + 1) * env * math.sin(k * math.pi * alpha / 2.0)
-            coefs.append(signed)
-            total += signed * w
-            prev = env * w
-            if prev < 1e-17 * abs(total):
-                break
-            w *= za
-            k += 1
-        self._tail_coef = np.array(coefs[::-1])  # highest power first
         self._rule = None
 
     @classmethod
@@ -350,11 +313,6 @@ class DensityTable:
         dz = z - self._knots[i]
         return ((c[0, i] * dz + c[1, i]) * dz + c[2, i]) * dz + c[3, i]
 
-    def _tail_std(self, z):
-        # z > 30: power-tail series in w = z^(-alpha)
-        w = z ** -self.alpha
-        return np.polyval(self._tail_coef, w) * w / z
-
     def pdf_std(self, z):
         """Standard-scale density, vectorized; series beyond the table."""
         z = np.abs(np.asarray(z, dtype=float))
@@ -364,7 +322,7 @@ class DensityTable:
         inside = z <= _TAIL_Z
         out[inside] = self._spline_std(z[inside])
         if not inside.all():
-            out[~inside] = self._tail_std(z[~inside])
+            out[~inside] = _tail_std(self.alpha, z[~inside])
         return out[0] if scalar_in else out
 
     def cells(self, lo, hi):

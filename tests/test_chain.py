@@ -1,7 +1,10 @@
 """Chain specification, profiles and the trajectory simulator."""
 
+import math
+
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from stablike import (
     ChainSpec,
@@ -10,9 +13,9 @@ from stablike import (
     SasJump,
     make_chain,
     simulate,
-    step,
 )
 from stablike.chain import alpha_at, delta_at, gamma_at
+from stablike.stable import cms_transform
 
 
 def test_constant_profile():
@@ -121,22 +124,42 @@ def test_simulate_state_dependence():
     assert np.all(np.abs(traj.states[900:]) < 50.0)
 
 
-def test_step_matches_simulate_first_state(sas15):
-    from numpy.random import SeedSequence, default_rng
-
-    traj = simulate(sas15, x0=2.0, n_steps=1, seed=13)
-    manual = step(sas15, 2.0, default_rng(SeedSequence(13)))
-    assert traj.states[0] == manual
+def test_first_state_is_shift_plus_scaled_cms_jump():
+    # documented stream layout: a block of 4096 uniform angles, then 4096
+    # exponentials; the first step uses the first of each
+    spec = make_chain(1.5, gamma=2.0, delta=0.25)
+    traj = simulate(spec, x0=2.0, n_steps=1, seed=13)
+    rng = default_rng(SeedSequence(13))
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 4096)
+    e = rng.standard_exponential(4096)
+    want = 2.0 + 0.25 + 2.0 * float(cms_transform(1.5, u[0], e[0]))
+    assert traj.states[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_step_moves_by_shift_plus_scaled_jump():
     spec = make_chain(1.0, gamma=2.0, delta=10.0)
     base = make_chain(1.0, gamma=2.0, delta=0.0)
-    from numpy.random import default_rng
+    got = simulate(spec, x0=1.0, n_steps=1, seed=3).states[0]
+    plain = simulate(base, x0=1.0, n_steps=1, seed=3).states[0]
+    assert got - plain == pytest.approx(10.0, abs=1e-12)
 
-    got = step(spec, 1.0, default_rng(3))
-    plain = step(base, 1.0, default_rng(3))
-    assert got == pytest.approx(plain + 10.0, abs=1e-12)
+
+@pytest.mark.parametrize("alpha", [ProfileFn.periodic(1.0, (0.01, 0.03)), 0.01])
+def test_simulate_freezes_overflowing_paths(alpha):
+    # at index 0.01 a single jump can exceed any double; the path must
+    # stop at +-1e300 like the ensembles, not run on as inf or nan
+    states = simulate(make_chain(alpha), x0=0.0, n_steps=5000, seed=1).states
+    assert np.all(np.isfinite(states))
+    hit = np.flatnonzero(np.abs(states) >= 1e300)
+    assert hit.size > 0
+    assert np.all(np.abs(states[hit[0]:]) == 1e300)
+    assert np.all(states[hit[0]:] == states[hit[0]])
+
+
+def test_simulate_needs_enumerable_alpha():
+    spec = make_chain(ProfileFn.custom(lambda x: 1.5), unchecked=True)
+    with pytest.raises(DomainError):
+        simulate(spec, x0=0.0, n_steps=10, seed=1)
 
 
 def test_simulate_rejects_bad_lengths(sas15):

@@ -1,6 +1,7 @@
 """Config parsing, CSV/JSON artifacts and process exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -117,6 +118,23 @@ def test_simulate_subcommand_csv(smoke_config_text):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[1] == "step,state"
     assert len(lines) == 2 + 2000
+
+
+def test_simulate_subcommand_freezes_overflow(smoke_config_text, tmp_path):
+    # index 0.01 overflows doubles within a few hundred steps; the path
+    # must freeze at +-1e300 instead of crashing or writing inf/nan
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    doc["chain"]["alpha"] = {"kind": "periodic", "period": 1.0, "values": [0.01, 0.03]}
+    cfg = tmp_path / "overflow.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    proc = _invoke("simulate", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    states = [float(line.split(",")[1]) for line in lines[2:]]
+    assert len(states) == 2000
+    assert all(math.isfinite(s) for s in states)
+    assert 1e300 in map(abs, states)
 
 
 def test_mc_diagnose_subcommand_csv(smoke_config_text):

@@ -19,7 +19,8 @@ from stablike import (
 from stablike.drift import kernel_parts, truncated_integral_with_error
 from stablike.specfun import real_binom
 from stablike.stable import (
-    DensityTable, StableParams, sas_density, sas_sample_n, tail_constant,
+    DensityTable, StableParams, _tail_coefficients, sas_density, sas_sample_n,
+    tail_constant,
 )
 
 
@@ -181,7 +182,8 @@ def test_tail_scan_reports_inf_side_levels(sas15):
 
 def _scalar_density(table):
     knots, coef = table._knots.tolist(), table._coef.T.tolist()
-    tail, alpha, last = table._tail_coef.tolist(), table.alpha, len(coef) - 1
+    tail = _tail_coefficients(table.alpha)[0]
+    alpha, last = table.alpha, len(coef) - 1
 
     def pdf(z):
         z = abs(z)
