@@ -46,7 +46,7 @@ from .mc import (
 )
 from .specfun import SpecFunResult, digamma, gamma, hyp2f1, real_binom
 from .stable import DensityGrid, StableParams, sas_density, tail_constant
-from .thresholds import ThresholdValue, r1, r2, r2_over_beta_profile, t
+from .thresholds import ThresholdValue, r1, r2, t
 
 __all__ = [
     "ChainSpec",
@@ -85,7 +85,6 @@ __all__ = [
     "occupation",
     "r1",
     "r2",
-    "r2_over_beta_profile",
     "real_binom",
     "return_stats",
     "sas_density",

@@ -55,23 +55,20 @@ ERGODIC_CONDITIONS = ("log_erg", "pow_erg", "mom_erg", "mom_erg_b")
 VERDICTS = ("Recurrent", "Transient", "Ergodic", "NullCandidate", "Inconclusive")
 
 _DECAY_TOL = 1e-6
+_DECAY_HORIZON = 1e16  # |x| reach of the small-index decay shortcut
 
 
 @dataclass(frozen=True)
 class ScanSettings:
-    """Grid and horizon knobs shared by all classification scans.
+    """Grid knobs shared by all classification scans.
 
-    None fields fall back to the drift-layer defaults. decay_horizon
-    only affects the small-index decay shortcut, which is pointwise
-    (no quadrature) and therefore can afford a much longer horizon
-    than the integral scans.
+    None fields fall back to the drift-layer defaults.
     """
 
     x_grid: tuple | None = None
     delta_grid: tuple | None = None
     d_grid: tuple | None = None
     betas: tuple | None = None
-    decay_horizon: float = 1e16
 
 
 @dataclass(frozen=True)
@@ -248,9 +245,7 @@ def classify_null(spec: ChainSpec, settings: ScanSettings | None = None) -> Evid
     return replace(ev, reports=tuple(reports))
 
 
-def classify_transient_smallalpha(
-    spec: ChainSpec, settings: ScanSettings | None = None
-) -> Evidence:
+def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
     """Transience shortcut for uniformly small index.
 
     When sup alpha < 1 the pointwise rate alpha(x)|x|^(alpha(x)-1)/c(x)
@@ -260,17 +255,14 @@ def classify_transient_smallalpha(
     evaluation is cheap, so the horizon extends far beyond the integral
     scans' grid.
     """
-    settings = settings or ScanSettings()
     _require_builtin_alpha(spec)
     a_sup = max(spec.alpha_profile.value_set())
     if not a_sup < 1.0:
         raise DomainError(
             f"small-index transience shortcut needs sup alpha < 1, got {a_sup}"
         )
-    lo, hi = 1e2, float(settings.decay_horizon)
-    if not hi > 10.0 * lo:
-        raise DomainError("decay_horizon must exceed 1e3")
-    n = max(30, int(8 * math.log10(hi / lo)))
+    lo, hi = 1e2, _DECAY_HORIZON
+    n = int(8 * math.log10(hi / lo))
     mags = np.geomspace(lo, hi, n)
     holds = True
     last_max = 0.0
@@ -445,7 +437,7 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
 
     a_sup = max(spec.alpha_profile.value_set())
     if a_sup < 1.0 and not spec.unchecked:
-        decay = classify_transient_smallalpha(spec, settings)
+        decay = classify_transient_smallalpha(spec)
         if decay.holds:
             trans_fired.append("idx_decay")
             margins_fired["idx_decay"] = decay.margins["idx_decay"]

@@ -307,6 +307,10 @@ _D_TERM = {
 
 
 def _kernel_for(condition_id: str, beta: float | None) -> DriftKernel:
+    if condition_id not in ALL_CONDITIONS:
+        raise DomainError(f"unknown condition id {condition_id}")
+    if condition_id in _NEEDS_BETA and beta is None:
+        raise DomainError(f"{condition_id} requires beta")
     kind = _KERNEL_FOR_CONDITION[condition_id]
     if kind == "log_shift":
         return DriftKernel.log_shift()
@@ -317,6 +321,32 @@ def _kernel_for(condition_id: str, beta: float | None) -> DriftKernel:
     return DriftKernel.first_moment()
 
 
+def _prefactor(spec: ChainSpec, x: float, condition_id: str) -> float:
+    a = alpha_at(spec, x)
+    power = a - 1.0 if condition_id in MOMENT_CONDITIONS else a
+    return abs(x) ** power / c_at(spec, x)
+
+
+def _lhs(spec, x_grid, d_grid, condition_id, beta, raw, d_weight=None):
+    """Normalized left-hand sides lhs[d, delta, x] and errors err[delta, x].
+
+    raw[x, value/error, delta] holds the raw integrals as _integrals_at
+    gives them per x. The first-moment displays carry sgn(x); the d-term
+    (times d_weight) is evaluated per x in Python floats, where numpy's
+    vectorised power would differ by an ulp.
+    """
+    prefs = np.array([_prefactor(spec, x, condition_id) for x in x_grid])
+    sign = np.sign(x_grid) if condition_id in MOMENT_CONDITIONS else 1.0
+    dterm = _D_TERM.get(condition_id, lambda x, d, beta: 0.0)
+    weights = [1.0 if d_weight is None else d_weight(x) for x in x_grid]
+    shift = np.array([
+        [p * (dterm(x, d, beta) * w) for x, p, w in zip(x_grid, prefs, weights)]
+        for d in d_grid
+    ])
+    lhs = prefs * (sign * raw[:, 0].T) + shift[:, None, :]
+    return lhs, prefs * raw[:, 1].T
+
+
 def normalized_lhs(
     spec: ChainSpec,
     x: float,
@@ -325,30 +355,14 @@ def normalized_lhs(
     condition_id: str,
     beta: float | None = None,
 ) -> DriftPoint:
-    """Left-hand side of the named condition at one (x, delta, d)."""
-    if condition_id not in ALL_CONDITIONS:
-        raise DomainError(f"unknown condition id {condition_id}")
-    if condition_id in _NEEDS_BETA and beta is None:
-        raise DomainError(f"{condition_id} requires beta")
+    """Left-hand side of the named condition at one (x, delta, d).
+
+    One point of the tail-scan arithmetic (_lhs) on one raw integral.
+    """
     kernel = _kernel_for(condition_id, beta)
-    raw, raw_err = truncated_integral_with_error(spec, x, delta, kernel)
-    return _point(x, delta, d, condition_id, beta, raw, raw_err,
-                  _prefactor(spec, x, condition_id))
-
-
-def _prefactor(spec: ChainSpec, x: float, condition_id: str) -> float:
-    a = alpha_at(spec, x)
-    power = a - 1.0 if condition_id in MOMENT_CONDITIONS else a
-    return abs(x) ** power / c_at(spec, x)
-
-
-def _point(x, delta, d, condition_id, beta, raw, raw_err, prefactor) -> DriftPoint:
-    signed = raw
-    if condition_id in MOMENT_CONDITIONS:
-        signed = (1.0 if x > 0 else -1.0) * raw
-    dterm = _D_TERM.get(condition_id, lambda *_: 0.0)(x, d, beta)
-    value = prefactor * (signed + dterm)
-    return DriftPoint(x, delta, d, raw, value, prefactor * raw_err)
+    raw = np.array([_integrals_at(spec, kernel, x, (delta,))])
+    lhs, err = _lhs(spec, (x,), (d,), condition_id, beta, raw)
+    return DriftPoint(x, delta, d, float(raw[0, 0, 0]), float(lhs[0, 0, 0]), float(err[0, 0]))
 
 
 def default_x_grid(n_per_side: int = 13, lo: float = 1e2, hi: float = 1e5) -> tuple:
@@ -358,11 +372,6 @@ def default_x_grid(n_per_side: int = 13, lo: float = 1e2, hi: float = 1e5) -> tu
 
 DEFAULT_DELTA_GRID = (0.5, 0.2, 0.1, 0.05)
 DEFAULT_D_GRID = (0.1, 0.01, 0.001)
-
-
-def _outer_half(x_grid: tuple) -> tuple:
-    cut = np.median([abs(x) for x in x_grid])
-    return tuple(x for x in x_grid if abs(x) >= cut)
 
 
 def _limit_alphas(spec: ChainSpec) -> tuple:
@@ -426,15 +435,12 @@ def tail_scan(
     scans of one classification: each raw-integral set is computed once
     and stored there for the other scans with the same kernel.
     """
-    if condition_id not in ALL_CONDITIONS:
-        raise DomainError(f"unknown condition id {condition_id}")
-    if condition_id in _NEEDS_BETA and beta is None:
-        raise DomainError(f"{condition_id} requires beta")
+    kernel = _kernel_for(condition_id, beta)
     if x_grid is None:
         x_grid = default_x_grid()
     x_grid = tuple(float(x) for x in x_grid)
-    mags = sorted({abs(x) for x in x_grid})
-    if len(mags) < 2 or mags[0] <= 0 or mags[-1] / mags[0] < 1e3:
+    mags = np.abs(x_grid)
+    if len(set(mags)) < 2 or mags.min() <= 0 or mags.max() / mags.min() < 1e3:
         raise DomainError("x_grid must span at least 3 decades of |x|")
     delta_grid = tuple(delta_grid)
     if any(d1 <= d2 for d1, d2 in zip(delta_grid, delta_grid[1:])):
@@ -445,79 +451,50 @@ def tail_scan(
     if len(d_grid) > 1 and any(a <= b for a, b in zip(d_grid, d_grid[1:])):
         raise DomainError("d_grid must be strictly decreasing")
 
-    kernel = _kernel_for(condition_id, beta)
     integrals = {} if integrals is None else integrals
     key = (spec, kernel, x_grid, delta_grid)
     if key not in integrals:
         # shape (x, value/error, delta)
         integrals[key] = np.array([_integrals_at(spec, kernel, x, delta_grid) for x in x_grid])
     raw = integrals[key]
-    prefs = [_prefactor(spec, x, condition_id) for x in x_grid]
-    # d = 0 points, shape (x, delta)
-    bases = [
-        [_point(x, delta, 0.0, condition_id, beta, float(raw[i, 0, j]),
-                float(raw[i, 1, j]), prefs[i])
-         for j, delta in enumerate(delta_grid)]
-        for i, x in enumerate(x_grid)
-    ]
+    lhs, quad = _lhs(spec, x_grid, d_grid, condition_id, beta, raw, d_weight)
+    raw_l, quad_l = raw[:, 0].T.tolist(), quad.tolist()
+    points = tuple(
+        DriftPoint(x, delta, d, r, v, e)
+        for d, lhs_d in zip(d_grid, lhs.tolist())
+        for delta, lhs_dd, raw_d, quad_d in zip(delta_grid, lhs_d, raw_l, quad_l)
+        for x, v, r, e in zip(x_grid, lhs_dd, raw_d, quad_d)
+    )
 
-    outer = set(_outer_half(x_grid))
-    points = []
-    sup_by_level: dict = {}
-    inf_by_level: dict = {}
-    quad_by_level: dict = {}
-    for d in d_grid:
-        for j, delta in enumerate(delta_grid):
-            sup_v, inf_v, worst_q = -math.inf, math.inf, 0.0
-            for i, x in enumerate(x_grid):
-                base = bases[i][j]
-                if d == 0.0:
-                    pt = base
-                else:
-                    pref = prefs[i]
-                    dterm = _D_TERM.get(condition_id, lambda *_: 0.0)(x, d, beta)
-                    if d_weight is not None:
-                        dterm *= d_weight(x)
-                    pt = DriftPoint(
-                        x, delta, d, base.raw_integral,
-                        base.normalized_lhs + pref * dterm,
-                        base.quadrature_error,
-                    )
-                points.append(pt)
-                if x in outer:
-                    sup_v = max(sup_v, pt.normalized_lhs)
-                    inf_v = min(inf_v, pt.normalized_lhs)
-                    worst_q = max(worst_q, pt.quadrature_error)
-            sup_by_level[(d, delta)] = sup_v
-            inf_by_level[(d, delta)] = inf_v
-            quad_by_level[(d, delta)] = worst_q
-
-    d_min, delta_min = d_grid[-1], delta_grid[-1]
-    tail_sup = sup_by_level[(d_min, delta_min)]
-    tail_inf = inf_by_level[(d_min, delta_min)]
+    # every aggregate runs over the outer half (by |x|) of the grid;
+    # sup/inf per (d, delta) level, and the finest level per magnitude
+    outer = mags >= np.median(mags)
+    sup = lhs[:, :, outer].max(axis=2).tolist()
+    inf = lhs[:, :, outer].min(axis=2).tolist()
+    worst_q = float(quad[-1, outer].max())
     is_lt = condition_id in LT_CONDITIONS
-    agg = sup_by_level if is_lt else inf_by_level
-    final = agg[(d_min, delta_min)]
+    agg = sup if is_lt else inf
+    final = agg[-1][-1]
 
     # Richardson-style linear extrapolation gaps toward delta -> 0, d -> 0
     def delta_gap_of(levels):
         if len(delta_grid) < 2:
             return 0.0
-        v1, v2 = levels[(d_min, delta_grid[-2])], levels[(d_min, delta_min)]
-        extrap = v2 + (v2 - v1) * delta_min / (delta_grid[-2] - delta_min)
+        v1, v2 = levels[-1][-2], levels[-1][-1]
+        extrap = v2 + (v2 - v1) * delta_grid[-1] / (delta_grid[-2] - delta_grid[-1])
         return abs(v2 - extrap)
 
-    inf_gap = delta_gap_of(inf_by_level)
-    delta_gap = delta_gap_of(sup_by_level) if is_lt else inf_gap
+    inf_gap = delta_gap_of(inf)
+    delta_gap = delta_gap_of(sup) if is_lt else inf_gap
     trend = "ok"
     if len(delta_grid) >= 3:
-        v0, v1 = agg[(d_min, delta_grid[-3])], agg[(d_min, delta_grid[-2])]
+        v0, v1 = agg[-1][-3], agg[-1][-2]
         if (v1 - v0) * (final - v1) < 0 and abs(final - v1) > 1e-12:
             trend = "non-monotone"
     d_gap = 0.0
     if len(d_grid) >= 2:
-        w1 = agg[(d_grid[-2], delta_min)]
-        extrap = final + (final - w1) * d_min / (d_grid[-2] - d_min)
+        w1 = agg[-2][-1]
+        extrap = final + (final - w1) * d_grid[-1] / (d_grid[-2] - d_grid[-1])
         d_gap = abs(final - extrap)
 
     # |x|-direction trend at the finest (d, delta) level: a grid extremum
@@ -526,21 +503,11 @@ def tail_scan(
     # the increments gets extrapolated; non-decaying adverse increments
     # mean the limit is off the grid entirely (e.g. a d-term growing like
     # a power of |x|), so the condition must never certify.
-    worst_q = quad_by_level[(d_min, delta_min)]
     adverse = 1.0 if is_lt else -1.0
+    level_agg = np.max if is_lt else np.min
+    per_mag = [float(level_agg(lhs[-1, -1, mags == m])) for m in np.unique(mags[outer])]
     cert = final
     x_gap = 0.0
-    outer_mags = sorted({abs(x) for x in outer})
-    level_agg = max if is_lt else min
-    per_mag = []
-    for m in outer_mags:
-        vals = [
-            p.normalized_lhs
-            for p in points
-            if p.d == d_min and p.delta == delta_min and abs(p.x) == m
-        ]
-        if vals:
-            per_mag.append(level_agg(vals))
     noise = 4.0 * worst_q + 1e-12 * (1.0 + abs(final))
     if len(per_mag) >= 3:
         d1 = per_mag[-2] - per_mag[-3]
@@ -564,9 +531,9 @@ def tail_scan(
     scan_error = worst_q + delta_gap + d_gap + x_gap + thr_err
     return TailScanReport(
         condition_id=condition_id,
-        points=tuple(points),
-        tail_sup_estimate=tail_sup,
-        tail_inf_estimate=tail_inf,
+        points=points,
+        tail_sup_estimate=sup[-1][-1],
+        tail_inf_estimate=inf[-1][-1],
         threshold=thr,
         margin=margin,
         beta=beta,

@@ -4,7 +4,8 @@ These routines corroborate classifier output empirically; they never
 replace it. The return, occupation and total-variation diagnostics
 run the chain as a vectorized ensemble: paths are grouped into
 fixed-size blocks, each block draws from its own stream spawned off
-the master seed, and every step consumes one uniform angle and one
+the master seed, the blocks step in lockstep through one generator
+(_ensemble), and every step consumes one uniform angle and one
 exponential per path in a fixed order. That makes every statistic
 bit-reproducible for identical (spec, args, seed) and makes return
 events for a given seed a prefix-stable function of n_steps (longer
@@ -68,13 +69,6 @@ class TvEstimate:
     n_paths: int
 
 
-def _block_sizes(n_paths: int) -> list:
-    sizes = [_BLOCK] * (n_paths // _BLOCK)
-    if n_paths % _BLOCK:
-        sizes.append(n_paths % _BLOCK)
-    return sizes
-
-
 def _step_ensemble(spec: ChainSpec, x: np.ndarray, frozen: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Advance one step in place-ordered draws; freeze overflowing paths."""
@@ -90,6 +84,25 @@ def _step_ensemble(spec: ChainSpec, x: np.ndarray, frozen: np.ndarray,
     xn = np.where(frozen, x, xn)
     frozen |= np.abs(xn) >= FREEZE
     return xn
+
+
+def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
+              root: np.random.SeedSequence):
+    """Yield the states of n_paths paths from x0 after each of n_steps steps.
+
+    Block k of the _BLOCK-path blocks draws from the k-th stream spawned
+    off root; the blocks step in lockstep. The yielded array is
+    overwritten by the next step.
+    """
+    starts = range(0, n_paths, _BLOCK)
+    rngs = [np.random.default_rng(child) for child in root.spawn(len(starts))]
+    x = np.full(n_paths, float(x0))
+    frozen = np.zeros(n_paths, dtype=bool)
+    for _ in range(n_steps):
+        for rng, lo in zip(rngs, starts):
+            block = slice(lo, lo + _BLOCK)
+            x[block] = _step_ensemble(spec, x[block], frozen[block], rng)
+        yield x
 
 
 def _hist_edges(bin_width: float) -> np.ndarray:
@@ -122,44 +135,26 @@ def _interval_stats(
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
-    empty = not lo < hi
-    burn = n_steps // 2
-    window = n_steps - burn
-    children = np.random.SeedSequence(seed).spawn(len(_block_sizes(n_paths)))
-    total_returned = 0
-    total_return_time = 0.0
-    total_occ = 0.0
-    for size, child in zip(_block_sizes(n_paths), children):
-        rng = np.random.default_rng(child)
-        x = np.full(size, float(x0))
-        frozen = np.zeros(size, dtype=bool)
-        if empty:
-            for _ in range(n_steps):
-                x = _step_ensemble(spec, x, frozen, rng)
-            continue
-        inside0 = (lo <= x0) and (x0 <= hi)
-        left = np.full(size, not inside0)
-        returned = np.zeros(size, dtype=bool)
-        return_time = np.zeros(size, dtype=np.int64)
-        occ = np.zeros(size, dtype=np.int64)
-        for t in range(1, n_steps + 1):
-            x = _step_ensemble(spec, x, frozen, rng)
-            inside = (x >= lo) & (x <= hi)
-            hit = left & ~returned & inside
-            if hit.any():
-                return_time[hit] = t
-                returned |= hit
-            left |= ~inside
-            if t > burn:
-                occ += inside
-        total_returned += int(returned.sum())
-        total_return_time += float(return_time[returned].sum())
-        total_occ += float(occ.sum())
-    if empty:
+    if not lo < hi:
         return TrajectoryStats(n_paths, n_steps, 0.0, math.nan, 0.0, radius_label)
-    frac = total_returned / n_paths
-    mean_rt = total_return_time / total_returned if total_returned else math.nan
-    occ_frac = total_occ / (n_paths * window)
+    burn = n_steps // 2
+    left = np.full(n_paths, not lo <= x0 <= hi)
+    returned = np.zeros(n_paths, dtype=bool)
+    return_time = np.zeros(n_paths, dtype=np.int64)
+    occ = np.zeros(n_paths, dtype=np.int64)
+    paths = _ensemble(spec, x0, n_paths, n_steps, np.random.SeedSequence(seed))
+    for t, x in enumerate(paths, start=1):
+        inside = (x >= lo) & (x <= hi)
+        hit = left & ~returned & inside
+        return_time[hit] = t
+        returned |= hit
+        left |= ~inside
+        if t > burn:
+            occ += inside
+    n_returned = int(returned.sum())
+    frac = n_returned / n_paths
+    mean_rt = float(return_time[returned].sum()) / n_returned if n_returned else math.nan
+    occ_frac = float(occ.sum()) / (n_paths * (n_steps - burn))
     return TrajectoryStats(n_paths, n_steps, frac, mean_rt, occ_frac, radius_label)
 
 
@@ -231,30 +226,16 @@ def tv_convergence(
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
     edges = _hist_edges(bin_width)
-    n_bins = len(edges) - 1
-    counts = {
-        "a": np.zeros((len(tps), n_bins)),
-        "b": np.zeros((len(tps), n_bins)),
-    }
-    master = np.random.SeedSequence(seed)
-    stream_roots = dict(zip(("a", "b"), master.spawn(2)))
-    for label, x0 in (("a", x0_a), ("b", x0_b)):
-        sizes = _block_sizes(n_paths)
-        children = stream_roots[label].spawn(len(sizes))
-        for size, child in zip(sizes, children):
-            rng = np.random.default_rng(child)
-            x = np.full(size, float(x0))
-            frozen = np.zeros(size, dtype=bool)
-            next_idx = 0
-            for t in range(1, tps[-1] + 1):
-                x = _step_ensemble(spec, x, frozen, rng)
-                if next_idx < len(tps) and t == tps[next_idx]:
-                    counts[label][next_idx] += _clipped_counts(x, edges)
-                    next_idx += 1
-    tv_values = tuple(
-        float(0.5 * np.abs(counts["a"][i] / n_paths - counts["b"][i] / n_paths).sum())
-        for i in range(len(tps))
-    )
+    marks = set(tps)
+    laws = [
+        np.array([
+            _clipped_counts(x, edges)
+            for t, x in enumerate(_ensemble(spec, x0, n_paths, tps[-1], root), start=1)
+            if t in marks
+        ]) / n_paths
+        for x0, root in zip((x0_a, x0_b), np.random.SeedSequence(seed).spawn(2))
+    ]
+    tv_values = tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(*laws))
     return TvEstimate(tps, tv_values, float(bin_width), n_paths)
 
 

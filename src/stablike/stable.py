@@ -124,6 +124,24 @@ def _tail_std(alpha: float, z):
     return np.polyval(_tail_coefficients(alpha)[0], w) * w / z
 
 
+def _density_quad(alpha: float, z: float, f, upper: float, **options):
+    """Integral of f over [0, upper], over pi, with its error estimate.
+
+    A QUADPACK message (ier > 0) raises QuadratureError: its error
+    estimate may then be low, so the value carries no honest bound.
+    """
+    out = integrate.quad(f, 0.0, upper, epsabs=1e-14, epsrel=1e-12, full_output=1,
+                         **options)
+    val, err = out[0] / math.pi, out[1] / math.pi
+    if len(out) > 3:
+        raise QuadratureError(
+            f"density quadrature at alpha={alpha}, z={z}: {out[3]}",
+            partial=val,
+            est_abs_error=err,
+        )
+    return val, err
+
+
 def _contour_quad(alpha: float, z: float) -> tuple[float, float]:
     # alpha < 1: non-oscillatory rotated-contour representation
     th = math.pi * alpha / 2.0
@@ -133,39 +151,22 @@ def _contour_quad(alpha: float, z: float) -> tuple[float, float]:
         ra = r ** alpha
         return math.exp(-ra * c - r * z) * math.sin(ra * s)
 
-    out = integrate.quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-12, limit=400,
-                         full_output=1)
-    return out[0] / math.pi, out[1] / math.pi
+    return _density_quad(alpha, z, f, np.inf, limit=400)
 
 
 def _direct_quad(alpha: float, z: float) -> tuple[float, float]:
     # alpha > 1, small z: the cosine barely varies across the envelope
-    T = _ENVELOPE_CUT ** (1.0 / alpha)
-
     def f(t):
         return math.exp(-(t ** alpha)) * math.cos(t * z)
 
-    out = integrate.quad(f, 0.0, T, epsabs=1e-14, epsrel=1e-12, limit=200,
-                         full_output=1)
-    return out[0] / math.pi, out[1] / math.pi
+    return _density_quad(alpha, z, f, _ENVELOPE_CUT ** (1.0 / alpha), limit=200)
 
 
 def _qawo_quad(alpha: float, z: float) -> tuple[float, float]:
     # alpha > 1, moderate z: cosine-weighted quadrature on the finite range
-    T = _ENVELOPE_CUT ** (1.0 / alpha)
-    out = integrate.quad(
-        lambda u: math.exp(-(u ** alpha)),
-        0.0,
-        T,
-        weight="cos",
-        wvar=z,
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=300,
-        maxp1=100,
-        full_output=1,
-    )
-    return out[0] / math.pi, out[1] / math.pi
+    return _density_quad(alpha, z, lambda u: math.exp(-(u ** alpha)),
+                         _ENVELOPE_CUT ** (1.0 / alpha), weight="cos", wvar=z,
+                         limit=300, maxp1=100)
 
 
 def _std_density(alpha: float, z: float) -> tuple[float, float]:

@@ -128,7 +128,3 @@ def t(alpha: float, beta: float) -> ThresholdValue:
     err = series_err + (h_plus.est_abs_error + h_minus.est_abs_error) / denom
     return ThresholdValue("T", alpha, beta, value, err)
 
-
-def r2_over_beta_profile(alpha: float, beta_grid: list[float]) -> list[float]:
-    """R2(alpha, beta)/beta per grid point; decreasing in beta, -> r1(alpha)."""
-    return [r2(alpha, b).value / b for b in beta_grid]

@@ -2,23 +2,28 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 import yaml
 
+import stablike
 from stablike import ConfigError
 from stablike.cli import load_config, run, save_config
 
-PKG_DIR = None  # resolved via sys.executable -m invocation; cwd independent
+# the child process imports the same package as this one, cwd independent
+SRC_DIR = os.path.dirname(os.path.dirname(stablike.__file__))
 
 
 def _invoke(*args):
+    path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "stablike.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -156,22 +156,32 @@ def test_tail_scan_needs_beta():
         tail_scan(make_chain(1.5), condition_id="pow_rec")
 
 
+# an asymmetric grid: four negative and six positive magnitudes, so the
+# outer half and the per-level extrema differ between the two sides
+_ASYMMETRIC_X = tuple(-(10.0 ** k) for k in (2.0, 3.0, 4.0, 5.0)) + tuple(
+    10.0 ** k for k in (2.0, 2.6, 3.2, 3.8, 4.4, 5.0)
+)
+
+
 def test_tail_scan_reports_inf_side_levels(sas15):
-    # the inf-side aggregate, its delta gap and the worst quadrature error
-    # at the finest level, rebuilt here from the points
-    rep = tail_scan(sas15, condition_id="log_erg")
-    d_min = min(p.d for p in rep.points)
-    cut = float(np.median(sorted({abs(p.x) for p in rep.points})))
+    # the sup/inf aggregates, the inf-side delta gap and the worst
+    # quadrature error at the finest level, rebuilt here from the points
+    for x_grid in (None, _ASYMMETRIC_X):
+        rep = tail_scan(sas15, x_grid=x_grid, condition_id="log_erg")
+        d_min = min(p.d for p in rep.points)
+        finest = [p for p in rep.points if p.d == d_min and p.delta == 0.05]
+        cut = float(np.median([abs(p.x) for p in finest]))
 
-    def level(delta):
-        return [p for p in rep.points
-                if p.d == d_min and p.delta == delta and abs(p.x) >= cut]
+        def level(delta):
+            return [p for p in rep.points
+                    if p.d == d_min and p.delta == delta and abs(p.x) >= cut]
 
-    v1 = min(p.normalized_lhs for p in level(0.1))
-    v2 = min(p.normalized_lhs for p in level(0.05))
-    assert rep.tail_inf_estimate == v2
-    assert rep.inf_delta_gap == abs(v2 - (v2 + (v2 - v1) * 0.05 / (0.1 - 0.05)))
-    assert rep.quad_error == max(p.quadrature_error for p in level(0.05))
+        v1 = min(p.normalized_lhs for p in level(0.1))
+        v2 = min(p.normalized_lhs for p in level(0.05))
+        assert rep.tail_sup_estimate == max(p.normalized_lhs for p in level(0.05))
+        assert rep.tail_inf_estimate == v2
+        assert rep.inf_delta_gap == abs(v2 - (v2 + (v2 - v1) * 0.05 / (0.1 - 0.05)))
+        assert rep.quad_error == max(p.quadrature_error for p in level(0.05))
 
 
 # Reference for the fixed-rule engine: scipy's adaptive quad on every

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stablike import (
+    ProfileFn,
     invariant_histogram,
     make_chain,
     occupation,
@@ -50,6 +51,20 @@ def test_occupation_fraction_bounds(sas15):
     st = occupation(sas15, x0=0.0, compact_c=(-5.0, 5.0), n_steps=2000,
                     n_paths=100, seed=3)
     assert 0.0 < st.occupation_fraction < 1.0
+    assert st.n_paths == 100 and st.n_steps == 2000
+
+
+def test_empty_interval_skips_the_stepping():
+    # an empty interval has fixed stats; the alpha profile raises if a
+    # single step is taken
+    def no_steps(x):
+        raise AssertionError("stepped an empty interval")
+
+    spec = make_chain(ProfileFn.custom(no_steps), unchecked=True)
+    st = occupation(spec, x0=0.0, compact_c=(1.0, -1.0), n_steps=2000,
+                    n_paths=100, seed=3)
+    assert (st.return_fraction, st.occupation_fraction, st.radius_a) == (0.0, 0.0, 0.0)
+    assert math.isnan(st.mean_return_time)
     assert st.n_paths == 100 and st.n_steps == 2000
 
 

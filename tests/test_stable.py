@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from stablike import DomainError, StableParams, sas_density, tail_constant
+from stablike import DomainError, QuadratureError, StableParams, sas_density, stable, tail_constant
 from stablike.stable import DensityTable, sas_sample_n, _std_density
 
 
@@ -189,3 +189,15 @@ def test_sampler_location_scale_transport():
     base = sas_sample_n(StableParams(1.4, 1.0, 0.0), np.random.default_rng(3), 2000)
     moved = sas_sample_n(StableParams(1.4, 2.0, 5.0), np.random.default_rng(3), 2000)
     assert np.allclose(moved, 5.0 + 2.0 * base, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, z", [(0.5, 1.0), (1.5, 0.01), (1.5, 1.0)],
+                         ids=["contour", "direct", "qawo"])
+def test_quadpack_message_raises(monkeypatch, alpha, z):
+    # every density quadrature route must refuse a value QUADPACK flagged
+    def flagged(*args, **kwargs):
+        return 0.1, 1e-15, {}, "The maximum number of subdivisions has been achieved."
+
+    monkeypatch.setattr(stable.integrate, "quad", flagged)
+    with pytest.raises(QuadratureError, match="subdivisions"):
+        _std_density(alpha, z)
