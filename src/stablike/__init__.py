@@ -39,6 +39,7 @@ from .errors import (
 from .mc import (
     TrajectoryStats,
     TvEstimate,
+    interval_stats,
     invariant_histogram,
     occupation,
     return_stats,
@@ -79,6 +80,7 @@ __all__ = [
     "f_ergodic_check",
     "gamma",
     "hyp2f1",
+    "interval_stats",
     "invariant_histogram",
     "make_chain",
     "normalized_lhs",

@@ -40,7 +40,8 @@ from .drift import (
     tail_scan,
 )
 from .errors import ConfigError, StablikeError
-from .mc import occupation, return_stats, tv_convergence
+# return_stats and occupation are unused here; perfbench's tracer wraps them by name
+from .mc import _ball, _compact, interval_stats, occupation, return_stats, tv_convergence
 from .thresholds import r1, r2, t as t_threshold
 
 SCHEMA_VERSION = 1
@@ -519,9 +520,10 @@ def _run_mc_diagnose(config: RunConfig) -> int:
     if config.mc is None:
         raise ConfigError(["mc-diagnose needs an mc section"])
     mc = config.mc
-    rs = return_stats(config.chain, mc.x0, mc.radius, mc.n_steps, mc.n_paths, mc.seed)
-    occ = occupation(
-        config.chain, mc.x0, mc.compact, mc.n_steps, mc.n_paths, mc.seed
+    # both intervals are checked before the one sweep draws anything
+    intervals = [_ball(mc.radius), _compact(mc.compact, mc.n_steps)]
+    rs, occ = interval_stats(
+        config.chain, mc.x0, intervals, mc.n_steps, mc.n_paths, mc.seed
     )
     tv = tv_convergence(
         config.chain, mc.x0, mc.x0_b, mc.time_points, mc.n_paths,

@@ -11,6 +11,10 @@ bit-reproducible for identical (spec, args, seed) and makes return
 events for a given seed a prefix-stable function of n_steps (longer
 runs extend, never rewrite, history).
 
+Interval statistics that share a seed are read off one sweep:
+interval_stats steps the ensemble once and updates every interval's
+return and occupation counters on each step.
+
 invariant_histogram reads one path of chain.simulate (block-drawn
 stream, enumerable alpha only); the ensembles also take a custom alpha.
 
@@ -121,28 +125,45 @@ def _clipped_counts(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _interval_stats(
-    spec: ChainSpec,
-    x0: float,
-    lo: float,
-    hi: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
-    radius_label: float,
-) -> TrajectoryStats:
+def _ball(radius_a: float) -> tuple:
+    if not radius_a > 0.0:
+        raise DomainError(f"radius_a must be > 0, got {radius_a}")
+    return (-radius_a, radius_a, radius_a)
+
+
+def _compact(compact_c: tuple, n_steps: int) -> tuple:
+    lo, hi = (float(compact_c[0]), float(compact_c[1]))
+    if n_steps < 1000:
+        raise DomainError(f"occupation needs n_steps >= 1000, got {n_steps}")
+    return (lo, hi, max(0.0, (hi - lo) / 2.0))
+
+
+def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
+                   n_paths: int, seed: int) -> tuple:
+    """Return and occupation statistics of several intervals, one sweep.
+
+    intervals is a sequence of (lo, hi, label); the label becomes the
+    radius_a field of that interval's TrajectoryStats. One ensemble is
+    stepped and every interval reads its statistics off the same states,
+    so each result equals a one-interval call with the same seed. An
+    empty interval (lo >= hi) gives (0, nan, 0); if every interval is
+    empty, nothing is stepped.
+    """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
-    if not lo < hi:
-        return TrajectoryStats(n_paths, n_steps, 0.0, math.nan, 0.0, radius_label)
+    # one row per interval; an empty one becomes (inf, -inf), which no state enters
+    bounds = np.array([(lo, hi) if lo < hi else (math.inf, -math.inf)
+                       for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
+    lo, hi = bounds[:, :1], bounds[:, 1:]
     burn = n_steps // 2
-    left = np.full(n_paths, not lo <= x0 <= hi)
-    returned = np.zeros(n_paths, dtype=bool)
-    return_time = np.zeros(n_paths, dtype=np.int64)
-    occ = np.zeros(n_paths, dtype=np.int64)
-    paths = _ensemble(spec, x0, n_paths, n_steps, np.random.SeedSequence(seed))
+    left = np.repeat(~((lo <= x0) & (x0 <= hi)), n_paths, axis=1)
+    returned = np.zeros_like(left)
+    return_time = np.zeros(left.shape, dtype=np.int64)
+    occ = np.zeros(left.shape, dtype=np.int64)
+    root = np.random.SeedSequence(seed)
+    paths = _ensemble(spec, x0, n_paths, n_steps, root) if np.any(lo < hi) else ()
     for t, x in enumerate(paths, start=1):
         inside = (x >= lo) & (x <= hi)
         hit = left & ~returned & inside
@@ -151,11 +172,14 @@ def _interval_stats(
         left |= ~inside
         if t > burn:
             occ += inside
-    n_returned = int(returned.sum())
-    frac = n_returned / n_paths
-    mean_rt = float(return_time[returned].sum()) / n_returned if n_returned else math.nan
-    occ_frac = float(occ.sum()) / (n_paths * (n_steps - burn))
-    return TrajectoryStats(n_paths, n_steps, frac, mean_rt, occ_frac, radius_label)
+    # return_time is 0 on every path that has not returned
+    sums = zip(returned.sum(axis=1), return_time.sum(axis=1), occ.sum(axis=1))
+    return tuple(
+        TrajectoryStats(n_paths, n_steps, int(n_ret) / n_paths,
+                        float(rt_sum) / int(n_ret) if n_ret else math.nan,
+                        float(occ_sum) / (n_paths * (n_steps - burn)), label)
+        for (n_ret, rt_sum, occ_sum), (_, _, label) in zip(sums, intervals)
+    )
 
 
 def return_stats(
@@ -172,11 +196,7 @@ def return_stats(
     outside the ball counts as already having left). Freezing at the
     overflow guard counts as never returning.
     """
-    if not radius_a > 0.0:
-        raise DomainError(f"radius_a must be > 0, got {radius_a}")
-    return _interval_stats(
-        spec, x0, -radius_a, radius_a, n_steps, n_paths, seed, radius_a
-    )
+    return interval_stats(spec, x0, [_ball(radius_a)], n_steps, n_paths, seed)[0]
 
 
 def occupation(
@@ -193,12 +213,9 @@ def occupation(
     interval has occupation 0 by convention. n_steps below 1000 gives
     a window too short to mean anything, so it is rejected.
     """
-    lo, hi = (float(compact_c[0]), float(compact_c[1]))
-    if n_steps < 1000:
-        raise DomainError(f"occupation needs n_steps >= 1000, got {n_steps}")
-    return _interval_stats(
-        spec, x0, lo, hi, n_steps, n_paths, seed, max(0.0, (hi - lo) / 2.0)
-    )
+    return interval_stats(
+        spec, x0, [_compact(compact_c, n_steps)], n_steps, n_paths, seed
+    )[0]
 
 
 def tv_convergence(

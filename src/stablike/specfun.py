@@ -102,31 +102,6 @@ def _series(a: float, b: float, c: float, z: float) -> SpecFunResult:
     )
 
 
-def _series_capped(a: float, b: float, c: float, z: float) -> SpecFunResult:
-    # fallback for |z| in (1/2, 1] without an integral route: run the series
-    # and convert the last term into an algebraic tail estimate
-    term = 1.0
-    total = 1.0
-    last = 1.0
-    for n in range(_SERIES_CAP):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        last = abs(term)
-        if last < 1e-16 * (1.0 + abs(total)) and n > 3:
-            s = c - a - b
-            tail = last * (n + 2) / s if s > 0 else last * (n + 2)
-            return SpecFunResult(total, tail)
-    s = c - a - b
-    est = last * _SERIES_CAP if s <= 0 else last * _SERIES_CAP / max(s, 1e-2)
-    if est > _HYP_TOL:
-        raise ConvergenceError(
-            f"hyp2f1 fallback series stalled (a={a}, b={b}, c={c}, z={z})",
-            partial=total,
-            est_abs_error=est,
-        )
-    return SpecFunResult(total, est)
-
-
 def _euler_integral(a: float, b: float, c: float, z: float) -> SpecFunResult:
     # Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 t^(b-1)(1-t)^(c-b-1)(1-tz)^(-a) dt
     # caller guarantees c > b > 0. Both endpoint powers go into QUADPACK's
@@ -165,11 +140,12 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z in [-1, 1].
 
     Strategy: terminating polynomial when a or b is a nonpositive integer;
-    power series for |z| <= 1/2; Pfaff transform into the series region
-    for z < -1/2; Euler integral for z > 1/2 when c > b > 0 (or c > a > 0,
-    by argument symmetry); capped series with a tail estimate as the last
-    resort. Raises a convergence error when the estimated error exceeds
-    1e-9, and a quadrature error when QUADPACK flags the Euler integral.
+    Gauss summation at z = 1 when c > a and c > b; power series for
+    |z| <= 1/2; Pfaff transform into the series region for z < -1/2;
+    Euler integral for z > 1/2 when c > b > 0 (or c > a > 0, by argument
+    symmetry). Any other z > 1/2 has no route and raises a domain error.
+    Raises a convergence error when the estimated error exceeds 1e-9,
+    and a quadrature error when QUADPACK flags the Euler integral.
     """
     if _is_nonpos_int(c):
         raise DomainError(f"hyp2f1 undefined for nonpositive integer c = {c}")
@@ -214,7 +190,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
     elif c > a > 0.0:
         res = _euler_integral(b, a, c, z)
     else:
-        res = _series_capped(a, b, c, z)
+        raise DomainError(
+            f"hyp2f1 needs c > b > 0 or c > a > 0 for z in (1/2, 1] "
+            f"(a={a}, b={b}, c={c}, z={z})"
+        )
 
     if res.est_abs_error > _HYP_TOL:
         raise ConvergenceError(

@@ -10,8 +10,8 @@ import pytest
 import yaml
 
 import stablike
-from stablike import ConfigError
-from stablike.cli import load_config, run, save_config
+from stablike import ConfigError, DomainError, mc
+from stablike.cli import load_config, main, run, save_config
 
 # the child process imports the same package as this one, cwd independent
 SRC_DIR = os.path.dirname(os.path.dirname(stablike.__file__))
@@ -187,3 +187,57 @@ def test_run_api_matches_process_behavior(smoke_config_text):
     path, _ = smoke_config_text
     cfg = load_config(str(path))
     assert run("thresholds", cfg) == 0
+
+
+# mc_stats.csv of the smoke config after its provenance line, written by
+# the release that stepped return_stats and occupation as two ensembles
+SMOKE_MC_STATS_BODY = (
+    b"statistic,value\r\n"
+    b"return_fraction,0.67\r\n"
+    b"mean_return_time,494.76119402985074\r\n"
+    b"ball_occupation_fraction,0.03466\r\n"
+    b"compact_occupation_fraction,0.0175\r\n"
+    b"compact_return_fraction,0.63\r\n"
+    b"n_paths,100.0\r\n"
+    b"n_steps,2000.0\r\n"
+)
+
+
+def test_mc_diagnose_one_interval_sweep(smoke_config_text, monkeypatch):
+    # the ball and the compact set share one sweep; the TV proxy runs two
+    path, out = smoke_config_text
+    calls = []
+    ensemble = mc._ensemble
+
+    def counted(*args):
+        calls.append(args)
+        return ensemble(*args)
+
+    monkeypatch.setattr(mc, "_ensemble", counted)
+    assert run("mc-diagnose", load_config(str(path))) == 0
+    assert len(calls) == 3
+    body = (out / "mc_stats.csv").read_bytes().split(b"\n", 1)[1]
+    assert body == SMOKE_MC_STATS_BODY
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"n_steps": 500}, "n_steps >= 1000"), ({"radius": 0.0}, "radius_a must be > 0")],
+    ids=["n_steps", "radius"],
+)
+def test_mc_diagnose_checks_before_any_draw(smoke_config_text, tmp_path, monkeypatch,
+                                            capsys, change, message):
+    path, _ = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    doc["mc"].update(change)
+    bad = tmp_path / "bad_mc.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+
+    def no_draws(*args):
+        raise AssertionError("stepped an ensemble before the config check")
+
+    monkeypatch.setattr(mc, "_ensemble", no_draws)
+    with pytest.raises(DomainError, match=message):
+        run("mc-diagnose", load_config(str(bad)))
+    assert main(["mc-diagnose", "--config", str(bad)]) == 1
+    assert message in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Seed-pinned Monte Carlo diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from stablike import (
     ProfileFn,
+    interval_stats,
     invariant_histogram,
     make_chain,
     occupation,
@@ -66,6 +68,38 @@ def test_empty_interval_skips_the_stepping():
     assert (st.return_fraction, st.occupation_fraction, st.radius_a) == (0.0, 0.0, 0.0)
     assert math.isnan(st.mean_return_time)
     assert st.n_paths == 100 and st.n_steps == 2000
+
+
+def _same_stats(a, b):
+    # field for field, nan equal to nan
+    for f in dataclasses.fields(a):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        assert u == v or (math.isnan(u) and math.isnan(v)), f.name
+
+
+@pytest.mark.parametrize(
+    "spec, x0, compact, n_paths",
+    [
+        (make_chain(1.5), 50.0, (-5.0, 5.0), 8192 + 37),
+        (make_chain(ProfileFn.two_valued(1.5, 1.8), delta=ProfileFn.two_valued(0.5, -0.5)),
+         3.0, (-20.0, 20.0), 300),
+        (make_chain(ProfileFn.custom(lambda x: 1.2 + 0.5 * np.tanh(x)), unchecked=True),
+         -4.0, (-1.0, 30.0), 200),
+        (make_chain(0.7), 0.0, (5.0, -5.0), 150),
+    ],
+    ids=["constant-two-blocks", "two-valued", "custom-alpha", "empty-compact"],
+)
+def test_interval_stats_matches_separate_calls(spec, x0, compact, n_paths):
+    # one sweep for the ball and the compact set equals two separate runs
+    n_steps, seed = 1000, 12
+    lo, hi = compact
+    ball, comp = interval_stats(
+        spec, x0, [(-10.0, 10.0, 10.0), (lo, hi, max(0.0, (hi - lo) / 2.0))],
+        n_steps, n_paths, seed,
+    )
+    _same_stats(ball, return_stats(spec, x0, 10.0, n_steps, n_paths, seed))
+    _same_stats(comp, occupation(spec, x0, compact, n_steps, n_paths, seed))
+    assert ball.return_fraction > 0.0
 
 
 def test_occupation_scales_with_set_size(sas15):

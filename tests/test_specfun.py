@@ -140,6 +140,12 @@ def test_hyp2f1_at_unit_argument_gauss_sum():
     assert r.value == pytest.approx(0.75, rel=1e-12)
 
 
+def test_hyp2f1_rejects_z_above_half_without_euler_route():
+    # neither c > b > 0 nor c > a > 0: no integral route, no series fallback
+    with pytest.raises(DomainError, match="c > b > 0 or c > a > 0"):
+        hyp2f1(1.5, 1.6, 1.2, 0.8)
+
+
 def test_hyp2f1_trivial_cases(rng):
     for z in rng.uniform(-1.0, 0.9, size=20):
         assert hyp2f1(0.0, 0.7, 1.3, z).value == pytest.approx(1.0, abs=1e-14)
