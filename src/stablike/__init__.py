@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    FinitenessError,
     QuadratureError,
     StablikeError,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "DriftKernel",
     "DriftPoint",
     "Evidence",
-    "FinitenessError",
     "ProfileFn",
     "QuadratureError",
     "SasJump",

@@ -1,13 +1,16 @@
 """Command-line front end.
 
 One canonical YAML config format, versioned by schema_version, drives
-five subcommands:
+the subcommands of SUBCOMMANDS; `stablike --help` lists each one with
+the runner's summary of what it writes.
 
-  thresholds   CSV of the r1/r2/t constants over requested grids
-  classify     JSON verdict report plus a one-line summary on stdout
-  drift-scan   CSV of every (x, delta, d) point of one condition scan
-  simulate     CSV of a single trajectory
-  mc-diagnose  CSV of return/occupation statistics and the TV proxy
+Beside the chain section, the config has one section per dataclass of
+SECTIONS (scan, thresholds, mc, output). Each field of those dataclasses
+is one YAML key: it declares its default and the function that parses
+and checks its value. A missing key takes the default, and a missing
+section takes every default, except mc, which stays absent because
+mc.seed has none. output.json gates the JSON artifact and output.csv
+every CSV artifact.
 
 Every output file starts with a comment line carrying the tool version
 and a hash of the canonical config, so results are traceable to the
@@ -20,26 +23,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import yaml
 
 from . import __version__
 from .chain import ChainSpec, ProfileFn, SasJump, simulate
 from .classify import ScanSettings, classify
-from .drift import (
-    ALL_CONDITIONS,
-    DEFAULT_DELTA_GRID,
-    _NEEDS_BETA,
-    default_x_grid,
-    tail_scan,
-)
-from .errors import ConfigError, StablikeError
+from .drift import ALL_CONDITIONS, DEFAULT_DELTA_GRID, _NEEDS_BETA, default_x_grid, tail_scan
+from .errors import ConfigError, DomainError, StablikeError
 # return_stats and occupation are unused here; perfbench's tracer wraps them by name
 from .mc import _ball, _compact, interval_stats, occupation, return_stats, tv_convergence
 from .thresholds import r1, r2, t as t_threshold
@@ -49,41 +47,112 @@ SCHEMA_VERSION = 1
 _PROFILE_KINDS = ("constant", "two_valued", "periodic", "piecewise")
 
 
+def _key(default, parse):
+    """A config field: its default (MISSING if required) and its parser.
+
+    The parser takes the YAML value and returns the field value, or
+    raises ValueError with the problem text. A YAML list is stored as a
+    tuple.
+    """
+    return dataclasses.field(default=default, metadata={"parse": parse})
+
+
+def _same(v):
+    return v
+
+
+def _int(v):
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"wrong type {type(v).__name__}")
+    return v
+
+
+def _float(v):
+    return v if isinstance(v, float) else float(_int(v))
+
+
+def _floats(v):
+    if not isinstance(v, list) or not v or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
+    ):
+        raise ValueError("expected a non-empty list of numbers")
+    return tuple(float(x) for x in v)
+
+
+def _optional(parse):
+    return lambda v: None if v is None else parse(v)
+
+
+def _checked(parse, ok, problem):
+    """parse, then reject a value that fails ok; problem.format(value) says why."""
+    def checked(v):
+        v = parse(v)
+        if not ok(v):
+            raise ValueError(problem.format(v))
+        return v
+
+    return checked
+
+
+def _increasing(v) -> bool:
+    return all(b > a for a, b in zip(v, v[1:]))
+
+
+_positive_int = _checked(_int, lambda v: v >= 1, "must be a positive integer")
+_bool = _checked(_same, lambda v: isinstance(v, bool), "expected a boolean")
+
+
 @dataclass(frozen=True)
 class ScanConfig:
-    x_decades: tuple = (2.0, 5.0)
-    x_per_side: int = 13
-    delta_ladder: tuple = DEFAULT_DELTA_GRID
-    d_ladder: tuple | None = None
-    betas: tuple | None = None
-    condition: str = "mom_rec"
+    x_decades: tuple = _key((2.0, 5.0), _checked(
+        _floats, lambda v: len(v) == 2 and v[0] < v[1], "expected [lo, hi] with lo < hi"))
+    x_per_side: int = _key(13, _int)
+    delta_ladder: tuple = _key(DEFAULT_DELTA_GRID, _checked(
+        _floats, lambda v: _increasing(v[::-1]) and all(0.0 < d < 1.0 for d in v),
+        "expected strictly decreasing values in (0, 1)"))
+    d_ladder: tuple | None = _key(None, _optional(_floats))
+    betas: tuple | None = _key(None, _optional(_checked(
+        _floats, lambda v: all(0.0 < b <= 1.0 for b in v), "values must lie in (0, 1]")))
+    condition: str = _key("mom_rec", _checked(
+        _same, lambda v: v in ALL_CONDITIONS, f"{{!r}} not one of {ALL_CONDITIONS}"))
 
 
 @dataclass(frozen=True)
 class ThresholdsConfig:
-    kinds: tuple = ("r1", "r2", "t")
-    alphas: tuple = (0.5, 1.0, 1.5)
-    betas: tuple = (0.5,)
+    kinds: tuple = _key(("r1", "r2", "t"), _checked(
+        _same, lambda v: isinstance(v, list) and v and all(k in ("r1", "r2", "t") for k in v),
+        "expected a subset of [r1, r2, t]"))
+    alphas: tuple = _key((0.5, 1.0, 1.5), _floats)
+    betas: tuple = _key((0.5,), _floats)
 
 
 @dataclass(frozen=True)
 class McConfig:
-    seed: int
-    n_paths: int = 1000
-    n_steps: int = 10000
-    x0: float = 50.0
-    x0_b: float = -50.0
-    radius: float = 10.0
-    compact: tuple = (-50.0, 50.0)
-    time_points: tuple = (100, 1000, 10000)
-    bin_width: float = 5.0
+    seed: int = _key(MISSING, _int)
+    n_paths: int = _key(1000, _positive_int)
+    n_steps: int = _key(10000, _positive_int)
+    x0: float = _key(50.0, _float)
+    x0_b: float = _key(-50.0, _float)
+    radius: float = _key(10.0, _float)
+    compact: tuple = _key((-50.0, 50.0), _checked(
+        _floats, lambda v: len(v) == 2, "expected [lo, hi]"))
+    time_points: tuple = _key((100, 1000, 10000), _checked(
+        _same, lambda v: isinstance(v, list) and v and all(
+            isinstance(t, int) and t > 0 for t in v) and _increasing(v),
+        "expected strictly increasing positive integers"))
+    bin_width: float = _key(5.0, _checked(_float, lambda v: v > 0, "must be > 0"))
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "."
-    json_out: bool = True
-    csv_out: bool = True
+    directory: str = _key(".", _checked(
+        _same, lambda v: isinstance(v, str), "expected a string"))
+    json: bool = _key(True, _bool)
+    csv: bool = _key(True, _bool)
+
+
+SECTIONS = {"scan": ScanConfig, "thresholds": ThresholdsConfig, "mc": McConfig,
+            "output": OutputConfig}
 
 
 @dataclass(frozen=True)
@@ -104,39 +173,12 @@ class RunConfig:
                 "gamma": _profile_to_dict(self.chain.family.gamma_profile),
                 "delta": _profile_to_dict(self.chain.family.delta_profile),
             },
-            "scan": {
-                "x_decades": list(self.scan.x_decades),
-                "x_per_side": self.scan.x_per_side,
-                "delta_ladder": list(self.scan.delta_ladder),
-                "d_ladder": None if self.scan.d_ladder is None
-                else list(self.scan.d_ladder),
-                "betas": None if self.scan.betas is None
-                else list(self.scan.betas),
-                "condition": self.scan.condition,
-            },
-            "thresholds": {
-                "kinds": list(self.thresholds.kinds),
-                "alphas": list(self.thresholds.alphas),
-                "betas": list(self.thresholds.betas),
-            },
-            "output": {
-                "directory": self.output.directory,
-                "json": self.output.json_out,
-                "csv": self.output.csv_out,
-            },
         }
-        if self.mc is not None:
-            doc["mc"] = {
-                "seed": self.mc.seed,
-                "n_paths": self.mc.n_paths,
-                "n_steps": self.mc.n_steps,
-                "x0": self.mc.x0,
-                "x0_b": self.mc.x0_b,
-                "radius": self.mc.radius,
-                "compact": list(self.mc.compact),
-                "time_points": list(self.mc.time_points),
-                "bin_width": self.mc.bin_width,
-            }
+        for name in SECTIONS:
+            section = getattr(self, name)
+            if section is not None:
+                doc[name] = {key: list(v) if isinstance(v, tuple) else v
+                             for key, v in dataclasses.asdict(section).items()}
         return doc
 
     def config_hash(self) -> str:
@@ -198,27 +240,34 @@ def _parse_profile(doc, where: str, problems: list) -> ProfileFn | None:
         return None
 
 
-def _float_list(doc, where, problems, allow_none=False):
-    if doc is None and allow_none:
-        return None
-    if not isinstance(doc, list) or not doc or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc
-    ):
-        problems.append(f"{where}: expected a non-empty list of numbers")
-        return None
-    return tuple(float(v) for v in doc)
+def _parse_section(doc, cls, where: str, problems: list):
+    """One section of SECTIONS from its YAML mapping; appends every problem.
 
-
-def _get_scalar(section, key, where, problems, types, default=None, required=False):
-    if key not in section:
-        if required:
-            problems.append(f"{where}.{key}: required field missing")
-        return default
-    v = section[key]
-    if not isinstance(v, types) or isinstance(v, bool):
-        problems.append(f"{where}.{key}: wrong type {type(v).__name__}")
-        return default
-    return v
+    An absent section takes the defaults, or is None if a field has no
+    default. Returns None when the section has a problem.
+    """
+    fields = dataclasses.fields(cls)
+    if doc is None:
+        return None if any(f.default is MISSING for f in fields) else cls()
+    if not isinstance(doc, dict):
+        problems.append(f"{where}: expected a mapping")
+        return None
+    names = {f.name for f in fields}
+    problems.extend(f"{where}: unknown key {key!r}" for key in doc if key not in names)
+    found = len(problems)
+    values = {}
+    for f in fields:
+        if f.name not in doc:
+            if f.default is MISSING:
+                problems.append(f"{where}.{f.name}: required field missing")
+            continue
+        try:
+            v = f.metadata["parse"](doc[f.name])
+        except (ValueError, OverflowError) as exc:  # an int too large for a float
+            problems.append(f"{where}.{f.name}: {exc}")
+        else:
+            values[f.name] = tuple(v) if isinstance(v, list) else v
+    return cls(**values) if len(problems) == found else None
 
 
 def load_config(path: str) -> RunConfig:
@@ -234,8 +283,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(["config root must be a mapping"])
 
     problems: list = []
-    known = {"schema_version", "chain", "scan", "thresholds", "mc", "output"}
-    for key in set(doc) - known:
+    for key in set(doc) - {"schema_version", "chain", *SECTIONS}:
         problems.append(f"unknown top-level section {key!r}")
 
     sv = doc.get("schema_version")
@@ -273,134 +321,13 @@ def load_config(path: str) -> RunConfig:
             if not math.isfinite(v):
                 problems.append(f"chain.delta.values[{i}]: must be finite")
 
-    scan = ScanConfig()
-    scan_doc = doc.get("scan")
-    if scan_doc is not None:
-        if not isinstance(scan_doc, dict):
-            problems.append("scan: expected a mapping")
-        else:
-            allowed = {"x_decades", "x_per_side", "delta_ladder", "d_ladder",
-                       "betas", "condition"}
-            for key in set(scan_doc) - allowed:
-                problems.append(f"scan: unknown key {key!r}")
-            x_dec = _float_list(
-                scan_doc.get("x_decades", list(scan.x_decades)),
-                "scan.x_decades", problems,
-            ) or scan.x_decades
-            if len(x_dec) != 2 or not x_dec[0] < x_dec[1]:
-                problems.append("scan.x_decades: expected [lo, hi] with lo < hi")
-                x_dec = scan.x_decades
-            n_side = _get_scalar(scan_doc, "x_per_side", "scan", problems,
-                                 int, scan.x_per_side)
-            deltas = _float_list(
-                scan_doc.get("delta_ladder", list(scan.delta_ladder)),
-                "scan.delta_ladder", problems,
-            ) or scan.delta_ladder
-            if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])) or any(
-                not 0.0 < d < 1.0 for d in deltas
-            ):
-                problems.append(
-                    "scan.delta_ladder: expected strictly decreasing values in (0, 1)"
-                )
-            ds = _float_list(scan_doc.get("d_ladder"), "scan.d_ladder",
-                             problems, allow_none=True)
-            betas = _float_list(scan_doc.get("betas"), "scan.betas",
-                                problems, allow_none=True)
-            if betas is not None and any(not 0.0 < b <= 1.0 for b in betas):
-                problems.append("scan.betas: values must lie in (0, 1]")
-            cond = scan_doc.get("condition", scan.condition)
-            if cond not in ALL_CONDITIONS:
-                problems.append(
-                    f"scan.condition: {cond!r} not one of {ALL_CONDITIONS}"
-                )
-            scan = ScanConfig(tuple(x_dec), n_side, tuple(deltas), ds, betas, cond)
-
-    thr = ThresholdsConfig()
-    thr_doc = doc.get("thresholds")
-    if thr_doc is not None:
-        if not isinstance(thr_doc, dict):
-            problems.append("thresholds: expected a mapping")
-        else:
-            for key in set(thr_doc) - {"kinds", "alphas", "betas"}:
-                problems.append(f"thresholds: unknown key {key!r}")
-            kinds = thr_doc.get("kinds", list(thr.kinds))
-            if not isinstance(kinds, list) or not kinds or not all(
-                k in ("r1", "r2", "t") for k in kinds
-            ):
-                problems.append("thresholds.kinds: expected a subset of [r1, r2, t]")
-                kinds = thr.kinds
-            alphas = _float_list(thr_doc.get("alphas", list(thr.alphas)),
-                                 "thresholds.alphas", problems) or thr.alphas
-            betas = _float_list(thr_doc.get("betas", list(thr.betas)),
-                                "thresholds.betas", problems) or thr.betas
-            thr = ThresholdsConfig(tuple(kinds), tuple(alphas), tuple(betas))
-
-    mc_cfg = None
-    mc_doc = doc.get("mc")
-    if mc_doc is not None:
-        if not isinstance(mc_doc, dict):
-            problems.append("mc: expected a mapping")
-        else:
-            allowed = {"seed", "n_paths", "n_steps", "x0", "x0_b", "radius",
-                       "compact", "time_points", "bin_width"}
-            for key in set(mc_doc) - allowed:
-                problems.append(f"mc: unknown key {key!r}")
-            seed = _get_scalar(mc_doc, "seed", "mc", problems, int, required=True)
-            n_paths = _get_scalar(mc_doc, "n_paths", "mc", problems, int, 1000)
-            n_steps = _get_scalar(mc_doc, "n_steps", "mc", problems, int, 10000)
-            x0 = _get_scalar(mc_doc, "x0", "mc", problems, (int, float), 50.0)
-            x0_b = _get_scalar(mc_doc, "x0_b", "mc", problems, (int, float), -50.0)
-            radius = _get_scalar(mc_doc, "radius", "mc", problems, (int, float), 10.0)
-            compact = _float_list(mc_doc.get("compact", [-50.0, 50.0]),
-                                  "mc.compact", problems) or (-50.0, 50.0)
-            if len(compact) != 2:
-                problems.append("mc.compact: expected [lo, hi]")
-                compact = (-50.0, 50.0)
-            tps = mc_doc.get("time_points", [100, 1000, 10000])
-            if not isinstance(tps, list) or not tps or not all(
-                isinstance(v, int) and v > 0 for v in tps
-            ) or any(b <= a for a, b in zip(tps, tps[1:])):
-                problems.append(
-                    "mc.time_points: expected strictly increasing positive integers"
-                )
-                tps = [100, 1000, 10000]
-            bw = _get_scalar(mc_doc, "bin_width", "mc", problems, (int, float), 5.0)
-            if not (isinstance(bw, (int, float)) and bw > 0):
-                problems.append("mc.bin_width: must be > 0")
-                bw = 5.0
-            for name, v in (("n_paths", n_paths), ("n_steps", n_steps)):
-                if not isinstance(v, int) or v < 1:
-                    problems.append(f"mc.{name}: must be a positive integer")
-            if seed is not None:
-                mc_cfg = McConfig(
-                    seed, n_paths, n_steps, float(x0), float(x0_b),
-                    float(radius), tuple(compact), tuple(tps), float(bw),
-                )
-
-    out = OutputConfig()
-    out_doc = doc.get("output")
-    if out_doc is not None:
-        if not isinstance(out_doc, dict):
-            problems.append("output: expected a mapping")
-        else:
-            for key in set(out_doc) - {"directory", "json", "csv"}:
-                problems.append(f"output: unknown key {key!r}")
-            directory = out_doc.get("directory", ".")
-            if not isinstance(directory, str):
-                problems.append("output.directory: expected a string")
-                directory = "."
-            json_out = out_doc.get("json", True)
-            csv_out = out_doc.get("csv", True)
-            if not isinstance(json_out, bool) or not isinstance(csv_out, bool):
-                problems.append("output.json/output.csv: expected booleans")
-                json_out, csv_out = True, True
-            out = OutputConfig(directory, json_out, csv_out)
-
+    sections = {name: _parse_section(doc.get(name), cls, name, problems)
+                for name, cls in SECTIONS.items()}
     if problems:
         raise ConfigError(problems)
 
     spec = ChainSpec(alpha, SasJump(gamma, delta))
-    return RunConfig(SCHEMA_VERSION, spec, scan, thr, mc_cfg, out)
+    return RunConfig(SCHEMA_VERSION, spec, **sections)
 
 
 def save_config(config: RunConfig, path: str):
@@ -421,13 +348,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, config: RunConfig, header, rows):
-    with open(path, "w", newline="") as fh:
+def _out_path(config: RunConfig, name: str) -> str:
+    os.makedirs(config.output.directory, exist_ok=True)
+    return os.path.join(config.output.directory, name)
+
+
+def _write_csv(config: RunConfig, name: str, header, rows) -> bool:
+    """Write one CSV artifact unless output.csv is off; True if written."""
+    if not config.output.csv:
+        return False
+    with open(_out_path(config, name), "w", newline="") as fh:
         fh.write(_comment_line(config) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    return True
 
 
 def _scan_settings(config: RunConfig) -> ScanSettings:
@@ -440,12 +376,8 @@ def _scan_settings(config: RunConfig) -> ScanSettings:
     )
 
 
-def _out_path(config: RunConfig, name: str) -> str:
-    os.makedirs(config.output.directory, exist_ok=True)
-    return os.path.join(config.output.directory, name)
-
-
 def _run_thresholds(config: RunConfig) -> int:
+    """CSV of the r1/r2/t constants over requested grids."""
     rows = []
     for kind in config.thresholds.kinds:
         for a in config.thresholds.alphas:
@@ -455,18 +387,17 @@ def _run_thresholds(config: RunConfig) -> int:
                 for b in config.thresholds.betas:
                     tv = r2(a, b) if kind == "r2" else t_threshold(a, b)
                     rows.append((kind, a, b, tv.value, tv.est_abs_error))
-    _write_csv(
-        _out_path(config, "thresholds.csv"), config,
-        ("kind", "alpha", "beta", "value", "est_abs_error"), rows,
-    )
-    print(f"wrote {len(rows)} threshold rows")
+    if _write_csv(config, "thresholds.csv",
+                  ("kind", "alpha", "beta", "value", "est_abs_error"), rows):
+        print(f"wrote {len(rows)} threshold rows")
     return 0
 
 
 def _run_classify(config: RunConfig) -> int:
+    """JSON verdict report plus a one-line summary on stdout."""
     result = classify(config.chain, _scan_settings(config))
     print(result.summary_line())
-    if config.output.json_out:
+    if config.output.json:
         with open(_out_path(config, "classification.json"), "w") as fh:
             json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -474,6 +405,7 @@ def _run_classify(config: RunConfig) -> int:
 
 
 def _run_drift_scan(config: RunConfig) -> int:
+    """CSV of every (x, delta, d) point of one condition scan."""
     settings = _scan_settings(config)
     beta = None
     if config.scan.condition in _NEEDS_BETA:
@@ -491,7 +423,7 @@ def _run_drift_scan(config: RunConfig) -> int:
         for p in report.points
     ]
     _write_csv(
-        _out_path(config, "drift_scan.csv"), config,
+        config, "drift_scan.csv",
         ("x", "delta", "d", "raw_integral", "normalized_lhs", "quadrature_error"),
         rows,
     )
@@ -505,23 +437,25 @@ def _run_drift_scan(config: RunConfig) -> int:
 
 
 def _run_simulate(config: RunConfig) -> int:
+    """CSV of a single trajectory."""
     if config.mc is None:
         raise ConfigError(["simulate needs an mc section (for seed and x0)"])
     traj = simulate(config.chain, config.mc.x0, config.mc.n_steps, config.mc.seed)
     rows = [(i + 1, float(s)) for i, s in enumerate(traj.states)]
-    _write_csv(
-        _out_path(config, "trajectory.csv"), config, ("step", "state"), rows
-    )
+    _write_csv(config, "trajectory.csv", ("step", "state"), rows)
     print(f"simulated {config.mc.n_steps} steps from x0={config.mc.x0!r}")
     return 0
 
 
 def _run_mc_diagnose(config: RunConfig) -> int:
+    """CSV of return/occupation statistics and the TV proxy."""
     if config.mc is None:
         raise ConfigError(["mc-diagnose needs an mc section"])
     mc = config.mc
-    # both intervals are checked before the one sweep draws anything
+    # every check runs before the one sweep draws anything
     intervals = [_ball(mc.radius), _compact(mc.compact, mc.n_steps)]
+    if mc.n_paths < 2:
+        raise DomainError(f"n_paths must be >= 2, got {mc.n_paths}")
     rs, occ = interval_stats(
         config.chain, mc.x0, intervals, mc.n_steps, mc.n_paths, mc.seed
     )
@@ -530,7 +464,7 @@ def _run_mc_diagnose(config: RunConfig) -> int:
         mc.bin_width, mc.seed,
     )
     _write_csv(
-        _out_path(config, "mc_stats.csv"), config,
+        config, "mc_stats.csv",
         ("statistic", "value"),
         [
             ("return_fraction", rs.return_fraction),
@@ -543,7 +477,7 @@ def _run_mc_diagnose(config: RunConfig) -> int:
         ],
     )
     _write_csv(
-        _out_path(config, "tv_convergence.csv"), config,
+        config, "tv_convergence.csv",
         ("time_point", "tv"),
         list(zip(tv.time_points, tv.tv_values)),
     )
@@ -554,19 +488,20 @@ def _run_mc_diagnose(config: RunConfig) -> int:
     return 0
 
 
+SUBCOMMANDS = {
+    "thresholds": _run_thresholds,
+    "classify": _run_classify,
+    "drift-scan": _run_drift_scan,
+    "simulate": _run_simulate,
+    "mc-diagnose": _run_mc_diagnose,
+}
+
+
 def run(subcommand: str, config: RunConfig) -> int:
     """Dispatch one subcommand; returns the process exit code."""
-    if subcommand == "thresholds":
-        return _run_thresholds(config)
-    if subcommand == "classify":
-        return _run_classify(config)
-    if subcommand == "drift-scan":
-        return _run_drift_scan(config)
-    if subcommand == "simulate":
-        return _run_simulate(config)
-    if subcommand == "mc-diagnose":
-        return _run_mc_diagnose(config)
-    raise ConfigError([f"unknown subcommand {subcommand!r}"])
+    if subcommand not in SUBCOMMANDS:
+        raise ConfigError([f"unknown subcommand {subcommand!r}"])
+    return SUBCOMMANDS[subcommand](config)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -581,11 +516,12 @@ def main(argv=None) -> int:
         prog="stablike",
         description="Recurrence/transience/ergodicity diagnostics for "
                     "stable-like Markov chains.",
+        epilog="subcommands:\n" + "\n".join(
+            f"  {name:12} {runner.__doc__}" for name, runner in SUBCOMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "subcommand",
-        choices=("thresholds", "classify", "drift-scan", "simulate", "mc-diagnose"),
-    )
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to a YAML config")
     try:
         args = parser.parse_args(argv)

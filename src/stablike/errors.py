@@ -31,10 +31,6 @@ class QuadratureError(StablikeError, RuntimeError):
         self.est_abs_error = est_abs_error
 
 
-class FinitenessError(StablikeError, ValueError):
-    """The requested quantity is provably infinite for these parameters."""
-
-
 class ConfigError(StablikeError, ValueError):
     """Configuration failed validation. Carries the full list of problems."""
 

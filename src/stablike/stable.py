@@ -11,20 +11,22 @@ reduced to the standard scale z = (y-delta)/gamma. Method selection
 (worked out against a Taylor-series arbiter at small z and the power
 tail law at large z):
 
-  alpha < 1   rotate the contour t -> i*r, which turns the oscillatory
-              integral into int_0^inf exp(-r^a cos(pi a/2) - r z)
-              * sin(r^a sin(pi a/2)) dr / pi: total phase is bounded by
-              ~40*tan(pi a/2) so plain adaptive quadrature converges
-  alpha > 1   plain quadrature on [0, T] for z < 0.05 (under a quarter
-              period of the cosine), finite-range cosine-weighted
-              quadrature (QAWO) on [0, T] otherwise, T = 41.45^(1/a)
-              so the discarded envelope tail is below 1e-17
-  |z| > 30    power-tail series sum_k (-1)^(k+1) Gamma(k a + 1)/k!
-              * sin(k pi a / 2) z^(-k a - 1) / pi, convergent for a < 1
-              and asymptotic (min-term truncation) for a > 1; at z = 30
-              it agrees with quadrature to ~1e-12 relative. One
-              coefficient set per alpha, cut at z = 30, serves both
-              sas_density and DensityTable
+  alpha < 0.7   rotate the contour t -> i*r, which turns the oscillatory
+                integral into int_0^inf exp(-r^a cos(pi a/2) - r z)
+                * sin(r^a sin(pi a/2)) dr / pi: total phase is bounded by
+                ~40*tan(pi a/2) so plain adaptive quadrature converges;
+                the bound grows without limit as a -> 1, and from
+                a = 0.99 up QUADPACK gives up
+  alpha >= 0.7  plain quadrature on [0, T] for z < 0.05 (under a quarter
+                period of the cosine), finite-range cosine-weighted
+                quadrature (QAWO) on [0, T] otherwise, T = 41.45^(1/a)
+                so the discarded envelope tail is below 1e-17
+  |z| > 30      power-tail series sum_k (-1)^(k+1) Gamma(k a + 1)/k!
+                * sin(k pi a / 2) z^(-k a - 1) / pi, convergent for a < 1
+                and asymptotic (min-term truncation) for a > 1; at z = 30
+                it agrees with quadrature to ~1e-12 relative. One
+                coefficient set per alpha, cut at z = 30, serves both
+                sas_density and DensityTable
 
 Sampling is exact through the Chambers-Mallows-Stuck transform of a
 uniform angle and a standard exponential.
@@ -143,7 +145,7 @@ def _density_quad(alpha: float, z: float, f, upper: float, **options):
 
 
 def _contour_quad(alpha: float, z: float) -> tuple[float, float]:
-    # alpha < 1: non-oscillatory rotated-contour representation
+    # alpha < 0.7: non-oscillatory rotated-contour representation
     th = math.pi * alpha / 2.0
     c, s = math.cos(th), math.sin(th)
 
@@ -155,7 +157,7 @@ def _contour_quad(alpha: float, z: float) -> tuple[float, float]:
 
 
 def _direct_quad(alpha: float, z: float) -> tuple[float, float]:
-    # alpha > 1, small z: the cosine barely varies across the envelope
+    # alpha >= 0.7, small z: the cosine barely varies across the envelope
     def f(t):
         return math.exp(-(t ** alpha)) * math.cos(t * z)
 
@@ -163,7 +165,7 @@ def _direct_quad(alpha: float, z: float) -> tuple[float, float]:
 
 
 def _qawo_quad(alpha: float, z: float) -> tuple[float, float]:
-    # alpha > 1, moderate z: cosine-weighted quadrature on the finite range
+    # alpha >= 0.7, moderate z: cosine-weighted quadrature on the finite range
     return _density_quad(alpha, z, lambda u: math.exp(-(u ** alpha)),
                          _ENVELOPE_CUT ** (1.0 / alpha), weight="cos", wvar=z,
                          limit=300, maxp1=100)
@@ -181,7 +183,7 @@ def _std_density(alpha: float, z: float) -> tuple[float, float]:
         return float(_tail_std(alpha, z)), last * z ** (-len(coefs) * alpha - 1.0)
     if z == 0.0:
         return gamma_fn(1.0 + 1.0 / alpha) / math.pi, 1e-16
-    if alpha < 1.0:
+    if alpha < 0.7:
         val, err = _contour_quad(alpha, z)
     elif z < _SMALL_Z:
         val, err = _direct_quad(alpha, z)

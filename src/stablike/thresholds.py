@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .errors import DomainError
+from .errors import DomainError, QuadratureError
 from .specfun import hyp2f1, real_binom
 
 
@@ -70,30 +70,38 @@ def _bracket_series(s: float, u: float) -> float:
     return total
 
 
+def _quad(f, a: float, b: float, **options) -> tuple[float, float]:
+    # a QUADPACK message means the error estimate may be low: refuse the value
+    out = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=400,
+                         full_output=1, **options)
+    if len(out) > 3:
+        raise QuadratureError(f"threshold series integral on [{a}, {b}]: {out[3]}",
+                              partial=out[0], est_abs_error=out[1])
+    return out[0], out[1]
+
+
 def _even_series_integral(alpha: float, s: float) -> tuple[float, float]:
-    """sum_{n>=1} binom(s,2n)*2/(2n-alpha) by exact integral transform."""
+    """sum_{n>=1} binom(s,2n)*2/(2n-alpha) by exact integral transform.
+
+    On [0.25, 1] the (1-u)^s term is integrated apart, with (1-u)^s as
+    QUADPACK's algebraic weight, because its endpoint singularity at
+    u = 1 defeats plain adaptive quadrature.
+    """
     g2 = 2.0 * real_binom(s, 2)
     g4 = 2.0 * real_binom(s, 4)
 
     def integrand(u: float) -> float:
         if u < 0.25:
             rem = _bracket_series(s, u)
-        else:
-            rem = (
-                math.expm1(s * math.log1p(u))
-                + math.expm1(s * math.log1p(-u))
-                - g2 * u * u
-                - g4 * u ** 4
-            )
+        else:  # the whole bracket but its (1-u)^s term
+            rem = math.expm1(s * math.log1p(u)) - 1.0 - g2 * u * u - g4 * u ** 4
         return u ** (-alpha - 1.0) * rem
 
-    out = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400,
-        points=[0.25, 1.0], full_output=1,
-    )
-    val, err = out[0], out[1]
-    val += g2 / (2.0 - alpha) + g4 / (4.0 - alpha)
-    return val, err + 1e-15 * abs(val)
+    val, err = _quad(integrand, 0.0, 1.0, points=[0.25])
+    edge, edge_err = _quad(lambda u: u ** (-alpha - 1.0), 0.25, 1.0,
+                           weight="alg", wvar=(0.0, s))
+    val += edge + g2 / (2.0 - alpha) + g4 / (4.0 - alpha)
+    return val, err + edge_err + 1e-15 * abs(val)
 
 
 def r2(alpha: float, beta: float) -> ThresholdValue:

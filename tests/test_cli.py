@@ -222,8 +222,9 @@ def test_mc_diagnose_one_interval_sweep(smoke_config_text, monkeypatch):
 
 @pytest.mark.parametrize(
     "change, message",
-    [({"n_steps": 500}, "n_steps >= 1000"), ({"radius": 0.0}, "radius_a must be > 0")],
-    ids=["n_steps", "radius"],
+    [({"n_steps": 500}, "n_steps >= 1000"), ({"radius": 0.0}, "radius_a must be > 0"),
+     ({"n_paths": 1}, "n_paths must be >= 2")],
+    ids=["n_steps", "radius", "n_paths"],
 )
 def test_mc_diagnose_checks_before_any_draw(smoke_config_text, tmp_path, monkeypatch,
                                             capsys, change, message):
@@ -241,3 +242,94 @@ def test_mc_diagnose_checks_before_any_draw(smoke_config_text, tmp_path, monkeyp
         run("mc-diagnose", load_config(str(bad)))
     assert main(["mc-diagnose", "--config", str(bad)]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_csv_false_writes_no_csv(smoke_config_text, tmp_path):
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    doc["output"]["csv"] = False
+    cfg = tmp_path / "no_csv.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    for sub in ("thresholds", "drift-scan", "simulate", "mc-diagnose"):
+        assert main([sub, "--config", str(cfg)]) == 0
+    assert list(out.iterdir()) == []
+
+
+def _smoke_doc(smoke_config_text):
+    # the smoke config with a fixed output directory, so its hash is fixed
+    doc = yaml.safe_load(smoke_config_text[0].read_text())
+    doc["output"]["directory"] = "out"
+    return doc
+
+
+def _load_doc(doc, tmp_path):
+    path = tmp_path / "contract.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return load_config(str(path))
+
+
+# config_hash() is in the provenance line of every output file, so the
+# canonical form of a config may not change: these digests are pinned
+@pytest.mark.parametrize("omitted, digest", [
+    (None, "54c8c8014819"),
+    ("scan", "f86db2943dfe"),
+    ("thresholds", "d20d731bbd6e"),
+    ("mc", "f22a4037101f"),
+    ("output", "a50f255fcf13"),
+])
+def test_config_hash_is_pinned(smoke_config_text, tmp_path, omitted, digest):
+    doc = _smoke_doc(smoke_config_text)
+    doc.pop(omitted, None)
+    assert _load_doc(doc, tmp_path).config_hash() == digest
+
+
+_MISSING = "<key removed>"
+
+
+# one bad value per field and the problem list load_config must report
+FIELD_PROBLEMS = [
+    ("scan", [1], ["scan: expected a mapping"]),
+    ("scan.x_decades", [5.0, 2.0], ["scan.x_decades: expected [lo, hi] with lo < hi"]),
+    ("scan.x_per_side", "a", ["scan.x_per_side: wrong type str"]),
+    ("scan.delta_ladder", [0.1, 0.5],
+     ["scan.delta_ladder: expected strictly decreasing values in (0, 1)"]),
+    ("scan.d_ladder", "x", ["scan.d_ladder: expected a non-empty list of numbers"]),
+    ("scan.betas", [1.5], ["scan.betas: values must lie in (0, 1]"]),
+    ("scan.condition", "nope", ["scan.condition: 'nope' not one of ('log_rec', 'pow_rec', "
+                                "'log_erg', 'pow_erg', 'mom_rec', 'mom_erg', 'mom_erg_b', "
+                                "'bnd_trans', 'mom_trans')"]),
+    ("thresholds.kinds", ["r9"], ["thresholds.kinds: expected a subset of [r1, r2, t]"]),
+    ("thresholds.alphas", [], ["thresholds.alphas: expected a non-empty list of numbers"]),
+    ("thresholds.betas", "x", ["thresholds.betas: expected a non-empty list of numbers"]),
+    ("mc.seed", _MISSING, ["mc.seed: required field missing"]),
+    ("mc.n_paths", 0, ["mc.n_paths: must be a positive integer"]),
+    ("mc.n_steps", 1.5, ["mc.n_steps: wrong type float"]),
+    ("mc.x0", "a", ["mc.x0: wrong type str"]),
+    ("mc.x0", 10 ** 400, ["mc.x0: int too large to convert to float"]),
+    ("mc.x0_b", True, ["mc.x0_b: wrong type bool"]),
+    ("mc.radius", [1], ["mc.radius: wrong type list"]),
+    ("mc.compact", [1.0], ["mc.compact: expected [lo, hi]"]),
+    ("mc.time_points", [5, 5], ["mc.time_points: expected strictly increasing positive integers"]),
+    ("mc.bin_width", 0, ["mc.bin_width: must be > 0"]),
+    ("mc.tries", 3, ["mc: unknown key 'tries'"]),
+    ("output.directory", 3, ["output.directory: expected a string"]),
+    ("output.json", "yes", ["output.json: expected a boolean"]),
+    ("output.csv", 1, ["output.csv: expected a boolean"]),
+]
+
+
+@pytest.mark.parametrize("key, value, problems", FIELD_PROBLEMS,
+                         ids=[f"{key}={value!r:.16}" for key, value, _ in FIELD_PROBLEMS])
+def test_config_problem_per_field(smoke_config_text, tmp_path, key, value, problems):
+    doc = _smoke_doc(smoke_config_text)
+    *sections, last = key.split(".")
+    node = doc
+    for name in sections:
+        node = node[name]
+    if value == _MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(ConfigError) as exc:
+        _load_doc(doc, tmp_path)
+    assert sorted(exc.value.problems) == problems

@@ -201,3 +201,25 @@ def test_quadpack_message_raises(monkeypatch, alpha, z):
     monkeypatch.setattr(stable.integrate, "quad", flagged)
     with pytest.raises(QuadratureError, match="subdivisions"):
         _std_density(alpha, z)
+
+
+def _fourier_density(alpha, z):
+    # (1/pi) int_0^T exp(-t^alpha) cos(t z) dt at 25 digits, split at every
+    # period of the cosine; exp(-80) bounds the dropped tail past T
+    import mpmath as mp
+
+    with mp.workdps(25):
+        a, top = mp.mpf(alpha), mp.mpf(80) ** (1 / mp.mpf(alpha))
+        period = 2 * mp.pi / z
+        cuts = [mp.mpf(0)] + [k * period for k in range(1, int(top / period) + 1)] + [top]
+        return float(mp.quad(lambda t: mp.exp(-t ** a) * mp.cos(t * z), cuts) / mp.pi)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.999])
+def test_table_just_below_one_matches_fourier_oracle(alpha):
+    # the rotated contour fails here; the Fourier routes must serve it
+    tab = DensityTable(alpha)
+    for z in (0.005, 0.5, 5.0):
+        diff = abs(float(tab.pdf_std(z)) - _fourier_density(alpha, z))
+        assert diff <= 1e-10
+        assert diff <= tab.table_error

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stablike import DomainError, r1, r2, t
+from stablike import DomainError, r1, r2, t, thresholds
 
 
 def test_r1_frozen_values():
@@ -109,3 +109,37 @@ def test_runtime_budget_thresholds():
         r1(a)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
+
+
+def _series_reference(alpha, s):
+    # sum_n binom(s,2n)*2/(2n-alpha) at 30 digits: the even series on
+    # [0, 1/4] termwise, the (1-u)^s term on [1/4, 1] as an incomplete
+    # beta integral, the rest of the bracket by quadrature
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a, s = mp.mpf(alpha), mp.mpf(s)
+        g2, g4 = 2 * mp.binomial(s, 2), 2 * mp.binomial(s, 4)
+        head = mp.nsum(lambda n: 2 * mp.binomial(s, 2 * n) * mp.mpf(0.25) ** (2 * n - a)
+                       / (2 * n - a), [3, mp.inf])
+        edge = mp.betainc(s + 1, -a, 0, 0.75)
+        rest = mp.quad(lambda u: u ** (-a - 1) * ((1 + u) ** s - 2 - g2 * u ** 2 - g4 * u ** 4),
+                       [0.25, 1])
+        return float(head + edge + rest + g2 / (2 - a) + g4 / (4 - a))
+
+
+@pytest.mark.parametrize("alpha", [0.8, 0.9, 1.0])
+def test_series_integral_raises_no_quadpack_message(monkeypatch, alpha):
+    # the (1-u)^s endpoint singularity at u = 1 must not trip any QUADPACK message
+    quad = thresholds.integrate.quad
+
+    def strict(*args, **kwargs):
+        out = quad(*args, **kwargs)
+        assert len(out) == 3, out[-1]
+        return out
+
+    monkeypatch.setattr(thresholds.integrate, "quad", strict)
+    val, err = thresholds._even_series_integral(alpha, -0.5)
+    diff = abs(val - _series_reference(alpha, -0.5))
+    assert diff <= 1e-12
+    assert diff <= err
