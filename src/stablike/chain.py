@@ -118,13 +118,9 @@ class ProfileFn:
         """Values attained at arbitrarily large |x| (both directions)."""
         if self.kind == "custom":
             raise DomainError("custom profiles have no enumerable limit set")
-        if self.kind == "constant":
-            return (self.values[0],)
-        if self.kind == "two_valued":
-            return tuple(sorted(set(self.values)))
-        if self.kind == "periodic":
-            return tuple(sorted(set(self.values)))
-        return tuple(sorted({self.values[0], self.values[-1]}))
+        if self.kind == "piecewise":
+            return tuple(sorted({self.values[0], self.values[-1]}))
+        return self.value_set()
 
 
 @dataclass(frozen=True)

@@ -38,22 +38,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chain import ChainSpec, ProfileFn, alpha_at, c_at
-from .drift import (
-    DEFAULT_DELTA_GRID,
-    LT_CONDITIONS,
-    TailScanReport,
-    default_x_grid,
-    tail_scan,
-)
+from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, default_x_grid, tail_scan
 from .errors import DomainError
+# r1 and r2 are unused here; perfbench's tracer wraps them by name
 from .thresholds import r1, r2
 
-RECURRENT_CONDITIONS = ("log_rec", "pow_rec", "mom_rec")
-TRANSIENT_CONDITIONS = ("bnd_trans", "mom_trans", "idx_decay")
-ERGODIC_CONDITIONS = ("log_erg", "pow_erg", "mom_erg", "mom_erg_b")
-
-VERDICTS = ("Recurrent", "Transient", "Ergodic", "NullCandidate", "Inconclusive")
-
+_KERNELS = ("log_shift", "power_beta", "bounded_beta", "first_moment")  # scan order
 _DECAY_TOL = 1e-6
 _DECAY_HORIZON = 1e16  # |x| reach of the small-index decay shortcut
 
@@ -149,6 +139,22 @@ def _beta_ladders(spec: ChainSpec, settings: ScanSettings) -> tuple[tuple, tuple
     return rec, (0.5, 0.01)
 
 
+def _jobs(conclusions, moments, rec_betas, trans_betas=(), weight=None) -> list:
+    """Scan jobs (condition id, beta, d-weight) of the displays with these conclusions.
+
+    Jobs run kernel by kernel, then in the order of conclusions; first-moment
+    displays only if moments. A display that needs beta runs once per beta
+    of its ladder (trans_betas for transience displays, else rec_betas).
+    """
+    conds = sorted(
+        ((cid, c) for cid, c in CONDITIONS.items()
+         if c.conclusion in conclusions and (moments or c.kernel != "first_moment")),
+        key=lambda item: (_KERNELS.index(item[1].kernel), conclusions.index(item[1].conclusion)),
+    )
+    return [(cid, b, weight) for cid, c in conds for b in (
+        (trans_betas if c.conclusion == "trans" else rec_betas) if c.needs_beta else (None,))]
+
+
 def _fired(report: TailScanReport) -> bool:
     return report.margin > 0.0 and report.margin >= 2.0 * report.scan_error
 
@@ -196,15 +202,11 @@ def _null_evidence(spec: ChainSpec, base_reports: dict) -> Evidence:
     margins: dict = {}
     caveats: list = []
     holds = False
-    for cid in ("log_rec", "pow_rec"):
-        rep = base_reports.get(cid)
-        if rep is None:
+    for cid, rep in base_reports.items():
+        cond = CONDITIONS[cid]
+        if cond.conclusion != "rec" or cond.kernel == "first_moment":
             continue
-        if cid == "log_rec":
-            thr, thr_err = r1(a_sup), 0.0
-        else:
-            tv = r2(a_sup, rep.beta)
-            thr, thr_err = tv.value, tv.est_abs_error
+        thr, thr_err = cond.threshold(a_sup, rep.beta)
         margin = rep.tail_inf_estimate - thr
         err = rep.quad_error + rep.inf_delta_gap + thr_err
         margins[cid + "_null"] = margin
@@ -238,9 +240,7 @@ def classify_null(spec: ChainSpec, settings: ScanSettings | None = None) -> Evid
     settings = settings or ScanSettings()
     _require_builtin_alpha(spec)
     rec_betas, _ = _beta_ladders(spec, settings)
-    jobs = [("log_rec", None, None)]
-    jobs += [("pow_rec", b, None) for b in rec_betas]
-    reports = _run_scans(spec, settings, jobs)
+    reports = _run_scans(spec, settings, _jobs(("rec",), False, rec_betas))
     ev = _null_evidence(spec, _best_per_condition(reports))
     return replace(ev, reports=tuple(reports))
 
@@ -319,8 +319,7 @@ def f_ergodic_check(
     betas = tuple(b for b in rec_betas if b < a_inf) or (
         max(0.005, 0.5 * a_inf),
     )
-    jobs = [("log_erg", None, g_profile)]
-    jobs += [("pow_erg", b, g_profile) for b in betas]
+    jobs = _jobs(("erg",), False, betas, weight=g_profile)
     reports = [
         replace(rep, condition_id=rep.condition_id + "_w")
         for rep in _run_scans(spec, settings, jobs)
@@ -397,17 +396,7 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
             "first-moment displays skipped: jump-tail uniformity not "
             "certifiable for custom profiles"
         )
-    jobs = [("log_rec", None, None), ("log_erg", None, None)]
-    jobs += [("pow_rec", b, None) for b in rec_betas]
-    jobs += [("pow_erg", b, None) for b in rec_betas]
-    jobs += [("bnd_trans", b, None) for b in trans_betas]
-    if moments_ok:
-        jobs += [
-            ("mom_rec", None, None),
-            ("mom_trans", None, None),
-            ("mom_erg", None, None),
-        ]
-        jobs += [("mom_erg_b", b, None) for b in rec_betas]
+    jobs = _jobs(("rec", "trans", "erg"), moments_ok, rec_betas, trans_betas)
     reports = _run_scans(spec, settings, jobs)
     best = _best_per_condition(reports)
     fired = {cid: rep for cid, rep in best.items() if _fired(rep)}
@@ -415,7 +404,7 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
         if rep.trend_flag == "diverging":
             grid_margin = (
                 rep.threshold - rep.tail_sup_estimate
-                if rep.condition_id in LT_CONDITIONS
+                if CONDITIONS[rep.condition_id].conclusion != "trans"
                 else rep.tail_inf_estimate - rep.threshold
             )
             if grid_margin > 0.0:
@@ -431,9 +420,10 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
             )
 
     margins_fired = {cid: rep.margin for cid, rep in fired.items()}
-    rec_fired = [c for c in RECURRENT_CONDITIONS if c in fired]
-    erg_fired = [c for c in ERGODIC_CONDITIONS if c in fired]
-    trans_fired = [c for c in TRANSIENT_CONDITIONS if c in fired]
+    rec_fired, erg_fired, trans_fired = (
+        [c for c in CONDITIONS if c in fired and CONDITIONS[c].conclusion == conclusion]
+        for conclusion in ("rec", "erg", "trans")
+    )
 
     a_sup = max(spec.alpha_profile.value_set())
     if a_sup < 1.0 and not spec.unchecked:

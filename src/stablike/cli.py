@@ -36,7 +36,7 @@ import yaml
 from . import __version__
 from .chain import ChainSpec, ProfileFn, SasJump, simulate
 from .classify import ScanSettings, classify
-from .drift import ALL_CONDITIONS, DEFAULT_DELTA_GRID, _NEEDS_BETA, default_x_grid, tail_scan
+from .drift import CONDITIONS, DEFAULT_DELTA_GRID, default_x_grid, tail_scan
 from .errors import ConfigError, DomainError, StablikeError
 # return_stats and occupation are unused here; perfbench's tracer wraps them by name
 from .mc import _ball, _compact, interval_stats, occupation, return_stats, tv_convergence
@@ -99,14 +99,15 @@ def _increasing(v) -> bool:
 
 
 _positive_int = _checked(_int, lambda v: v >= 1, "must be a positive integer")
+_interval = _checked(
+    _floats, lambda v: len(v) == 2 and v[0] < v[1], "expected [lo, hi] with lo < hi")
 _bool = _checked(_same, lambda v: isinstance(v, bool), "expected a boolean")
 
 
 @dataclass(frozen=True)
 class ScanConfig:
-    x_decades: tuple = _key((2.0, 5.0), _checked(
-        _floats, lambda v: len(v) == 2 and v[0] < v[1], "expected [lo, hi] with lo < hi"))
-    x_per_side: int = _key(13, _int)
+    x_decades: tuple = _key((2.0, 5.0), _interval)
+    x_per_side: int = _key(13, _checked(_int, lambda v: v >= 2, "must be an integer >= 2"))
     delta_ladder: tuple = _key(DEFAULT_DELTA_GRID, _checked(
         _floats, lambda v: _increasing(v[::-1]) and all(0.0 < d < 1.0 for d in v),
         "expected strictly decreasing values in (0, 1)"))
@@ -114,7 +115,7 @@ class ScanConfig:
     betas: tuple | None = _key(None, _optional(_checked(
         _floats, lambda v: all(0.0 < b <= 1.0 for b in v), "values must lie in (0, 1]")))
     condition: str = _key("mom_rec", _checked(
-        _same, lambda v: v in ALL_CONDITIONS, f"{{!r}} not one of {ALL_CONDITIONS}"))
+        _same, lambda v: v in CONDITIONS, f"{{!r}} not one of {tuple(CONDITIONS)}"))
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,7 @@ class McConfig:
     x0: float = _key(50.0, _float)
     x0_b: float = _key(-50.0, _float)
     radius: float = _key(10.0, _float)
-    compact: tuple = _key((-50.0, 50.0), _checked(
-        _floats, lambda v: len(v) == 2, "expected [lo, hi]"))
+    compact: tuple = _key((-50.0, 50.0), _interval)
     time_points: tuple = _key((100, 1000, 10000), _checked(
         _same, lambda v: isinstance(v, list) and v and all(
             isinstance(t, int) and t > 0 for t in v) and _increasing(v),
@@ -408,7 +408,7 @@ def _run_drift_scan(config: RunConfig) -> int:
     """CSV of every (x, delta, d) point of one condition scan."""
     settings = _scan_settings(config)
     beta = None
-    if config.scan.condition in _NEEDS_BETA:
+    if CONDITIONS[config.scan.condition].needs_beta:
         beta = settings.betas[0] if settings.betas else 0.5
     report = tail_scan(
         config.chain,

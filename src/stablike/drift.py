@@ -19,17 +19,20 @@ with E, O the even/odd kernel parts. For symmetric jump families the
 odd density difference vanishes identically and the FirstMoment
 integral is exactly zero by construction rather than by cancellation.
 
-Condition ids name the kernel and the conclusion they support:
+CONDITIONS declares each display once. Its kernel fixes the prefactor
+(|x|^(a-1)/c times sgn(x) for the first moment, |x|^a/c otherwise) and
+the threshold (r2 for the power kernel, t for the bounded kernel, r1
+otherwise); transience displays read ">", the others "<":
 
-  log_rec    log kernel vs r1, prefactor |x|^a/c        recurrence, "<"
-  pow_rec    power kernel vs r2, same prefactor         recurrence, "<"
-  bnd_trans  bounded kernel vs t, same prefactor        transience, ">"
-  log_erg    log kernel + d, vs r1                      ergodicity, "<"
-  pow_erg    power kernel + d|x|^(-beta), vs r2         ergodicity, "<"
-  mom_rec    first moment vs r1, prefactor |x|^(a-1)/c  recurrence, "<"
-  mom_trans  first moment vs r1 (upper alpha)           transience, ">"
-  mom_erg    first moment + d|x|, vs r1                 ergodicity, "<"
-  mom_erg_b  first moment + d|x|^(1-beta)/beta, vs r1   ergodicity, "<"
+  log_rec    log kernel                         recurrence
+  pow_rec    power kernel                       recurrence
+  log_erg    log kernel + d                     ergodicity
+  pow_erg    power kernel + d|x|^(-beta)        ergodicity
+  mom_rec    first moment                       recurrence
+  mom_erg    first moment + d|x|                ergodicity
+  mom_erg_b  first moment + d|x|^(1-beta)/beta  ergodicity
+  bnd_trans  bounded kernel                     transience
+  mom_trans  first moment                       transience
 
 Recurrence and ergodicity conditions take the threshold at the smallest
 limiting alpha, transience at the largest. The mom_* conditions are
@@ -51,26 +54,6 @@ from .errors import DomainError
 from .specfun import real_binom
 from .stable import DensityTable
 from .thresholds import r1, r2, t as t_threshold
-
-LT_CONDITIONS = ("log_rec", "pow_rec", "log_erg", "pow_erg",
-                 "mom_rec", "mom_erg", "mom_erg_b")
-GT_CONDITIONS = ("bnd_trans", "mom_trans")
-ALL_CONDITIONS = LT_CONDITIONS + GT_CONDITIONS
-MOMENT_CONDITIONS = ("mom_rec", "mom_trans", "mom_erg", "mom_erg_b")
-_NEEDS_BETA = ("pow_rec", "bnd_trans", "pow_erg", "mom_erg_b")
-
-_KERNEL_FOR_CONDITION = {
-    "log_rec": "log_shift",
-    "pow_rec": "power_beta",
-    "bnd_trans": "bounded_beta",
-    "log_erg": "log_shift",
-    "pow_erg": "power_beta",
-    "mom_rec": "first_moment",
-    "mom_trans": "first_moment",
-    "mom_erg": "first_moment",
-    "mom_erg_b": "first_moment",
-}
-
 
 @dataclass(frozen=True)
 class DriftKernel:
@@ -126,6 +109,46 @@ class TailScanReport:
     # quadrature error and the delta-extrapolation gap of tail_inf
     quad_error: float = 0.0
     inf_delta_gap: float = 0.0
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One drift display; see the module docstring for what follows from it."""
+
+    kernel: str  # a DriftKernel kind
+    conclusion: str  # "rec" | "erg" | "trans"
+    needs_beta: bool = False
+    d_term: object = None  # (x, d, beta) -> the shift added before the prefactor
+
+    def kernel_at(self, beta: float | None) -> DriftKernel:
+        # mom_erg_b's beta is not its kernel's: it shares mom_rec's integrals
+        takes_beta = self.kernel in ("power_beta", "bounded_beta")
+        return DriftKernel(self.kernel, beta if takes_beta else None)
+
+    def threshold(self, alpha: float, beta: float | None) -> tuple[float, float]:
+        """Threshold constant at alpha and its error estimate."""
+        if self.kernel == "power_beta":
+            tv = r2(alpha, beta)
+        elif self.kernel == "bounded_beta":
+            tv = t_threshold(alpha, beta)
+        else:
+            # the beta in mom_erg_b only shapes the d-term
+            return r1(alpha), 0.0
+        return tv.value, tv.est_abs_error
+
+
+CONDITIONS = {
+    "log_rec": Condition("log_shift", "rec"),
+    "pow_rec": Condition("power_beta", "rec", True),
+    "log_erg": Condition("log_shift", "erg", False, lambda x, d, beta: d),
+    "pow_erg": Condition("power_beta", "erg", True, lambda x, d, beta: d * abs(x) ** (-beta)),
+    "mom_rec": Condition("first_moment", "rec"),
+    "mom_erg": Condition("first_moment", "erg", False, lambda x, d, beta: d * abs(x)),
+    "mom_erg_b": Condition("first_moment", "erg", True,
+                           lambda x, d, beta: d * abs(x) ** (1.0 - beta) / beta),
+    "bnd_trans": Condition("bounded_beta", "trans", True),
+    "mom_trans": Condition("first_moment", "trans"),
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -298,36 +321,16 @@ def _integrals_at(spec: ChainSpec, kernel: DriftKernel, x: float, deltas):
     return val, err + table.table_error * np.minimum(L, 100.0 * g)
 
 
-_D_TERM = {
-    "log_erg": lambda x, d, beta: d,
-    "pow_erg": lambda x, d, beta: d * abs(x) ** (-beta),
-    "mom_erg": lambda x, d, beta: d * abs(x),
-    "mom_erg_b": lambda x, d, beta: d * abs(x) ** (1.0 - beta) / beta,
-}
-
-
-def _kernel_for(condition_id: str, beta: float | None) -> DriftKernel:
-    if condition_id not in ALL_CONDITIONS:
+def _condition(condition_id: str, beta: float | None) -> Condition:
+    cond = CONDITIONS.get(condition_id)
+    if cond is None:
         raise DomainError(f"unknown condition id {condition_id}")
-    if condition_id in _NEEDS_BETA and beta is None:
+    if cond.needs_beta and beta is None:
         raise DomainError(f"{condition_id} requires beta")
-    kind = _KERNEL_FOR_CONDITION[condition_id]
-    if kind == "log_shift":
-        return DriftKernel.log_shift()
-    if kind == "power_beta":
-        return DriftKernel.power_beta(beta)
-    if kind == "bounded_beta":
-        return DriftKernel.bounded_beta(beta)
-    return DriftKernel.first_moment()
+    return cond
 
 
-def _prefactor(spec: ChainSpec, x: float, condition_id: str) -> float:
-    a = alpha_at(spec, x)
-    power = a - 1.0 if condition_id in MOMENT_CONDITIONS else a
-    return abs(x) ** power / c_at(spec, x)
-
-
-def _lhs(spec, x_grid, d_grid, condition_id, beta, raw, d_weight=None):
+def _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight=None):
     """Normalized left-hand sides lhs[d, delta, x] and errors err[delta, x].
 
     raw[x, value/error, delta] holds the raw integrals as _integrals_at
@@ -335,9 +338,11 @@ def _lhs(spec, x_grid, d_grid, condition_id, beta, raw, d_weight=None):
     (times d_weight) is evaluated per x in Python floats, where numpy's
     vectorised power would differ by an ulp.
     """
-    prefs = np.array([_prefactor(spec, x, condition_id) for x in x_grid])
-    sign = np.sign(x_grid) if condition_id in MOMENT_CONDITIONS else 1.0
-    dterm = _D_TERM.get(condition_id, lambda x, d, beta: 0.0)
+    moment = cond.kernel == "first_moment"
+    power = -1.0 if moment else 0.0
+    prefs = np.array([abs(x) ** (alpha_at(spec, x) + power) / c_at(spec, x) for x in x_grid])
+    sign = np.sign(x_grid) if moment else 1.0
+    dterm = cond.d_term or (lambda x, d, beta: 0.0)
     weights = [1.0 if d_weight is None else d_weight(x) for x in x_grid]
     shift = np.array([
         [p * (dterm(x, d, beta) * w) for x, p, w in zip(x_grid, prefs, weights)]
@@ -359,9 +364,9 @@ def normalized_lhs(
 
     One point of the tail-scan arithmetic (_lhs) on one raw integral.
     """
-    kernel = _kernel_for(condition_id, beta)
-    raw = np.array([_integrals_at(spec, kernel, x, (delta,))])
-    lhs, err = _lhs(spec, (x,), (d,), condition_id, beta, raw)
+    cond = _condition(condition_id, beta)
+    raw = np.array([_integrals_at(spec, cond.kernel_at(beta), x, (delta,))])
+    lhs, err = _lhs(spec, (x,), (d,), cond, beta, raw)
     return DriftPoint(x, delta, d, float(raw[0, 0, 0]), float(lhs[0, 0, 0]), float(err[0, 0]))
 
 
@@ -374,10 +379,6 @@ DEFAULT_DELTA_GRID = (0.5, 0.2, 0.1, 0.05)
 DEFAULT_D_GRID = (0.1, 0.01, 0.001)
 
 
-def _limit_alphas(spec: ChainSpec) -> tuple:
-    return spec.alpha_profile.limit_values()
-
-
 def threshold_for(
     spec: ChainSpec, condition_id: str, beta: float | None
 ) -> tuple[float, float]:
@@ -388,20 +389,9 @@ def threshold_for(
     index the chain keeps visiting); transience conditions use the
     largest limiting alpha.
     """
-    alphas = _limit_alphas(spec)
-    if condition_id in GT_CONDITIONS:
-        a_ref = max(alphas)
-    else:
-        a_ref = min(alphas)
-    if condition_id in ("pow_rec", "pow_erg"):
-        tv = r2(a_ref, beta)
-        return tv.value, tv.est_abs_error
-    if condition_id == "bnd_trans":
-        tv = t_threshold(a_ref, beta)
-        return tv.value, tv.est_abs_error
-    # every log-kernel and first-moment display compares against the same
-    # root constant; the beta in mom_erg_b only shapes the d-term
-    return r1(a_ref), 0.0
+    cond = CONDITIONS[condition_id]
+    alphas = spec.alpha_profile.limit_values()
+    return cond.threshold(max(alphas) if cond.conclusion == "trans" else min(alphas), beta)
 
 
 def tail_scan(
@@ -435,7 +425,8 @@ def tail_scan(
     scans of one classification: each raw-integral set is computed once
     and stored there for the other scans with the same kernel.
     """
-    kernel = _kernel_for(condition_id, beta)
+    cond = _condition(condition_id, beta)
+    kernel = cond.kernel_at(beta)
     if x_grid is None:
         x_grid = default_x_grid()
     x_grid = tuple(float(x) for x in x_grid)
@@ -446,7 +437,7 @@ def tail_scan(
     if any(d1 <= d2 for d1, d2 in zip(delta_grid, delta_grid[1:])):
         raise DomainError("delta_grid must be strictly decreasing")
     if d_grid is None:
-        d_grid = DEFAULT_D_GRID if condition_id in _D_TERM else (0.0,)
+        d_grid = DEFAULT_D_GRID if cond.d_term else (0.0,)
     d_grid = tuple(d_grid)
     if len(d_grid) > 1 and any(a <= b for a, b in zip(d_grid, d_grid[1:])):
         raise DomainError("d_grid must be strictly decreasing")
@@ -457,7 +448,7 @@ def tail_scan(
         # shape (x, value/error, delta)
         integrals[key] = np.array([_integrals_at(spec, kernel, x, delta_grid) for x in x_grid])
     raw = integrals[key]
-    lhs, quad = _lhs(spec, x_grid, d_grid, condition_id, beta, raw, d_weight)
+    lhs, quad = _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight)
     raw_l, quad_l = raw[:, 0].T.tolist(), quad.tolist()
     points = tuple(
         DriftPoint(x, delta, d, r, v, e)
@@ -472,7 +463,7 @@ def tail_scan(
     sup = lhs[:, :, outer].max(axis=2).tolist()
     inf = lhs[:, :, outer].min(axis=2).tolist()
     worst_q = float(quad[-1, outer].max())
-    is_lt = condition_id in LT_CONDITIONS
+    is_lt = cond.conclusion != "trans"
     agg = sup if is_lt else inf
     final = agg[-1][-1]
 

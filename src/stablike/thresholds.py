@@ -104,6 +104,21 @@ def _even_series_integral(alpha: float, s: float) -> tuple[float, float]:
     return val, err + edge_err + 1e-15 * abs(val)
 
 
+def _r(alpha: float, s: float) -> tuple[float, float]:
+    """R = -S + 2/alpha - [F(-1) + F(1)]/(alpha - s), F(z) = 2F1(-s, alpha-s; 1+alpha-s; z),
+    S the even series, with its error: r2(alpha, beta) = R(alpha, beta), t = -R(alpha, -beta)."""
+    if s == 1.0:
+        series_val, series_err = 0.0, 0.0  # binom(1, 2n) = 0 for n >= 1
+    else:
+        series_val, series_err = _even_series_integral(alpha, s)
+    h_minus = hyp2f1(-s, alpha - s, 1.0 + alpha - s, -1.0)
+    h_plus = hyp2f1(-s, alpha - s, 1.0 + alpha - s, 1.0)
+    denom = alpha - s
+    value = -series_val + 2.0 / alpha - (h_minus.value + h_plus.value) / denom
+    err = series_err + (h_minus.est_abs_error + h_plus.est_abs_error) / abs(denom)
+    return value, err
+
+
 def r2(alpha: float, beta: float) -> ThresholdValue:
     """Recurrence-side threshold; strictly increasing in alpha, root at 1+beta."""
     _check_alpha(alpha)
@@ -111,16 +126,7 @@ def r2(alpha: float, beta: float) -> ThresholdValue:
         raise DomainError(f"r2 requires beta in (0, 1], got {beta}")
     if not beta < alpha:
         raise DomainError(f"r2 requires beta < alpha, got beta={beta}, alpha={alpha}")
-    if beta == 1.0:
-        series_val, series_err = 0.0, 0.0  # binom(1, 2n) = 0 for n >= 1
-    else:
-        series_val, series_err = _even_series_integral(alpha, beta)
-    h_minus = hyp2f1(-beta, alpha - beta, 1.0 + alpha - beta, -1.0)
-    h_plus = hyp2f1(-beta, alpha - beta, 1.0 + alpha - beta, 1.0)
-    denom = alpha - beta
-    value = -series_val + 2.0 / alpha - (h_minus.value + h_plus.value) / denom
-    err = series_err + (h_minus.est_abs_error + h_plus.est_abs_error) / abs(denom)
-    return ThresholdValue("R2", alpha, beta, value, err)
+    return ThresholdValue("R2", alpha, beta, *_r(alpha, beta))
 
 
 def t(alpha: float, beta: float) -> ThresholdValue:
@@ -128,11 +134,5 @@ def t(alpha: float, beta: float) -> ThresholdValue:
     _check_alpha(alpha)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"t requires beta in (0, 1), got {beta}")
-    series_val, series_err = _even_series_integral(alpha, -beta)
-    h_plus = hyp2f1(beta, alpha + beta, 1.0 + alpha + beta, 1.0)
-    h_minus = hyp2f1(beta, alpha + beta, 1.0 + alpha + beta, -1.0)
-    denom = alpha + beta
-    value = series_val - 2.0 / alpha + (h_plus.value + h_minus.value) / denom
-    err = series_err + (h_plus.est_abs_error + h_minus.est_abs_error) / denom
-    return ThresholdValue("T", alpha, beta, value, err)
-
+    value, err = _r(alpha, -beta)
+    return ThresholdValue("T", alpha, beta, -value, err)

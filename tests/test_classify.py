@@ -1,5 +1,6 @@
 """End-to-end verdicts, null refinement and weighted ergodicity."""
 
+import hashlib
 import json
 import math
 
@@ -141,3 +142,24 @@ def test_verdict_priority_is_stable(ergodic_spec):
     assert a.verdict == b.verdict
     assert a.margins == b.margins
     assert a.conditions_used == b.conditions_used
+
+
+# the report order, conditions_used, caveats, margins and every report
+# number of one gate chain per verdict are pinned (None: the ergodic chain)
+@pytest.mark.parametrize("spec, verdict, digest", [
+    (make_chain(1.5), "Recurrent",
+     "025506a98726003e797693376b94e08c3605e04c23b8b15c4003d3d636871084"),
+    (make_chain(1.2), "Recurrent",
+     "27e799eddcae671cfa52ef8414ba369e61a6c0f54d542aef3622d0e8cb5be9c9"),
+    (make_chain(0.8, delta=0.5), "Transient",
+     "ab3ea64616b9b52e585a7ce956e736d819edbed3dc57f445c8716ed988f76aad"),
+    (make_chain(1.0), "Inconclusive",
+     "2ba01723ba154a4b7131f982932efefb89030903dc2085c129ee3c1f14cce0a7"),
+    (None, "Ergodic",
+     "c0e63b564ef355939cd70ee358f4651fc445af5fec3ae2f9d6585909e4f108f8"),
+], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
+def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
+    res = classify(spec or ergodic_spec)
+    assert res.verdict == verdict
+    text = json.dumps(res.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

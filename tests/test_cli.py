@@ -291,6 +291,7 @@ FIELD_PROBLEMS = [
     ("scan", [1], ["scan: expected a mapping"]),
     ("scan.x_decades", [5.0, 2.0], ["scan.x_decades: expected [lo, hi] with lo < hi"]),
     ("scan.x_per_side", "a", ["scan.x_per_side: wrong type str"]),
+    ("scan.x_per_side", 0, ["scan.x_per_side: must be an integer >= 2"]),
     ("scan.delta_ladder", [0.1, 0.5],
      ["scan.delta_ladder: expected strictly decreasing values in (0, 1)"]),
     ("scan.d_ladder", "x", ["scan.d_ladder: expected a non-empty list of numbers"]),
@@ -308,7 +309,8 @@ FIELD_PROBLEMS = [
     ("mc.x0", 10 ** 400, ["mc.x0: int too large to convert to float"]),
     ("mc.x0_b", True, ["mc.x0_b: wrong type bool"]),
     ("mc.radius", [1], ["mc.radius: wrong type list"]),
-    ("mc.compact", [1.0], ["mc.compact: expected [lo, hi]"]),
+    ("mc.compact", [1.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
+    ("mc.compact", [5.0, -5.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.time_points", [5, 5], ["mc.time_points: expected strictly increasing positive integers"]),
     ("mc.bin_width", 0, ["mc.bin_width: must be > 0"]),
     ("mc.tries", 3, ["mc: unknown key 'tries'"]),
