@@ -36,10 +36,11 @@ import yaml
 from . import __version__
 from .chain import ChainSpec, ProfileFn, SasJump, simulate
 from .classify import ScanSettings, classify
-from .drift import CONDITIONS, DEFAULT_DELTA_GRID, default_x_grid, tail_scan
-from .errors import ConfigError, DomainError, StablikeError
+from .drift import (CONDITIONS, DEFAULT_DELTA_GRID, decreasing, default_x_grid,
+                    spans_three_decades, tail_scan)
+from .errors import ConfigError, StablikeError
 # return_stats and occupation are unused here; perfbench's tracer wraps them by name
-from .mc import _ball, _compact, interval_stats, occupation, return_stats, tv_convergence
+from .mc import _ball, _compact, _run, interval_stats, occupation, return_stats, tv_convergence
 from .thresholds import r1, r2, t as t_threshold
 
 SCHEMA_VERSION = 1
@@ -94,10 +95,6 @@ def _checked(parse, ok, problem):
     return checked
 
 
-def _increasing(v) -> bool:
-    return all(b > a for a, b in zip(v, v[1:]))
-
-
 _positive_int = _checked(_int, lambda v: v >= 1, "must be a positive integer")
 _interval = _checked(
     _floats, lambda v: len(v) == 2 and v[0] < v[1], "expected [lo, hi] with lo < hi")
@@ -106,12 +103,16 @@ _bool = _checked(_same, lambda v: isinstance(v, bool), "expected a boolean")
 
 @dataclass(frozen=True)
 class ScanConfig:
-    x_decades: tuple = _key((2.0, 5.0), _interval)
+    # x_decades and d_ladder obey tail_scan's grid rules, checked here to name the key
+    x_decades: tuple = _key((2.0, 5.0), _checked(
+        _interval, lambda v: spans_three_decades((10.0 ** v[0], 10.0 ** v[1])),
+        "must span at least 3 decades"))
     x_per_side: int = _key(13, _checked(_int, lambda v: v >= 2, "must be an integer >= 2"))
     delta_ladder: tuple = _key(DEFAULT_DELTA_GRID, _checked(
-        _floats, lambda v: _increasing(v[::-1]) and all(0.0 < d < 1.0 for d in v),
+        _floats, lambda v: decreasing(v) and all(0.0 < d < 1.0 for d in v),
         "expected strictly decreasing values in (0, 1)"))
-    d_ladder: tuple | None = _key(None, _optional(_floats))
+    d_ladder: tuple | None = _key(None, _optional(_checked(
+        _floats, decreasing, "expected strictly decreasing values")))
     betas: tuple | None = _key(None, _optional(_checked(
         _floats, lambda v: all(0.0 < b <= 1.0 for b in v), "values must lie in (0, 1]")))
     condition: str = _key("mom_rec", _checked(
@@ -138,7 +139,7 @@ class McConfig:
     compact: tuple = _key((-50.0, 50.0), _interval)
     time_points: tuple = _key((100, 1000, 10000), _checked(
         _same, lambda v: isinstance(v, list) and v and all(
-            isinstance(t, int) and t > 0 for t in v) and _increasing(v),
+            isinstance(t, int) and t > 0 for t in v) and decreasing(v[::-1]),
         "expected strictly increasing positive integers"))
     bin_width: float = _key(5.0, _checked(_float, lambda v: v > 0, "must be > 0"))
 
@@ -452,16 +453,12 @@ def _run_mc_diagnose(config: RunConfig) -> int:
     if config.mc is None:
         raise ConfigError(["mc-diagnose needs an mc section"])
     mc = config.mc
-    # every check runs before the one sweep draws anything
+    # every check runs before any draw; the sweep and both TV starts run side by side
     intervals = [_ball(mc.radius), _compact(mc.compact, mc.n_steps)]
-    if mc.n_paths < 2:
-        raise DomainError(f"n_paths must be >= 2, got {mc.n_paths}")
-    rs, occ = interval_stats(
-        config.chain, mc.x0, intervals, mc.n_steps, mc.n_paths, mc.seed
-    )
-    tv = tv_convergence(
-        config.chain, mc.x0, mc.x0_b, mc.time_points, mc.n_paths,
-        mc.bin_width, mc.seed,
+    (rs, occ), tv = _run(
+        interval_stats.job(config.chain, mc.x0, intervals, mc.n_steps, mc.n_paths, mc.seed),
+        tv_convergence.job(config.chain, mc.x0, mc.x0_b, mc.time_points, mc.n_paths,
+                           mc.bin_width, mc.seed),
     )
     _write_csv(
         config, "mc_stats.csv",

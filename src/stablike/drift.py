@@ -375,6 +375,14 @@ def default_x_grid(n_per_side: int = 13, lo: float = 1e2, hi: float = 1e5) -> tu
     return tuple(np.concatenate([-mags[::-1], mags]))
 
 
+def spans_three_decades(mags) -> bool:  # tail_scan's rule for |x| over x_grid
+    return len(mags) > 0 and np.min(mags) > 0 and np.max(mags) / np.min(mags) >= 1e3
+
+
+def decreasing(grid) -> bool:  # tail_scan's rule for delta_grid and d_grid
+    return all(a > b for a, b in zip(grid, grid[1:]))
+
+
 DEFAULT_DELTA_GRID = (0.5, 0.2, 0.1, 0.05)
 DEFAULT_D_GRID = (0.1, 0.01, 0.001)
 
@@ -431,15 +439,15 @@ def tail_scan(
         x_grid = default_x_grid()
     x_grid = tuple(float(x) for x in x_grid)
     mags = np.abs(x_grid)
-    if len(set(mags)) < 2 or mags.min() <= 0 or mags.max() / mags.min() < 1e3:
+    if not spans_three_decades(mags):
         raise DomainError("x_grid must span at least 3 decades of |x|")
     delta_grid = tuple(delta_grid)
-    if any(d1 <= d2 for d1, d2 in zip(delta_grid, delta_grid[1:])):
+    if not decreasing(delta_grid):
         raise DomainError("delta_grid must be strictly decreasing")
     if d_grid is None:
         d_grid = DEFAULT_D_GRID if cond.d_term else (0.0,)
     d_grid = tuple(d_grid)
-    if len(d_grid) > 1 and any(a <= b for a, b in zip(d_grid, d_grid[1:])):
+    if not decreasing(d_grid):
         raise DomainError("d_grid must be strictly decreasing")
 
     integrals = {} if integrals is None else integrals

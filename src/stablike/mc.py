@@ -4,16 +4,18 @@ These routines corroborate classifier output empirically; they never
 replace it. The return, occupation and total-variation diagnostics
 run the chain as a vectorized ensemble: paths are grouped into
 fixed-size blocks, each block draws from its own stream spawned off
-the master seed, the blocks step in lockstep through one generator
-(_ensemble), and every step consumes one uniform angle and one
-exponential per path in a fixed order. That makes every statistic
-bit-reproducible for identical (spec, args, seed) and makes return
-events for a given seed a prefix-stable function of n_steps (longer
-runs extend, never rewrite, history).
+the master seed and steps to its end in one task (_ensemble) on a pool
+of os.cpu_count() threads, and every step consumes one uniform angle
+and one exponential per path in a fixed order. Blocks return integer
+partial statistics, added in block order. That makes every statistic
+bit-reproducible for identical (spec, args, seed) on any number of
+threads, and makes return events for a given seed a prefix-stable
+function of n_steps (longer runs extend, never rewrite, history).
 
 Interval statistics that share a seed are read off one sweep:
 interval_stats steps the ensemble once and updates every interval's
-return and occupation counters on each step.
+return and occupation counters on each step. mc-diagnose runs the sweep
+and both TV starts as one batch (_run).
 
 invariant_histogram reads one path of chain.simulate (block-drawn
 stream, enumerable alpha only); the ensembles also take a custom alpha.
@@ -31,7 +33,10 @@ compare against.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,40 +78,68 @@ class TvEstimate:
     n_paths: int
 
 
-def _step_ensemble(spec: ChainSpec, x: np.ndarray, frozen: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Advance one step in place-ordered draws; freeze overflowing paths."""
-    n = x.size
-    u = rng.uniform(-_HALF_PI, _HALF_PI, n)
-    e = rng.standard_exponential(n)
-    a = spec.alpha_profile.at(x)
-    g = spec.family.gamma_profile.at(x)
-    d = spec.family.delta_profile.at(x)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        xn = x + d + g * cms_transform(a, u, e)
-    np.clip(xn, -FREEZE, FREEZE, out=xn)
-    xn = np.where(frozen, x, xn)
-    frozen |= np.abs(xn) >= FREEZE
-    return xn
-
-
 def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
-              root: np.random.SeedSequence):
-    """Yield the states of n_paths paths from x0 after each of n_steps steps.
+              stream: np.random.SeedSequence):
+    """Yield the states of one block of n_paths paths from x0 after each of n_steps steps.
 
-    Block k of the _BLOCK-path blocks draws from the k-th stream spawned
-    off root; the blocks step in lockstep. The yielded array is
-    overwritten by the next step.
+    Each step draws every path's angle, then every exponential; |state| >= FREEZE stays.
     """
-    starts = range(0, n_paths, _BLOCK)
-    rngs = [np.random.default_rng(child) for child in root.spawn(len(starts))]
+    rng = np.random.default_rng(stream)
     x = np.full(n_paths, float(x0))
     frozen = np.zeros(n_paths, dtype=bool)
     for _ in range(n_steps):
-        for rng, lo in zip(rngs, starts):
-            block = slice(lo, lo + _BLOCK)
-            x[block] = _step_ensemble(spec, x[block], frozen[block], rng)
+        u = rng.uniform(-_HALF_PI, _HALF_PI, n_paths)
+        e = rng.standard_exponential(n_paths)
+        a = spec.alpha_profile.at(x)
+        g = spec.family.gamma_profile.at(x)
+        d = spec.family.delta_profile.at(x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xn = x + d + g * cms_transform(a, u, e)
+        np.clip(xn, -FREEZE, FREEZE, out=xn)
+        x = np.where(frozen, x, xn)
+        frozen |= np.abs(x) >= FREEZE
         yield x
+
+
+def _blocks(read, n_paths: int, root: np.random.SeedSequence) -> list:
+    """A task read(n, stream) per block of n <= _BLOCK paths, streams spawned off root."""
+    sizes = [min(_BLOCK, n_paths - lo) for lo in range(0, n_paths, _BLOCK)]
+    return [functools.partial(read, n, child) for n, child in zip(sizes, root.spawn(len(sizes)))]
+
+
+# made on first use; numpy releases the GIL while a block steps
+_pool = functools.cache(lambda: ThreadPoolExecutor(os.cpu_count()))
+os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of its threads
+
+
+def _run(*jobs) -> list:
+    """Each job's result; a job is (n_steps, tasks of _blocks, reduce of their results).
+
+    Longest job first. If a task raises, the tasks not yet started are cancelled, the
+    running ones finish, and the first exception in job and block order is raised.
+    """
+    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
+    futures = {i: [_pool().submit(task) for task in jobs[i][1]] for i in order}
+    flat = [f for i in range(len(jobs)) for f in futures[i]]
+    try:
+        wait(flat, return_when=FIRST_EXCEPTION)
+    finally:
+        for f in flat:
+            f.cancel()  # only a block not yet started
+    wait(flat)
+    # nothing is cancelled unless a block failed, and then result() raises first
+    partials = iter([f.result() for f in flat if not f.cancelled()])
+    return [reduce([next(partials) for _ in blocks]) for _, blocks, reduce in jobs]
+
+
+def _batchable(job):
+    """The diagnostic that runs the _run job that job(...) checks and returns.
+
+    job stays reachable as .job, so that one _run can batch several diagnostics.
+    """
+    diagnostic = functools.wraps(job)(lambda *args, **kwargs: _run(job(*args, **kwargs))[0])
+    diagnostic.job = job
+    return diagnostic
 
 
 def _hist_edges(bin_width: float) -> np.ndarray:
@@ -138,6 +171,7 @@ def _compact(compact_c: tuple, n_steps: int) -> tuple:
     return (lo, hi, max(0.0, (hi - lo) / 2.0))
 
 
+@_batchable
 def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
                    n_paths: int, seed: int) -> tuple:
     """Return and occupation statistics of several intervals, one sweep.
@@ -158,28 +192,34 @@ def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
                        for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
     lo, hi = bounds[:, :1], bounds[:, 1:]
     burn = n_steps // 2
-    left = np.repeat(~((lo <= x0) & (x0 <= hi)), n_paths, axis=1)
-    returned = np.zeros_like(left)
-    return_time = np.zeros(left.shape, dtype=np.int64)
-    occ = np.zeros(left.shape, dtype=np.int64)
+
+    def read(n, stream):  # per interval: paths returned, return time sum, occupation
+        left = np.repeat(~((lo <= x0) & (x0 <= hi)), n, axis=1)
+        returned = np.zeros_like(left)
+        return_time = np.zeros(left.shape, dtype=np.int64)
+        occ = np.zeros(left.shape, dtype=np.int64)
+        for t, x in enumerate(_ensemble(spec, x0, n, n_steps, stream), start=1):
+            inside = (x >= lo) & (x <= hi)
+            hit = left & ~returned & inside
+            return_time[hit] = t
+            returned |= hit
+            left |= ~inside
+            if t > burn:
+                occ += inside
+        # return_time is 0 on every path that has not returned
+        return np.stack([returned.sum(axis=1), return_time.sum(axis=1), occ.sum(axis=1)], 1)
+
+    def reduce(partials):
+        sums = sum(partials, np.zeros((len(bounds), 3), dtype=np.int64)).tolist()
+        return tuple(
+            TrajectoryStats(n_paths, n_steps, n_ret / n_paths,
+                            float(rt_sum) / n_ret if n_ret else math.nan,
+                            float(occ_sum) / (n_paths * (n_steps - burn)), label)
+            for (n_ret, rt_sum, occ_sum), (_, _, label) in zip(sums, intervals)
+        )
+
     root = np.random.SeedSequence(seed)
-    paths = _ensemble(spec, x0, n_paths, n_steps, root) if np.any(lo < hi) else ()
-    for t, x in enumerate(paths, start=1):
-        inside = (x >= lo) & (x <= hi)
-        hit = left & ~returned & inside
-        return_time[hit] = t
-        returned |= hit
-        left |= ~inside
-        if t > burn:
-            occ += inside
-    # return_time is 0 on every path that has not returned
-    sums = zip(returned.sum(axis=1), return_time.sum(axis=1), occ.sum(axis=1))
-    return tuple(
-        TrajectoryStats(n_paths, n_steps, int(n_ret) / n_paths,
-                        float(rt_sum) / int(n_ret) if n_ret else math.nan,
-                        float(occ_sum) / (n_paths * (n_steps - burn)), label)
-        for (n_ret, rt_sum, occ_sum), (_, _, label) in zip(sums, intervals)
-    )
+    return n_steps, _blocks(read, n_paths, root) if np.any(lo < hi) else [], reduce
 
 
 def return_stats(
@@ -218,6 +258,7 @@ def occupation(
     )[0]
 
 
+@_batchable
 def tv_convergence(
     spec: ChainSpec,
     x0_a: float,
@@ -244,16 +285,19 @@ def tv_convergence(
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
     edges = _hist_edges(bin_width)
     marks = set(tps)
-    laws = [
-        np.array([
-            _clipped_counts(x, edges)
-            for t, x in enumerate(_ensemble(spec, x0, n_paths, tps[-1], root), start=1)
-            if t in marks
-        ]) / n_paths
-        for x0, root in zip((x0_a, x0_b), np.random.SeedSequence(seed).spawn(2))
-    ]
-    tv_values = tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(*laws))
-    return TvEstimate(tps, tv_values, float(bin_width), n_paths)
+
+    def read(x0, n, stream):  # the clipped counts at each time point
+        states = enumerate(_ensemble(spec, x0, n, tps[-1], stream), start=1)
+        return np.array([_clipped_counts(x, edges) for t, x in states if t in marks])
+
+    def reduce(partials):  # the blocks of start a, then as many of start b
+        law_a, law_b = np.sum(np.split(np.array(partials), 2), axis=1) / n_paths
+        tv_values = tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(law_a, law_b))
+        return TvEstimate(tps, tv_values, float(bin_width), n_paths)
+
+    roots = np.random.SeedSequence(seed).spawn(2)
+    return tps[-1], [task for x0, root in zip((x0_a, x0_b), roots)
+                     for task in _blocks(functools.partial(read, x0), n_paths, root)], reduce
 
 
 def invariant_histogram(

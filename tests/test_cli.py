@@ -1,5 +1,7 @@
 """Config parsing, CSV/JSON artifacts and process exit codes."""
 
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import pytest
 import yaml
 
 import stablike
-from stablike import ConfigError, DomainError, mc
+from stablike import ConfigError, DomainError, ProfileFn, cli, make_chain, mc
 from stablike.cli import load_config, main, run, save_config
 
 # the child process imports the same package as this one, cwd independent
@@ -244,6 +246,24 @@ def test_mc_diagnose_checks_before_any_draw(smoke_config_text, tmp_path, monkeyp
     assert message in capsys.readouterr().err
 
 
+def test_mc_diagnose_failing_block_exits_one(smoke_config_text, monkeypatch, capsys):
+    # the first alpha evaluation raises, so one block fails; the others run on
+    path, out = smoke_config_text
+    calls = itertools.count()
+
+    def alpha(x):
+        if next(calls) == 0:
+            raise DomainError("alpha profile failed")
+        return 1.5
+
+    config = dataclasses.replace(
+        load_config(str(path)), chain=make_chain(ProfileFn.custom(alpha), unchecked=True))
+    monkeypatch.setattr(cli, "load_config", lambda _: config)
+    assert main(["mc-diagnose", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: alpha profile failed\n"
+    assert list(out.iterdir()) == []
+
+
 def test_csv_false_writes_no_csv(smoke_config_text, tmp_path):
     path, out = smoke_config_text
     doc = yaml.safe_load(path.read_text())
@@ -290,11 +310,13 @@ _MISSING = "<key removed>"
 FIELD_PROBLEMS = [
     ("scan", [1], ["scan: expected a mapping"]),
     ("scan.x_decades", [5.0, 2.0], ["scan.x_decades: expected [lo, hi] with lo < hi"]),
+    ("scan.x_decades", [2.0, 4.0], ["scan.x_decades: must span at least 3 decades"]),
     ("scan.x_per_side", "a", ["scan.x_per_side: wrong type str"]),
     ("scan.x_per_side", 0, ["scan.x_per_side: must be an integer >= 2"]),
     ("scan.delta_ladder", [0.1, 0.5],
      ["scan.delta_ladder: expected strictly decreasing values in (0, 1)"]),
     ("scan.d_ladder", "x", ["scan.d_ladder: expected a non-empty list of numbers"]),
+    ("scan.d_ladder", [0.001, 0.1], ["scan.d_ladder: expected strictly decreasing values"]),
     ("scan.betas", [1.5], ["scan.betas: values must lie in (0, 1]"]),
     ("scan.condition", "nope", ["scan.condition: 'nope' not one of ('log_rec', 'pow_rec', "
                                 "'log_erg', 'pow_erg', 'mom_rec', 'mom_erg', 'mom_erg_b', "

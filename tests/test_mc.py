@@ -1,16 +1,20 @@
 """Seed-pinned Monte Carlo diagnostics."""
 
 import dataclasses
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from stablike import (
+    DomainError,
     ProfileFn,
     interval_stats,
     invariant_histogram,
     make_chain,
+    mc,
     occupation,
     return_stats,
     tv_convergence,
@@ -153,3 +157,81 @@ def test_histogram_replay(ergodic_spec):
     b = invariant_histogram(ergodic_spec, x0=0.0, n_steps=50_000,
                             burn_in=1000, bin_width=1.0, seed=2)
     assert np.array_equal(a.values, b.values)
+
+
+# values of the release that stepped the blocks of a call in lockstep in
+# one thread: three blocks, the last one 37 paths short of full
+PINNED_BLOCKS = [
+    (make_chain(ProfileFn.two_valued(1.5, 1.8), delta=ProfileFn.two_valued(0.5, -0.5)),
+     300, (5, 50, 200),
+     [(0.9629133426709701, 86.35789273969138, 0.7466435255668554),
+      (0.50764265270081, 150.83793186180424, 0.8738992753181901)],
+     (0.9871505998416661, 0.25893672736130563, 0.07374703124048473)),
+    (make_chain(ProfileFn.custom(lambda x: 1.2 + 0.5 * np.tanh(x)), unchecked=True),
+     20, (2, 5, 10),
+     [(0.2449911698434931, 12.77280636341039, 0.5984166615918641),
+      (0.0439071920102308, 13.765603328710124, 0.8391084586809573)],
+     (0.9724133731197855, 0.9241215516716401, 0.8453200170513366)),
+]
+
+
+@pytest.mark.parametrize("spec, n_steps, time_points, stats, tv_values", PINNED_BLOCKS,
+                         ids=["two-valued", "custom-alpha"])
+def test_blocks_reduce_bit_identically(spec, n_steps, time_points, stats, tv_values):
+    n_paths = 2 * 8192 + 37
+    got = interval_stats(spec, 3.0, [(-10.0, 10.0, 10.0), (-20.0, 30.0, 25.0)],
+                         n_steps, n_paths, seed=7)
+    assert [(s.return_fraction, s.mean_return_time, s.occupation_fraction)
+            for s in got] == stats
+    tv = tv_convergence(spec, -20.0, 20.0, time_points, n_paths, bin_width=0.5, seed=7)
+    assert tv.tv_values == tv_values
+
+
+def _failing_chain():
+    """A custom-alpha chain whose first profile call raises; the exception."""
+    boom = DomainError("alpha profile failed")
+    calls = itertools.count()
+
+    def alpha(x):
+        if next(calls) == 0:
+            raise boom
+        return 1.5
+
+    return make_chain(ProfileFn.custom(alpha), unchecked=True), boom
+
+
+def test_failing_block_raises_its_exception():
+    before = return_stats(make_chain(1.5), 5.0, 2.0, 50, 300, seed=3)
+    spec, boom = _failing_chain()
+    with pytest.raises(DomainError) as exc:
+        interval_stats(spec, 0.0, [(-1.0, 1.0, 1.0)], 20, 3 * 8192, seed=1)
+    assert exc.value is boom
+    spec, boom = _failing_chain()
+    with pytest.raises(DomainError) as exc:
+        tv_convergence(spec, -5.0, 5.0, (5, 10), 3 * 8192, bin_width=1.0, seed=1)
+    assert exc.value is boom
+    # the pool still runs the next call
+    assert return_stats(make_chain(1.5), 5.0, 2.0, 50, 300, seed=3) == before
+
+
+def test_failing_block_cancels_the_blocks_not_started(monkeypatch):
+    # two workers, eight blocks: the first block to step fails at once; the
+    # blocks still queued when the failure is seen never start, and every
+    # other started block finishes before the call raises
+    started, finished = [], []
+    ensemble = mc._ensemble
+
+    def counted(*args):
+        started.append(args)
+        yield from ensemble(*args)
+        finished.append(args)
+
+    monkeypatch.setattr(mc, "_ensemble", counted)
+    spec, boom = _failing_chain()
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(mc, "_pool", lambda: pool)
+        with pytest.raises(DomainError) as exc:
+            interval_stats(spec, 0.0, [(-1.0, 1.0, 1.0)], 100, 8 * 8192, seed=1)
+    assert exc.value is boom
+    assert len(finished) == len(started) - 1
+    assert len(started) < 8
