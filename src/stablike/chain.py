@@ -1,12 +1,14 @@
 """Stable-like chain model: position-dependent jump profiles and stepping.
 
 A chain is specified by three profiles over the real line: the jump
-stability index alpha(x) in (0, 2), the scale gamma(x) > 0 and the
-shift delta(x). From state x the chain jumps to x + J where J is
-S(alpha(x), gamma(x), delta(x)). Profiles taking finitely many values
-keep the heavy-tail uniformity assumptions valid by construction;
-arbitrary callables are accepted behind an `unchecked` flag that marks
-downstream verdicts as conditional.
+stability index alpha(x) in (0, 2), the finite scale gamma(x) > 0 and
+the finite shift delta(x). From state x the chain jumps to x + J where
+J is S(alpha(x), gamma(x), delta(x)). Profiles taking finitely many
+values keep the heavy-tail uniformity assumptions valid by construction.
+These rules are checked here only, however a chain is built: ProfileFn
+checks each kind's shape and ChainSpec the profile values. Arbitrary
+callables are accepted behind an `unchecked` flag that marks downstream
+verdicts as conditional.
 
 simulate runs one path. It needs an enumerable alpha profile: each
 block of its random stream becomes a table of jumps, one row per alpha
@@ -27,6 +29,7 @@ from .stable import StableParams, cms_transform, tail_constant
 
 FREEZE = 1e300  # overflow guard: transient low-index chains overflow doubles
 _STEP_BLOCK = 4096  # steps per block of simulate's random stream
+_KINDS = ("constant", "two_valued", "periodic", "piecewise", "custom")
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,26 @@ class ProfileFn:
     period: float = 0.0
     fn: object = None
 
+    def __post_init__(self):
+        """Check the kind's shape; __call__ and at index values without checks."""
+        if self.kind not in _KINDS:
+            raise DomainError(f"profile kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind == "custom":
+            if not callable(self.fn):
+                raise DomainError("custom profile needs a callable fn")
+            return
+        n = len(self.values)
+        want = {"constant": 1, "two_valued": 2, "periodic": n,
+                "piecewise": len(self.breakpoints) + 1}[self.kind]
+        if not n or n != want:
+            raise DomainError(f"{self.kind} profile takes {want or '>= 1'} value(s), got {n}")
+        # a cell of width period / n must be a finite float > 0
+        if self.kind == "periodic" and not 0.0 < self.period / n < math.inf:
+            raise DomainError(f"periodic profile needs a finite period > 0, got {self.period}")
+        b = self.breakpoints
+        if not all(map(math.isfinite, b)) or any(b1 >= b2 for b1, b2 in zip(b, b[1:])):
+            raise DomainError("piecewise breakpoints must be finite and strictly increasing")
+
     @classmethod
     def constant(cls, v: float) -> "ProfileFn":
         return cls("constant", values=(float(v),))
@@ -58,20 +81,12 @@ class ProfileFn:
 
     @classmethod
     def periodic(cls, period: float, values) -> "ProfileFn":
-        values = tuple(float(v) for v in values)
-        if not period > 0.0 or not values:
-            raise DomainError("periodic profile needs period > 0 and values")
-        return cls("periodic", values=values, period=float(period))
+        return cls("periodic", values=tuple(float(v) for v in values), period=float(period))
 
     @classmethod
     def piecewise(cls, breakpoints, values) -> "ProfileFn":
-        breakpoints = tuple(float(b) for b in breakpoints)
-        values = tuple(float(v) for v in values)
-        if len(values) != len(breakpoints) + 1:
-            raise DomainError("piecewise profile needs len(values) == len(breakpoints) + 1")
-        if any(b1 >= b2 for b1, b2 in zip(breakpoints, breakpoints[1:])):
-            raise DomainError("piecewise breakpoints must be strictly increasing")
-        return cls("piecewise", values=values, breakpoints=breakpoints)
+        return cls("piecewise", values=tuple(float(v) for v in values),
+                   breakpoints=tuple(float(b) for b in breakpoints))
 
     @classmethod
     def custom(cls, fn) -> "ProfileFn":
@@ -152,8 +167,8 @@ class ChainSpec:
             if not 0.0 < a < 2.0:
                 raise DomainError(f"alpha profile value {a} outside (0, 2)")
         for g in self.family.gamma_profile.value_set():
-            if not g > 0.0:
-                raise DomainError(f"gamma profile value {g} must be > 0")
+            if not 0.0 < g < math.inf:
+                raise DomainError(f"gamma profile value {g} must be finite and > 0")
         for d in self.family.delta_profile.value_set():
             if not np.isfinite(d):
                 raise DomainError(f"delta profile value {d} must be finite")

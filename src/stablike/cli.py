@@ -4,13 +4,14 @@ One canonical YAML config format, versioned by schema_version, drives
 the subcommands of SUBCOMMANDS; `stablike --help` lists each one with
 the runner's summary of what it writes.
 
-Beside the chain section, the config has one section per dataclass of
-SECTIONS (scan, thresholds, mc, output). Each field of those dataclasses
-is one YAML key: it declares its default and the function that parses
-and checks its value. A missing key takes the default, and a missing
-section takes every default, except mc, which stays absent because
-mc.seed has none. output.json gates the JSON artifact and output.csv
-every CSV artifact.
+The config has one section per dataclass: ChainConfig for chain and
+SECTIONS for scan, thresholds, mc and output. Each field is one YAML
+key: it declares its default and the function that parses and checks
+its value. A missing key takes the default, and a missing section takes
+every default, except mc, which stays absent because mc.seed has none,
+and chain, whose alpha is required. ProfileFn and ChainSpec own the
+model's rules: what they reject is a config problem. output.json gates
+the JSON artifact and output.csv every CSV artifact.
 
 Every output file starts with a comment line carrying the tool version
 and a hash of the canonical config, so results are traceable to the
@@ -38,14 +39,12 @@ from .chain import ChainSpec, ProfileFn, SasJump, simulate
 from .classify import ScanSettings, classify
 from .drift import (CONDITIONS, DEFAULT_DELTA_GRID, decreasing, default_x_grid,
                     spans_three_decades, tail_scan)
-from .errors import ConfigError, StablikeError
+from .errors import ConfigError, DomainError, StablikeError
 # return_stats and occupation are unused here; perfbench's tracer wraps them by name
 from .mc import _ball, _compact, _run, interval_stats, occupation, return_stats, tv_convergence
 from .thresholds import r1, r2, t as t_threshold
 
 SCHEMA_VERSION = 1
-
-_PROFILE_KINDS = ("constant", "two_valued", "periodic", "piecewise")
 
 
 def _key(default, parse):
@@ -99,13 +98,41 @@ _positive_int = _checked(_int, lambda v: v >= 1, "must be a positive integer")
 _interval = _checked(
     _floats, lambda v: len(v) == 2 and v[0] < v[1], "expected [lo, hi] with lo < hi")
 _bool = _checked(_same, lambda v: isinstance(v, bool), "expected a boolean")
+_finite = _checked(_float, math.isfinite, "must be finite")
+_DECADES = (sys.float_info.min_10_exp, sys.float_info.max_10_exp)  # 10**d is a normal float
+_PROFILE_PARTS = {"kind": _same, "values": _floats, "period": _float,
+                  "breakpoints": lambda v: () if v == [] else _floats(v)}
+
+
+def _profile(doc):
+    """A chain profile from its YAML mapping; ProfileFn checks the kind's shape."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a mapping with kind/values")
+    parts = {}
+    for key, v in doc.items():
+        if key not in _PROFILE_PARTS:
+            raise ValueError(f"unknown key {key!r}")
+        try:
+            parts[key] = _PROFILE_PARTS[key](v)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return ProfileFn(parts.pop("kind", None), **parts)  # its DomainError is a ValueError
+
+
+@dataclass(frozen=True)
+class ChainConfig:
+    alpha: ProfileFn = _key(MISSING, _profile)
+    gamma: ProfileFn = _key(ProfileFn.constant(1.0), _profile)
+    delta: ProfileFn = _key(ProfileFn.constant(0.0), _profile)
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     # x_decades and d_ladder obey tail_scan's grid rules, checked here to name the key
-    x_decades: tuple = _key((2.0, 5.0), _checked(
-        _interval, lambda v: spans_three_decades((10.0 ** v[0], 10.0 ** v[1])),
+    x_decades: tuple = _key((2.0, 5.0), _checked(_checked(
+        _interval, lambda v: _DECADES[0] <= v[0] and v[1] <= _DECADES[1],
+        f"bounds must lie in [{_DECADES[0]}, {_DECADES[1]}]"),
+        lambda v: spans_three_decades((10.0 ** v[0], 10.0 ** v[1])),
         "must span at least 3 decades"))
     x_per_side: int = _key(13, _checked(_int, lambda v: v >= 2, "must be an integer >= 2"))
     delta_ladder: tuple = _key(DEFAULT_DELTA_GRID, _checked(
@@ -133,15 +160,15 @@ class McConfig:
     seed: int = _key(MISSING, _int)
     n_paths: int = _key(1000, _positive_int)
     n_steps: int = _key(10000, _positive_int)
-    x0: float = _key(50.0, _float)
-    x0_b: float = _key(-50.0, _float)
+    x0: float = _key(50.0, _finite)
+    x0_b: float = _key(-50.0, _finite)
     radius: float = _key(10.0, _float)
     compact: tuple = _key((-50.0, 50.0), _interval)
     time_points: tuple = _key((100, 1000, 10000), _checked(
         _same, lambda v: isinstance(v, list) and v and all(
             isinstance(t, int) and t > 0 for t in v) and decreasing(v[::-1]),
         "expected strictly increasing positive integers"))
-    bin_width: float = _key(5.0, _checked(_float, lambda v: v > 0, "must be > 0"))
+    bin_width: float = _key(5.0, _checked(_finite, lambda v: v > 0, "must be > 0"))
 
 
 @dataclass(frozen=True)
@@ -196,53 +223,8 @@ def _profile_to_dict(p: ProfileFn) -> dict:
     return doc
 
 
-def _parse_profile(doc, where: str, problems: list) -> ProfileFn | None:
-    if not isinstance(doc, dict):
-        problems.append(f"{where}: expected a mapping with kind/values")
-        return None
-    kind = doc.get("kind")
-    if kind not in _PROFILE_KINDS:
-        problems.append(f"{where}.kind: expected one of {_PROFILE_KINDS}, got {kind!r}")
-        return None
-    extra = set(doc) - {"kind", "values", "period", "breakpoints"}
-    if extra:
-        problems.append(f"{where}: unknown keys {sorted(extra)}")
-    values = doc.get("values")
-    if not isinstance(values, list) or not values or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
-        problems.append(f"{where}.values: expected a non-empty list of numbers")
-        return None
-    values = [float(v) for v in values]
-    try:
-        if kind == "constant":
-            if len(values) != 1:
-                problems.append(f"{where}.values: constant profile takes 1 value")
-                return None
-            return ProfileFn.constant(values[0])
-        if kind == "two_valued":
-            if len(values) != 2:
-                problems.append(f"{where}.values: two_valued profile takes 2 values")
-                return None
-            return ProfileFn.two_valued(values[0], values[1])
-        if kind == "periodic":
-            period = doc.get("period")
-            if not isinstance(period, (int, float)) or not period > 0:
-                problems.append(f"{where}.period: expected a number > 0")
-                return None
-            return ProfileFn.periodic(float(period), values)
-        breakpoints = doc.get("breakpoints")
-        if not isinstance(breakpoints, list):
-            problems.append(f"{where}.breakpoints: expected a list of numbers")
-            return None
-        return ProfileFn.piecewise([float(b) for b in breakpoints], values)
-    except StablikeError as exc:
-        problems.append(f"{where}: {exc}")
-        return None
-
-
 def _parse_section(doc, cls, where: str, problems: list):
-    """One section of SECTIONS from its YAML mapping; appends every problem.
+    """One config section from its YAML mapping; appends every problem.
 
     An absent section takes the defaults, or is None if a field has no
     default. Returns None when the section has a problem.
@@ -293,41 +275,17 @@ def load_config(path: str) -> RunConfig:
             f"schema_version: expected {SCHEMA_VERSION}, got {sv!r}"
         )
 
-    chain_doc = doc.get("chain")
-    alpha = gamma = delta = None
-    if not isinstance(chain_doc, dict):
-        problems.append("chain: required section missing or not a mapping")
-    else:
-        for key in set(chain_doc) - {"alpha", "gamma", "delta"}:
-            problems.append(f"chain: unknown key {key!r}")
-        alpha = _parse_profile(chain_doc.get("alpha"), "chain.alpha", problems)
-        gamma = _parse_profile(
-            chain_doc.get("gamma", {"kind": "constant", "values": [1.0]}),
-            "chain.gamma", problems,
-        )
-        delta = _parse_profile(
-            chain_doc.get("delta", {"kind": "constant", "values": [0.0]}),
-            "chain.delta", problems,
-        )
-    if alpha is not None:
-        for i, v in enumerate(alpha.values):
-            if not 0.0 < v < 2.0:
-                problems.append(f"chain.alpha.values[{i}]: {v} outside (0, 2)")
-    if gamma is not None:
-        for i, v in enumerate(gamma.values):
-            if not v > 0.0:
-                problems.append(f"chain.gamma.values[{i}]: {v} must be > 0")
-    if delta is not None:
-        for i, v in enumerate(delta.values):
-            if not math.isfinite(v):
-                problems.append(f"chain.delta.values[{i}]: must be finite")
+    chain = _parse_section(doc.get("chain") or {}, ChainConfig, "chain", problems)
+    if chain is not None:
+        try:
+            spec = ChainSpec(chain.alpha, SasJump(chain.gamma, chain.delta))
+        except DomainError as exc:
+            problems.append(f"chain: {exc}")
 
     sections = {name: _parse_section(doc.get(name), cls, name, problems)
                 for name, cls in SECTIONS.items()}
     if problems:
         raise ConfigError(problems)
-
-    spec = ChainSpec(alpha, SasJump(gamma, delta))
     return RunConfig(SCHEMA_VERSION, spec, **sections)
 
 

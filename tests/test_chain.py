@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from stablike import (
@@ -55,6 +56,47 @@ def test_custom_profile_callable():
     assert p(1e9) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kind, values, breakpoints, period", [
+    ("periodic", (0.0,), (), 0.0),
+    ("periodic", (1.5, 1.2), (), math.inf),
+    ("periodic", (1.5, 1.2), (), 5e-324),  # the cell width rounds to 0
+    ("periodic", (), (), 1.0),
+    ("two_valued", (1.0, 1.2, 1.3), (), 0.0),
+    ("constant", (), (), 0.0),
+    ("piecewise", (1.0, 1.2), (math.nan,), 0.0),
+    ("piecewise", (1.0, 1.2, 1.3), (1.0, 0.0), 0.0),
+    ("piecewise", (1.0,), (1.0,), 0.0),
+    ("custom", (), (), 0.0),
+    ("spline", (1.0,), (), 0.0),
+])
+def test_profile_rejects_a_bad_shape(kind, values, breakpoints, period):
+    with pytest.raises(DomainError):
+        ProfileFn(kind, values, breakpoints, period)
+
+
+@st.composite
+def _profile_args(draw):
+    breakpoints = draw(st.lists(st.floats(), max_size=3)
+                       | st.lists(st.floats(), max_size=3).map(sorted))
+    n = draw(st.sampled_from((0, 1, 2, 3, len(breakpoints) + 1)))
+    values = draw(st.lists(st.floats(0.01, 1.99), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(("constant", "two_valued", "periodic", "piecewise")))
+    return kind, tuple(values), tuple(breakpoints), draw(st.floats())
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(args=_profile_args(), x=st.floats(allow_nan=False, allow_infinity=False))
+def test_accepted_profiles_look_up_alike(args, x):
+    # every shape the constructor accepts is one __call__ and at can index
+    try:
+        p = ProfileFn(*args)
+    except DomainError:
+        return
+    v = p(x)
+    assert v == p.at([x])[0]
+    assert v in p.value_set()
+
+
 def test_make_chain_accepts_numbers():
     spec = make_chain(1.5, gamma=2.0, delta=-0.25)
     assert alpha_at(spec, 3.0) == 1.5
@@ -78,6 +120,8 @@ def test_spec_validates_alpha_range():
 def test_spec_validates_gamma_positive():
     with pytest.raises(DomainError):
         make_chain(1.5, gamma=0.0)
+    with pytest.raises(DomainError):
+        make_chain(1.5, gamma=math.inf)
 
 
 def test_unchecked_skips_validation():

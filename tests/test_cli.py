@@ -308,9 +308,28 @@ _MISSING = "<key removed>"
 
 # one bad value per field and the problem list load_config must report
 FIELD_PROBLEMS = [
+    # each profile mapping leads with the key it gets wrong, so the test ids stay distinct
+    ("chain", _MISSING, ["chain.alpha: required field missing"]),
+    ("chain.alpha", {"values": [2.5], "kind": "constant"},
+     ["chain: alpha profile value 2.5 outside (0, 2)"]),
+    ("chain.alpha", {"kind": "constant", "values": [1.5, 1.2]},
+     ["chain.alpha: constant profile takes 1 value(s), got 2"]),
+    ("chain.alpha", {"period": math.inf, "kind": "periodic", "values": [1.5, 1.2]},
+     ["chain.alpha: periodic profile needs a finite period > 0, got inf"]),
+    ("chain.alpha", {"breakpoints": [math.nan], "kind": "piecewise", "values": [1.5, 1.2]},
+     ["chain.alpha: piecewise breakpoints must be finite and strictly increasing"]),
+    ("chain.gamma", {"kind": "constant", "values": [math.inf]},
+     ["chain: gamma profile value inf must be finite and > 0"]),
+    ("chain.gamma", {"period": True, "kind": "periodic", "values": [1.0, 2.0]},
+     ["chain.gamma: period: wrong type bool"]),
+    ("chain.gamma", {"breakpoints": [True], "kind": "piecewise", "values": [1.0, 2.0]},
+     ["chain.gamma: breakpoints: expected a non-empty list of numbers"]),
+    ("chain.delta", {"breakpoints": ["a"], "kind": "piecewise", "values": [0.0, 1.0]},
+     ["chain.delta: breakpoints: expected a non-empty list of numbers"]),
     ("scan", [1], ["scan: expected a mapping"]),
     ("scan.x_decades", [5.0, 2.0], ["scan.x_decades: expected [lo, hi] with lo < hi"]),
     ("scan.x_decades", [2.0, 4.0], ["scan.x_decades: must span at least 3 decades"]),
+    ("scan.x_decades", [2.0, 400.0], ["scan.x_decades: bounds must lie in [-307, 308]"]),
     ("scan.x_per_side", "a", ["scan.x_per_side: wrong type str"]),
     ("scan.x_per_side", 0, ["scan.x_per_side: must be an integer >= 2"]),
     ("scan.delta_ladder", [0.1, 0.5],
@@ -329,12 +348,16 @@ FIELD_PROBLEMS = [
     ("mc.n_steps", 1.5, ["mc.n_steps: wrong type float"]),
     ("mc.x0", "a", ["mc.x0: wrong type str"]),
     ("mc.x0", 10 ** 400, ["mc.x0: int too large to convert to float"]),
+    ("mc.x0", math.nan, ["mc.x0: must be finite"]),
+    ("mc.x0", math.inf, ["mc.x0: must be finite"]),
     ("mc.x0_b", True, ["mc.x0_b: wrong type bool"]),
+    ("mc.x0_b", -math.inf, ["mc.x0_b: must be finite"]),
     ("mc.radius", [1], ["mc.radius: wrong type list"]),
     ("mc.compact", [1.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.compact", [5.0, -5.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.time_points", [5, 5], ["mc.time_points: expected strictly increasing positive integers"]),
     ("mc.bin_width", 0, ["mc.bin_width: must be > 0"]),
+    ("mc.bin_width", math.inf, ["mc.bin_width: must be finite"]),
     ("mc.tries", 3, ["mc: unknown key 'tries'"]),
     ("output.directory", 3, ["output.directory: expected a string"]),
     ("output.json", "yes", ["output.json: expected a boolean"]),
