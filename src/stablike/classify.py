@@ -1,33 +1,40 @@
 """Verdict assembly on top of the drift-condition tail scans.
 
-A chain is scanned against every admissible drift display and the
-verdict follows the evidence hierarchy
+A chain is scanned against every admissible drift display. A display
+"fires" only when its margin is strictly positive and at least twice
+the estimated scan error. The displays are sufficient conditions: a
+non-firing scan proves nothing, so near-boundary cases come back
+Inconclusive rather than guessed. classify decides on one ladder, and
+the first rung whose evidence is present gives the verdict:
 
-  Ergodic > Recurrent > Transient > benchmark fallback > Inconclusive
-
-where a display "fires" only when its margin is strictly positive and
-at least twice the estimated scan error. The displays are sufficient
-conditions: a non-firing scan proves nothing, so near-boundary cases
-come back Inconclusive rather than guessed. If displays fire in both
-directions on the same run the result is Inconclusive with both
-margins listed, since that can only mean the scan horizon lied.
+  1. displays fired in both directions   Inconclusive (the scan horizon lied)
+  2. ergodicity without recurrence       Inconclusive (a positive chain recurs)
+  3. ergodicity and recurrence           Ergodic
+  4. recurrence                          Recurrent, or NullCandidate
+  5. transience                          Transient
+  6. two-valued index-sum dichotomy      Recurrent or Transient
+  7. none of these                       Inconclusive, naming the closest display
 
 Beta ladders (ledger defaults): recurrence and ergodicity scans use
 beta in {min(1, inf alpha - 0.05), 0.01}, transience scans use
 {0.5, 0.01}; the best (largest-margin) beta per condition is kept.
+Each ladder keeps only the betas in its threshold's domain: below the
+smallest limiting alpha for recurrence and ergodicity (r2), below 1
+for transience (t). A display that needs beta and has none left is
+not scanned, and a caveat names it.
 
 Extra evidence channels:
-  - null-chain check: reversed-inequality versions of the log/power
-    recurrence displays, thresholds taken at the largest limiting
-    alpha; positive evidence turns a Recurrent verdict into
+  - null-chain check (rung 4): reversed-inequality versions of the
+    log/power recurrence displays, thresholds taken at the largest
+    limiting alpha; positive evidence turns a Recurrent verdict into
     NullCandidate (never overrides Transient).
-  - small-index decay: for chains with sup alpha < 1, the pointwise
-    rate alpha(x)|x|^(alpha(x)-1)/c(x) decaying monotonically through
-    1e-6 is transience evidence on its own.
-  - two-valued benchmark: for a symmetric-jump chain whose index takes
-    one value per half-line and no display fired, the known exact
-    dichotomy in the index sum (recurrent iff sum >= 2) decides, with
-    an exemption band around the critical sum and an explicit caveat.
+  - small-index decay (rung 5): for chains with sup alpha < 1, the
+    pointwise rate alpha(x)|x|^(alpha(x)-1)/c(x) decaying monotonically
+    through 1e-6 is transience evidence on its own.
+  - two-valued benchmark (rung 6): for a symmetric-jump chain whose
+    index takes one value per half-line, the known exact dichotomy in
+    the index sum (recurrent iff sum >= 2) decides, with an exemption
+    band around the critical sum and an explicit caveat.
 """
 
 from __future__ import annotations
@@ -52,11 +59,12 @@ _DECAY_HORIZON = 1e16  # |x| reach of the small-index decay shortcut
 class ScanSettings:
     """Grid knobs shared by all classification scans.
 
-    None fields fall back to the drift-layer defaults.
+    d_grid None gives each display the drift layer's default (d levels
+    only where it has a d-term); betas None gives the default ladders.
     """
 
-    x_grid: tuple | None = None
-    delta_grid: tuple | None = None
+    x_grid: tuple = default_x_grid()
+    delta_grid: tuple = DEFAULT_DELTA_GRID
     d_grid: tuple | None = None
     betas: tuple | None = None
 
@@ -127,32 +135,35 @@ def _require_builtin_alpha(spec: ChainSpec):
         )
 
 
-def _beta_ladders(spec: ChainSpec, settings: ScanSettings) -> tuple[tuple, tuple]:
+def _beta_ladders(spec: ChainSpec, settings: ScanSettings) -> dict:
+    """The beta ladder of each conclusion, cut to its threshold's domain."""
     if settings.betas is not None:
-        ladder = tuple(float(b) for b in settings.betas)
-        if not ladder or any(not 0.0 < b <= 1.0 for b in ladder):
+        rec = trans = tuple(float(b) for b in settings.betas)
+        if not rec or any(not 0.0 < b <= 1.0 for b in rec):
             raise DomainError("betas must be a non-empty subset of (0, 1]")
-        return ladder, ladder
-    a_inf = min(spec.alpha_profile.value_set())
-    rec_main = max(0.01, min(1.0, a_inf - 0.05))
-    rec = tuple(dict.fromkeys((rec_main, 0.01)))
-    return rec, (0.5, 0.01)
+    else:
+        a_inf = min(spec.alpha_profile.value_set())
+        rec = tuple(dict.fromkeys((max(0.01, min(1.0, a_inf - 0.05)), 0.01)))
+        trans = (0.5, 0.01)
+    a_lim = min(spec.alpha_profile.limit_values())  # where r2 is taken
+    rec = tuple(b for b in rec if b < a_lim)
+    return {"rec": rec, "erg": rec, "trans": tuple(b for b in trans if b < 1.0)}
 
 
-def _jobs(conclusions, moments, rec_betas, trans_betas=(), weight=None) -> list:
+def _jobs(conclusions, moments, ladders, weight=None) -> list:
     """Scan jobs (condition id, beta, d-weight) of the displays with these conclusions.
 
     Jobs run kernel by kernel, then in the order of conclusions; first-moment
     displays only if moments. A display that needs beta runs once per beta
-    of its ladder (trans_betas for transience displays, else rec_betas).
+    of its conclusion's ladder.
     """
     conds = sorted(
         ((cid, c) for cid, c in CONDITIONS.items()
          if c.conclusion in conclusions and (moments or c.kernel != "first_moment")),
         key=lambda item: (_KERNELS.index(item[1].kernel), conclusions.index(item[1].conclusion)),
     )
-    return [(cid, b, weight) for cid, c in conds for b in (
-        (trans_betas if c.conclusion == "trans" else rec_betas) if c.needs_beta else (None,))]
+    return [(cid, b, weight) for cid, c in conds
+            for b in (ladders[c.conclusion] if c.needs_beta else (None,))]
 
 
 def _fired(report: TailScanReport) -> bool:
@@ -160,18 +171,14 @@ def _fired(report: TailScanReport) -> bool:
 
 
 def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list) -> list:
-    x_grid = settings.x_grid if settings.x_grid is not None else default_x_grid()
-    delta_grid = (
-        settings.delta_grid if settings.delta_grid is not None else DEFAULT_DELTA_GRID
-    )
     # scans with the same kernel (log_rec/log_erg, pow_rec/pow_erg per
     # beta, the five first-moment scans) share one raw-integral set
     integrals: dict = {}
     return [
         tail_scan(
             spec,
-            x_grid=x_grid,
-            delta_grid=delta_grid,
+            x_grid=settings.x_grid,
+            delta_grid=settings.delta_grid,
             d_grid=settings.d_grid,
             condition_id=cid,
             beta=beta,
@@ -239,8 +246,7 @@ def classify_null(spec: ChainSpec, settings: ScanSettings | None = None) -> Evid
     """
     settings = settings or ScanSettings()
     _require_builtin_alpha(spec)
-    rec_betas, _ = _beta_ladders(spec, settings)
-    reports = _run_scans(spec, settings, _jobs(("rec",), False, rec_betas))
+    reports = _run_scans(spec, settings, _jobs(("rec",), False, _beta_ladders(spec, settings)))
     ev = _null_evidence(spec, _best_per_condition(reports))
     return replace(ev, reports=tuple(reports))
 
@@ -306,20 +312,14 @@ def f_ergodic_check(
     settings = settings or ScanSettings()
     _require_builtin_alpha(spec)
     if g_profile.kind == "custom":
-        xs = settings.x_grid if settings.x_grid is not None else default_x_grid()
-        if min(float(g_profile(x)) for x in xs) < 1.0:
+        if min(float(g_profile(x)) for x in settings.x_grid) < 1.0:
             raise DomainError("weight profile must satisfy g(x) >= 1")
         caveat_g = ("weight bound g >= 1 checked pointwise on the scan grid only",)
     else:
         if min(g_profile.value_set()) < 1.0:
             raise DomainError("weight profile must satisfy g(x) >= 1")
         caveat_g = ()
-    rec_betas, _ = _beta_ladders(spec, settings)
-    a_inf = min(spec.alpha_profile.value_set())
-    betas = tuple(b for b in rec_betas if b < a_inf) or (
-        max(0.005, 0.5 * a_inf),
-    )
-    jobs = _jobs(("erg",), False, betas, weight=g_profile)
+    jobs = _jobs(("erg",), False, _beta_ladders(spec, settings), weight=g_profile)
     reports = [
         replace(rep, condition_id=rep.condition_id + "_w")
         for rep in _run_scans(spec, settings, jobs)
@@ -343,38 +343,31 @@ def f_ergodic_check(
     return Evidence(bool(fired), detail, margins, caveats, tuple(reports))
 
 
-def _two_valued_fallback(spec: ChainSpec, caveats: list) -> Classification | None:
-    """Exact index-sum dichotomy for symmetric two-valued chains."""
-    prof = spec.alpha_profile
-    if prof.kind != "two_valued":
+def _two_valued_gap(spec: ChainSpec, caveats: list) -> float | None:
+    """Signed index-sum gap (sum - 2) of a symmetric two-valued chain, or None.
+
+    None also inside the 0.1 exemption band around the critical sum; each
+    outcome of the exact dichotomy appends its caveat.
+    """
+    prof, dprof = spec.alpha_profile, spec.family.delta_profile
+    if prof.kind != "two_valued" or dprof.kind == "custom" or set(dprof.value_set()) != {0.0}:
         return None
-    dprof = spec.family.delta_profile
-    if dprof.kind == "custom" or set(dprof.value_set()) != {0.0}:
-        return None
-    total = sum(prof.values)
-    if abs(total - 2.0) < 0.1:
+    gap = sum(prof.values) - 2.0
+    if abs(gap) < 0.1:
         caveats.append(
             "index sum within 0.1 of the critical value 2: benchmark dichotomy "
             "withheld and no display fired"
         )
         return None
-    verdict = "Recurrent" if total > 2.0 else "Transient"
     caveats.append(
         "verdict from the exact two-valued index-sum dichotomy "
         "(symmetric jumps); drift displays were individually inconclusive"
     )
-    return Classification(
-        verdict,
-        ("two_valued_benchmark",),
-        {"two_valued_benchmark": abs(total - 2.0)},
-        tuple(caveats),
-        None,
-        (),
-    )
+    return gap
 
 
 def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classification:
-    """Scan all admissible drift displays and assemble a verdict.
+    """Scan all admissible drift displays and decide on the verdict ladder.
 
     Returns Ergodic/Recurrent/Transient only on strictly positive
     margins at least twice the scan error; Ergodic additionally
@@ -387,7 +380,15 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
     caveats: list = []
     if spec.unchecked:
         caveats.append("model envelope assumptions assumed, not certified")
-    rec_betas, trans_betas = _beta_ladders(spec, settings)
+    ladders = _beta_ladders(spec, settings)
+    unscanned = [cid for cid, c in CONDITIONS.items()
+                 if c.needs_beta and not ladders[c.conclusion]]
+    if unscanned:
+        caveats.append(
+            f"{', '.join(unscanned)}: not scanned, no beta of the ladder is admissible "
+            "(beta < smallest limiting alpha for recurrence and ergodicity, beta < 1 "
+            "for transience)"
+        )
     # first-moment shortcuts need the scale floor and index ceiling that
     # only enumerable profiles guarantee
     moments_ok = not spec.unchecked
@@ -396,8 +397,7 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
             "first-moment displays skipped: jump-tail uniformity not "
             "certifiable for custom profiles"
         )
-    jobs = _jobs(("rec", "trans", "erg"), moments_ok, rec_betas, trans_betas)
-    reports = _run_scans(spec, settings, jobs)
+    reports = _run_scans(spec, settings, _jobs(("rec", "trans", "erg"), moments_ok, ladders))
     best = _best_per_condition(reports)
     fired = {cid: rep for cid, rep in best.items() if _fired(rep)}
     for rep in best.values():
@@ -419,111 +419,61 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
                 "margin error widened"
             )
 
-    margins_fired = {cid: rep.margin for cid, rep in fired.items()}
+    evidence = {cid: rep.margin for cid, rep in fired.items()}
     rec_fired, erg_fired, trans_fired = (
         [c for c in CONDITIONS if c in fired and CONDITIONS[c].conclusion == conclusion]
         for conclusion in ("rec", "erg", "trans")
     )
-
-    a_sup = max(spec.alpha_profile.value_set())
-    if a_sup < 1.0 and not spec.unchecked:
+    if max(spec.alpha_profile.value_set()) < 1.0 and not spec.unchecked:
         decay = classify_transient_smallalpha(spec)
         if decay.holds:
             trans_fired.append("idx_decay")
-            margins_fired["idx_decay"] = decay.margins["idx_decay"]
+            evidence.update(decay.margins)
 
-    all_reports = tuple(best.values())
-
+    # the ladder: the first rung whose evidence is present sets the verdict,
+    # the evidence it cites, the displays whose best beta it reports and
+    # the caveat it adds
+    verdict, used, beta_ids, null_margins = "Inconclusive", [], [], {}
     if (rec_fired or erg_fired) and trans_fired:
-        used = tuple(rec_fired + erg_fired + trans_fired)
+        used = rec_fired + erg_fired + trans_fired
         caveats.append(
             "displays fired in both directions; scan horizon is not to be "
             "trusted for this chain"
         )
-        return Classification(
-            "Inconclusive",
-            used,
-            {c: margins_fired[c] for c in used},
-            tuple(caveats),
-            None,
-            all_reports,
+    elif erg_fired and not rec_fired:
+        used = beta_ids = erg_fired
+        caveats.append(
+            "ergodicity display fired without recurrence support; verdict withheld"
         )
-
-    def beta_of(ids):
-        with_beta = [c for c in ids if fired[c].beta is not None]
-        if not with_beta:
-            return None
-        return fired[max(with_beta, key=lambda c: fired[c].margin)].beta
-
-    if erg_fired:
-        if not rec_fired:
-            caveats.append(
-                "ergodicity display fired without recurrence support; "
-                "verdict withheld"
-            )
-            used = tuple(erg_fired)
-            return Classification(
-                "Inconclusive",
-                used,
-                {c: margins_fired[c] for c in used},
-                tuple(caveats),
-                beta_of(erg_fired),
-                all_reports,
-            )
-        used = tuple(erg_fired + rec_fired)
-        return Classification(
-            "Ergodic",
-            used,
-            {c: margins_fired[c] for c in used},
-            tuple(caveats),
-            beta_of(erg_fired),
-            all_reports,
-        )
-
-    if rec_fired:
+    elif erg_fired:
+        verdict, used, beta_ids = "Ergodic", erg_fired + rec_fired, erg_fired
+    elif rec_fired:
+        verdict, used, beta_ids = "Recurrent", rec_fired, rec_fired
         null_ev = _null_evidence(spec, best)
         caveats.extend(null_ev.caveats)
-        verdict = "Recurrent"
-        margins = {c: margins_fired[c] for c in rec_fired}
         if null_ev.holds:
             verdict = "NullCandidate"
+            caveats.append("recurrent with evidence against a finite invariant measure")
+            null_margins = {k: v for k, v in null_ev.margins.items() if v > 0.0}
+    elif trans_fired:
+        verdict, used, beta_ids = "Transient", trans_fired, trans_fired
+    elif (gap := _two_valued_gap(spec, caveats)) is not None:
+        verdict, used = ("Recurrent" if gap > 0.0 else "Transient"), ["two_valued_benchmark"]
+        evidence["two_valued_benchmark"] = abs(gap)
+    else:
+        near = max(best.values(), key=lambda r: r.margin, default=None)
+        if near is not None:
             caveats.append(
-                "recurrent with evidence against a finite invariant measure"
+                f"no display fired; closest was {near.condition_id} with margin "
+                f"{near.margin:.4g} against scan error {near.scan_error:.4g}"
             )
-            margins.update(
-                {k: v for k, v in null_ev.margins.items() if v > 0.0}
-            )
-        return Classification(
-            verdict,
-            tuple(rec_fired),
-            margins,
-            tuple(caveats),
-            beta_of(rec_fired),
-            all_reports,
-        )
-
-    if trans_fired:
-        used = tuple(trans_fired)
-        scan_ids = [c for c in trans_fired if c in fired]
-        return Classification(
-            "Transient",
-            used,
-            {c: margins_fired[c] for c in used},
-            tuple(caveats),
-            beta_of(scan_ids),
-            all_reports,
-        )
-
-    fallback = _two_valued_fallback(spec, caveats)
-    if fallback is not None:
-        return replace(fallback, reports=all_reports)
-
-    near = max(best.values(), key=lambda r: r.margin, default=None)
-    if near is not None:
-        caveats.append(
-            f"no display fired; closest was {near.condition_id} with margin "
-            f"{near.margin:.4g} against scan error {near.scan_error:.4g}"
-        )
+    # the reported beta: the best-margin fired scan among the rung's displays
+    scans = [fired[c] for c in beta_ids if c in fired and fired[c].beta is not None]
     return Classification(
-        "Inconclusive", (), {}, tuple(caveats), None, all_reports
+        verdict,
+        tuple(used),
+        {**{c: evidence[c] for c in used}, **null_margins},
+        tuple(caveats),
+        max(scans, key=lambda r: r.margin).beta if scans else None,
+        tuple(best.values()),
     )

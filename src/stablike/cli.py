@@ -41,7 +41,8 @@ from .drift import (CONDITIONS, DEFAULT_DELTA_GRID, decreasing, default_x_grid,
                     spans_three_decades, tail_scan)
 from .errors import ConfigError, DomainError, StablikeError
 # return_stats and occupation are unused here; perfbench's tracer wraps them by name
-from .mc import _ball, _compact, _run, interval_stats, occupation, return_stats, tv_convergence
+from .mc import (MIN_BIN_WIDTH, _ball, _compact, _run, interval_stats, occupation, return_stats,
+                 tv_convergence)
 from .thresholds import r1, r2, t as t_threshold
 
 SCHEMA_VERSION = 1
@@ -168,7 +169,9 @@ class McConfig:
         _same, lambda v: isinstance(v, list) and v and all(
             isinstance(t, int) and t > 0 for t in v) and decreasing(v[::-1]),
         "expected strictly increasing positive integers"))
-    bin_width: float = _key(5.0, _checked(_finite, lambda v: v > 0, "must be > 0"))
+    bin_width: float = _key(5.0, _checked(
+        _checked(_finite, lambda v: v > 0, "must be > 0"), lambda v: v >= MIN_BIN_WIDTH,
+        f"must be >= {MIN_BIN_WIDTH:g} (at most 10^6 bins)"))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .stable import DensityGrid, cms_transform
 
 _BLOCK = 8192
 _HIST_HALF_RANGE = 500.0
+MIN_BIN_WIDTH = 1e-3  # at most 10^6 bins over the histogram range
 _HALF_PI = math.pi / 2.0
 
 
@@ -143,8 +144,9 @@ def _batchable(job):
 
 
 def _hist_edges(bin_width: float) -> np.ndarray:
-    if not bin_width > 0.0:
-        raise DomainError(f"bin_width must be > 0, got {bin_width}")
+    if not bin_width >= MIN_BIN_WIDTH:
+        raise DomainError(
+            f"bin_width must be >= {MIN_BIN_WIDTH:g} (at most 10^6 bins), got {bin_width}")
     n_bins = max(1, int(math.ceil(2.0 * _HIST_HALF_RANGE / bin_width)))
     return -_HIST_HALF_RANGE + bin_width * np.arange(n_bins + 1)
 

@@ -15,8 +15,6 @@ from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, QuadratureError
 
-EULER_GAMMA = 0.5772156649015328606
-
 # Bernoulli numbers B_2..B_14 for the digamma asymptotic series.
 _BERNOULLI = (
     1.0 / 6.0,

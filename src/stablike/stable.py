@@ -283,6 +283,10 @@ class DensityTable:
             v, e = _std_density(alpha, float(z))
             vals[i] = v
             worst = max(worst, e)
+        # below alpha ~ 0.006 the peak f(0) = Gamma(1 + 1/alpha)/pi or its
+        # knot slopes overflow a double
+        if not np.isfinite(np.diff(vals) / np.diff(zs)).all():
+            raise DomainError(f"density table overflows at alpha={alpha}: f(0) = {vals[0]:.3g}")
         # even extension so the spline is smooth through z = 0, then keep
         # only the z >= 0 coefficient block
         full_z = np.concatenate([-zs[:0:-1], zs])

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stablike import (
     ChainSpec,
@@ -18,6 +20,8 @@ from stablike import (
     make_chain,
     r1,
 )
+from stablike.classify import ScanSettings
+from stablike.drift import CONDITIONS, TailScanReport, default_x_grid
 
 
 def test_symmetric_walk_recurrent_above_one():
@@ -163,3 +167,110 @@ def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     assert res.verdict == verdict
     text = json.dumps(res.to_json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the rungs that no real chain reaches: crafted scan reports stand in for
+# the tail scans, so only the verdict ladder runs
+def _crafted_scans(monkeypatch, report_of):
+    def run_scans(spec, settings, jobs):
+        return [report_of(cid, beta) for cid, beta, _ in jobs]
+
+    monkeypatch.setattr(sys.modules["stablike.classify"], "_run_scans", run_scans)
+
+
+def _report(cid, beta, margin, tail_inf=0.0):
+    return TailScanReport(cid, (), tail_inf, tail_inf, 0.0, margin, beta)
+
+
+def test_rung_displays_fired_both_ways(monkeypatch):
+    _crafted_scans(monkeypatch, lambda cid, beta: _report(cid, beta, 1.0 + (beta or 0.0)))
+    res = classify(make_chain(1.5))
+    assert res.verdict == "Inconclusive"
+    assert res.conditions_used == ("log_rec", "pow_rec", "mom_rec", "log_erg", "pow_erg",
+                                   "mom_erg", "mom_erg_b", "bnd_trans", "mom_trans")
+    assert set(res.margins) == set(res.conditions_used)
+    assert res.margins["pow_rec"] == 2.0
+    assert res.beta_used is None
+    assert any("both directions" in c for c in res.caveats)
+
+
+def test_rung_ergodicity_without_recurrence(monkeypatch):
+    def report(cid, beta):
+        fired = CONDITIONS[cid].conclusion == "erg"
+        return _report(cid, beta, 1.0 + (beta or 0.0) if fired else -1.0)
+
+    _crafted_scans(monkeypatch, report)
+    res = classify(make_chain(1.5))
+    assert res.verdict == "Inconclusive"
+    assert res.conditions_used == ("log_erg", "pow_erg", "mom_erg", "mom_erg_b")
+    assert res.beta_used == 1.0
+    assert res.margins == {"log_erg": 1.0, "pow_erg": 2.0, "mom_erg": 1.0, "mom_erg_b": 2.0}
+    assert any("without recurrence support" in c for c in res.caveats)
+
+
+def test_rung_null_candidate(monkeypatch):
+    # only log_rec fires; the unfired pow_rec sits far above the threshold
+    def report(cid, beta):
+        if cid == "log_rec":
+            return _report(cid, beta, 1.0, tail_inf=-100.0)
+        return _report(cid, beta, -1.0, tail_inf=100.0 if cid == "pow_rec" else 0.0)
+
+    _crafted_scans(monkeypatch, report)
+    res = classify(make_chain(1.5))
+    assert res.verdict == "NullCandidate"
+    assert res.conditions_used == ("log_rec",)
+    assert list(res.margins) == ["log_rec", "pow_rec_null"]
+    assert res.margins["pow_rec_null"] > 90.0
+    assert res.beta_used is None
+    assert res.caveats[-1] == "recurrent with evidence against a finite invariant measure"
+
+
+@pytest.mark.parametrize("spec", [make_chain(0.01), ChainSpec(
+    ProfileFn.two_valued(0.01, 1.5), SasJump(ProfileFn.constant(1.0), ProfileFn.constant(0.0)))],
+    ids=["0.01", "two_valued(0.01, 1.5)"])
+def test_default_ladder_skips_betas_outside_the_threshold_domain(spec):
+    # the ladder's 0.01 is not below alpha = 0.01, so no beta display is admissible
+    res = classify(spec)
+    skipped = [c for c in res.caveats if "not scanned" in c]
+    assert len(skipped) == 1
+    assert all(cid in skipped[0] for cid in ("pow_rec", "pow_erg", "mom_erg_b"))
+    assert not {"pow_rec", "pow_erg", "mom_erg_b"} & {r["condition"] for r in
+                                                        res.to_json_dict()["reports"]}
+    if spec.alpha_profile.kind == "constant":
+        assert res.verdict == "Transient"
+        assert res.conditions_used == ("mom_trans", "idx_decay")
+
+
+def test_given_betas_outside_the_threshold_domain_are_skipped():
+    grid = default_x_grid(6)
+    res = classify(make_chain(1.5), ScanSettings(x_grid=grid, betas=(1.0,)))
+    assert res.verdict == "NullCandidate"  # pow_rec at beta 1 stays above the threshold
+    assert any("bnd_trans" in c and "not scanned" in c for c in res.caveats)
+    assert {r.beta for r in res.reports if r.condition_id == "pow_rec"} == {1.0}
+    res = classify(make_chain(0.3), ScanSettings(x_grid=grid, betas=(0.5,)))
+    assert res.verdict == "Transient"
+    assert any("pow_rec" in c and "not scanned" in c for c in res.caveats)
+
+
+def test_density_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="alpha=0.005"):
+        classify(make_chain(0.005))
+
+
+_ALPHAS = (0.006, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99, 1.0, 1.3, 1.7, 1.999)
+_DELTAS = {"0": ProfileFn.constant(0.0), "+0.5": ProfileFn.constant(0.5),
+           "-0.5": ProfileFn.constant(-0.5), "inward": ProfileFn.two_valued(0.5, -0.5)}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    alphas=st.lists(st.sampled_from(_ALPHAS), min_size=1, max_size=2),
+    delta=st.sampled_from(sorted(_DELTAS)),
+    betas=st.none() | st.lists(st.sampled_from((0.005, 0.5, 1.0)), min_size=1,
+                               max_size=3, unique=True).map(tuple),
+)
+def test_classify_never_raises_on_enumerable_chains(alphas, delta, betas):
+    alpha = ProfileFn.constant(*alphas) if len(alphas) == 1 else ProfileFn.two_valued(*alphas)
+    spec = ChainSpec(alpha, SasJump(ProfileFn.constant(1.0), _DELTAS[delta]))
+    res = classify(spec, ScanSettings(x_grid=default_x_grid(6), betas=betas))
+    assert res.verdict in ("Ergodic", "Recurrent", "NullCandidate", "Transient", "Inconclusive")

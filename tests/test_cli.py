@@ -109,6 +109,19 @@ def test_classify_inconclusive_exit_two(smoke_config_text, tmp_path):
     assert "Inconclusive" in proc.stdout
 
 
+def test_classify_skips_betas_outside_the_threshold_domain(smoke_config_text, tmp_path):
+    # beta = 1 is in scan.betas' range but not in the transience threshold's
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    doc["scan"]["betas"] = [1.0]
+    cfg = tmp_path / "beta1.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["classify", "--config", str(cfg)]) == 0
+    doc = json.loads((out / "classification.json").read_text())
+    assert doc["verdict"] != "Inconclusive"
+    assert any(c.startswith("bnd_trans: not scanned") for c in doc["caveats"])
+
+
 def test_drift_scan_subcommand_csv(smoke_config_text):
     path, out = smoke_config_text
     proc = _invoke("drift-scan", "--config", str(path))
@@ -358,6 +371,7 @@ FIELD_PROBLEMS = [
     ("mc.time_points", [5, 5], ["mc.time_points: expected strictly increasing positive integers"]),
     ("mc.bin_width", 0, ["mc.bin_width: must be > 0"]),
     ("mc.bin_width", math.inf, ["mc.bin_width: must be finite"]),
+    ("mc.bin_width", 1e-300, ["mc.bin_width: must be >= 0.001 (at most 10^6 bins)"]),
     ("mc.tries", 3, ["mc: unknown key 'tries'"]),
     ("output.directory", 3, ["output.directory: expected a string"]),
     ("output.json", "yes", ["output.json: expected a boolean"]),

@@ -114,6 +114,17 @@ def test_occupation_scales_with_set_size(sas15):
     assert large.occupation_fraction > small.occupation_fraction
 
 
+@pytest.mark.parametrize("bin_width", [0.0, 1e-300, 5e-324, math.nan])
+def test_bin_count_is_bounded(sas15, bin_width):
+    # more than 10^6 bins over the fixed range is refused before any draw
+    message = "bin_width must be >= 0.001"
+    with pytest.raises(DomainError, match=message):
+        tv_convergence(sas15, 3.0, -3.0, (20,), 10, bin_width, 4)
+    with pytest.raises(DomainError, match=message):
+        invariant_histogram(sas15, 0.0, 10, 0, bin_width, 4)
+    assert len(mc._hist_edges(1e-3)) <= 10 ** 6 + 2
+
+
 def test_tv_noise_floor_when_starts_coincide(sas15):
     tv = tv_convergence(sas15, x0_a=3.0, x0_b=3.0, time_points=(20,),
                         n_paths=20_000, bin_width=0.5, seed=4)

@@ -79,6 +79,15 @@ def test_table_error_is_measured_not_assumed():
     assert DensityTable.for_alpha(1.4).table_error < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [0.0059, 0.005])
+def test_table_overflow_is_a_domain_error(alpha):
+    # f(0) = Gamma(1 + 1/alpha)/pi, or its slope over the first knot cell,
+    # overflows a double below alpha ~ 0.006
+    with pytest.raises(DomainError, match=f"alpha={alpha}"):
+        DensityTable(alpha)
+    assert math.isfinite(DensityTable.for_alpha(0.006).pdf_std(1.0))
+
+
 def test_tail_constant_frozen_values():
     # c_alpha = gamma(alpha) sin(pi alpha / 2) Gamma(alpha) / pi scalings
     assert tail_constant(StableParams(0.5, 1.0, 0.0)) == pytest.approx(
