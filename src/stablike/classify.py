@@ -53,6 +53,8 @@ from .thresholds import r1, r2
 _KERNELS = ("log_shift", "power_beta", "bounded_beta", "first_moment")  # scan order
 _DECAY_TOL = 1e-6
 _DECAY_HORIZON = 1e16  # |x| reach of the small-index decay shortcut
+BETA_DOMAINS = ("(beta < smallest limiting alpha for recurrence and ergodicity, "
+                "beta < 1 for transience)")
 
 
 @dataclass(frozen=True)
@@ -386,9 +388,7 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
     if unscanned:
         caveats.append(
             f"{', '.join(unscanned)}: not scanned, no beta of the ladder is admissible "
-            "(beta < smallest limiting alpha for recurrence and ergodicity, beta < 1 "
-            "for transience)"
-        )
+            + BETA_DOMAINS)
     # first-moment shortcuts need the scale floor and index ceiling that
     # only enumerable profiles guarantee
     moments_ok = not spec.unchecked

@@ -36,7 +36,7 @@ import yaml
 
 from . import __version__
 from .chain import ChainSpec, ProfileFn, SasJump, simulate
-from .classify import ScanSettings, classify
+from .classify import BETA_DOMAINS, ScanSettings, _beta_ladders, classify
 from .drift import (CONDITIONS, DEFAULT_DELTA_GRID, decreasing, default_x_grid,
                     spans_three_decades, tail_scan)
 from .errors import ConfigError, DomainError, StablikeError
@@ -100,6 +100,7 @@ _interval = _checked(
     _floats, lambda v: len(v) == 2 and v[0] < v[1], "expected [lo, hi] with lo < hi")
 _bool = _checked(_same, lambda v: isinstance(v, bool), "expected a boolean")
 _finite = _checked(_float, math.isfinite, "must be finite")
+_betas = _checked(_floats, lambda v: all(0.0 < b <= 1.0 for b in v), "values must lie in (0, 1]")
 _DECADES = (sys.float_info.min_10_exp, sys.float_info.max_10_exp)  # 10**d is a normal float
 _PROFILE_PARTS = {"kind": _same, "values": _floats, "period": _float,
                   "breakpoints": lambda v: () if v == [] else _floats(v)}
@@ -141,8 +142,7 @@ class ScanConfig:
         "expected strictly decreasing values in (0, 1)"))
     d_ladder: tuple | None = _key(None, _optional(_checked(
         _floats, decreasing, "expected strictly decreasing values")))
-    betas: tuple | None = _key(None, _optional(_checked(
-        _floats, lambda v: all(0.0 < b <= 1.0 for b in v), "values must lie in (0, 1]")))
+    betas: tuple | None = _key(None, _optional(_betas))
     condition: str = _key("mom_rec", _checked(
         _same, lambda v: v in CONDITIONS, f"{{!r}} not one of {tuple(CONDITIONS)}"))
 
@@ -152,8 +152,9 @@ class ThresholdsConfig:
     kinds: tuple = _key(("r1", "r2", "t"), _checked(
         _same, lambda v: isinstance(v, list) and v and all(k in ("r1", "r2", "t") for k in v),
         "expected a subset of [r1, r2, t]"))
-    alphas: tuple = _key((0.5, 1.0, 1.5), _floats)
-    betas: tuple = _key((0.5,), _floats)
+    alphas: tuple = _key((0.5, 1.0, 1.5), _checked(
+        _floats, lambda v: all(0.0 < a < 2.0 for a in v), "values must lie in (0, 2)"))
+    betas: tuple = _key((0.5,), _betas)
 
 
 @dataclass(frozen=True)
@@ -345,10 +346,14 @@ def _run_thresholds(config: RunConfig) -> int:
         for a in config.thresholds.alphas:
             if kind == "r1":
                 rows.append(("r1", a, None, r1(a), 0.0))
-            else:
-                for b in config.thresholds.betas:
+                continue
+            for b in config.thresholds.betas:
+                try:  # beta >= alpha for r2, beta = 1 for t
                     tv = r2(a, b) if kind == "r2" else t_threshold(a, b)
-                    rows.append((kind, a, b, tv.value, tv.est_abs_error))
+                except DomainError as exc:
+                    print(f"skipped {kind} at alpha={a!r}, beta={b!r}: {exc}")
+                    continue
+                rows.append((kind, a, b, tv.value, tv.est_abs_error))
     if _write_csv(config, "thresholds.csv",
                   ("kind", "alpha", "beta", "value", "est_abs_error"), rows):
         print(f"wrote {len(rows)} threshold rows")
@@ -369,9 +374,15 @@ def _run_classify(config: RunConfig) -> int:
 def _run_drift_scan(config: RunConfig) -> int:
     """CSV of every (x, delta, d) point of one condition scan."""
     settings = _scan_settings(config)
+    cond = CONDITIONS[config.scan.condition]
     beta = None
-    if CONDITIONS[config.scan.condition].needs_beta:
-        beta = settings.betas[0] if settings.betas else 0.5
+    if cond.needs_beta:  # the first beta that classify's ladder cut keeps
+        betas = settings.betas or (0.5,)
+        ladders = _beta_ladders(config.chain, dataclasses.replace(settings, betas=betas))
+        if not ladders[cond.conclusion]:
+            raise ConfigError([f"scan.betas: no beta of {list(betas)} lies in the domain of "
+                               f"{config.scan.condition}'s threshold {BETA_DOMAINS}"])
+        beta = ladders[cond.conclusion][0]
     report = tail_scan(
         config.chain,
         x_grid=settings.x_grid,

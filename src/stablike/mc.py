@@ -22,7 +22,9 @@ stream, enumerable alpha only); the ensembles also take a custom alpha.
 
 Heavy-tail guard: a path whose |state| reaches chain.FREEZE = 1e300 is
 frozen there, here and in simulate alike, and counted as non-returning;
-transient low-index chains can genuinely overflow doubles.
+transient low-index chains can genuinely overflow doubles. A nan step
+(inf * 0 in the CMS map at tiny alpha) freezes at +-FREEZE with the
+sign of the state before it.
 
 The total-variation diagnostic is a two-start proxy: the distance
 between empirical laws started from two points, on a fixed histogram,
@@ -97,6 +99,9 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             xn = x + d + g * cms_transform(a, u, e)
         np.clip(xn, -FREEZE, FREEZE, out=xn)
+        nan = np.isnan(xn)  # a nan jump (inf * 0 in the transform) keeps the old sign
+        if nan.any():
+            xn[nan] = np.copysign(FREEZE, x[nan])
         x = np.where(frozen, x, xn)
         frozen |= np.abs(x) >= FREEZE
         yield x

@@ -1,7 +1,7 @@
 """Real-argument special functions: Gamma, digamma, binomial, Gauss 2F1.
 
-Self-contained evaluators for the special functions the threshold
-constants are built from. Everything here is pure and reentrant.
+Self-contained evaluators for the special functions of the stable
+densities and the drift kernels. Everything here is pure and reentrant.
 The hypergeometric evaluator returns a value together with an
 estimated absolute error so downstream margins can be honest.
 """

@@ -3,23 +3,25 @@
 Three families of critical constants, all functions of the jump
 stability index alpha (and an auxiliary exponent beta):
 
-  r1(alpha)        closed form -pi*cot(pi*alpha/2)/alpha, root at alpha=1
-  r2(alpha, beta)  series + two 2F1 values at z = -1 and z = +1,
-                   root at alpha = 1 + beta
-  t(alpha, beta)   series + two 2F1 values at z = +1 and z = -1,
-                   root at alpha = 1 - beta
+  r1(alpha)        -pi*cot(pi*alpha/2)/alpha, root at alpha = 1
+  r2(alpha, beta)  R(alpha, beta), root at alpha = 1 + beta
+  t(alpha, beta)   -R(alpha, -beta), root at alpha = 1 - beta
 
-The infinite series sum_{n>=1} binom(s, 2n) * 2/(2n - alpha) (with
-s = +beta for r2 and s = -beta for t) is evaluated through its exact
-integral representation
+Both r2 and t are values of one function,
 
-  int_0^1 u^(-alpha-1) * [(1+u)^s + (1-u)^s - 2] du
+  R(alpha, s) = -PV int (|1+y|^s - 1) |y|^(-1-alpha) dy,
 
-because direct term-by-term summation cannot reach the 1e-8 error
-contract within any reasonable cap when s < 0 (terms decay like
-n^(-1-s)/n). The u^2 and u^4 Taylor terms of the bracket are pulled
-out and integrated analytically so the remaining integrand stays
-regular even as alpha approaches 2.
+the fractional Laplacian of |x|^s at x = 1, which has a closed form in
+Gamma functions (B. Dyda, "Fractional calculus for power functions and
+eigenvalues of the fractional Laplacian", Fract. Calc. Appl. Anal. 15,
+2012):
+
+  R(alpha, s) = sqrt(pi) |Gamma(-alpha/2)| Gamma((alpha-s)/2) Gamma((1+s)/2)
+                / [Gamma((1+alpha)/2) Gamma(-s/2) Gamma((1-alpha+s)/2)].
+
+Every Gamma is taken at a positive argument, through |Gamma(-alpha/2)| =
+pi / (sin(pi*alpha/2) Gamma(1+alpha/2)) and, for z < 1, 1/Gamma(z) =
+sin(pi*z) Gamma(1-z)/pi, which is exactly 0 on the lines alpha = 1 +- beta.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
-
-from .errors import DomainError, QuadratureError
-from .specfun import hyp2f1, real_binom
+from .errors import DomainError
+# hyp2f1 is unused here; perfbench's tracer wraps it by name
+from .specfun import hyp2f1
 
 
 @dataclass(frozen=True)
@@ -55,68 +56,18 @@ def r1(alpha: float) -> float:
     return -math.pi / (math.tan(math.pi * alpha / 2.0) * alpha)
 
 
-def _bracket_series(s: float, u: float) -> float:
-    # (1+u)^s + (1-u)^s - 2 - g2 u^2 - g4 u^4 via the even binomial series;
-    # used for small u where the direct form loses all its digits
-    total = 0.0
-    p = u ** 6
-    u2 = u * u
-    for n in range(3, 60):
-        term = 2.0 * real_binom(s, 2 * n) * p
-        total += term
-        if abs(term) < 1e-30:
-            break
-        p *= u2
-    return total
-
-
-def _quad(f, a: float, b: float, **options) -> tuple[float, float]:
-    # a QUADPACK message means the error estimate may be low: refuse the value
-    out = integrate.quad(f, a, b, epsabs=1e-13, epsrel=1e-12, limit=400,
-                         full_output=1, **options)
-    if len(out) > 3:
-        raise QuadratureError(f"threshold series integral on [{a}, {b}]: {out[3]}",
-                              partial=out[0], est_abs_error=out[1])
-    return out[0], out[1]
-
-
-def _even_series_integral(alpha: float, s: float) -> tuple[float, float]:
-    """sum_{n>=1} binom(s,2n)*2/(2n-alpha) by exact integral transform.
-
-    On [0.25, 1] the (1-u)^s term is integrated apart, with (1-u)^s as
-    QUADPACK's algebraic weight, because its endpoint singularity at
-    u = 1 defeats plain adaptive quadrature.
-    """
-    g2 = 2.0 * real_binom(s, 2)
-    g4 = 2.0 * real_binom(s, 4)
-
-    def integrand(u: float) -> float:
-        if u < 0.25:
-            rem = _bracket_series(s, u)
-        else:  # the whole bracket but its (1-u)^s term
-            rem = math.expm1(s * math.log1p(u)) - 1.0 - g2 * u * u - g4 * u ** 4
-        return u ** (-alpha - 1.0) * rem
-
-    val, err = _quad(integrand, 0.0, 1.0, points=[0.25])
-    edge, edge_err = _quad(lambda u: u ** (-alpha - 1.0), 0.25, 1.0,
-                           weight="alg", wvar=(0.0, s))
-    val += edge + g2 / (2.0 - alpha) + g4 / (4.0 - alpha)
-    return val, err + edge_err + 1e-15 * abs(val)
-
-
 def _r(alpha: float, s: float) -> tuple[float, float]:
-    """R = -S + 2/alpha - [F(-1) + F(1)]/(alpha - s), F(z) = 2F1(-s, alpha-s; 1+alpha-s; z),
-    S the even series, with its error: r2(alpha, beta) = R(alpha, beta), t = -R(alpha, -beta)."""
-    if s == 1.0:
-        series_val, series_err = 0.0, 0.0  # binom(1, 2n) = 0 for n >= 1
-    else:
-        series_val, series_err = _even_series_integral(alpha, s)
-    h_minus = hyp2f1(-s, alpha - s, 1.0 + alpha - s, -1.0)
-    h_plus = hyp2f1(-s, alpha - s, 1.0 + alpha - s, 1.0)
-    denom = alpha - s
-    value = -series_val + 2.0 / alpha - (h_minus.value + h_plus.value) / denom
-    err = series_err + (h_minus.est_abs_error + h_plus.est_abs_error) / abs(denom)
-    return value, err
+    """R(alpha, s) = rest * sin(pi*z), z = (1 - alpha + s)/2, with an error that adds to a
+    relative term one for the rounding of sin(pi*z), which vanishes on the critical line."""
+    g = math.gamma
+    z = ((1.0 - alpha) + s) / 2.0  # exact near the critical line for alpha >= 1/2
+    # sin(pi*alpha/2) with 2 - alpha exact, so that it keeps its digits near alpha = 2
+    sin_half = math.sin(math.pi * (2.0 - alpha if alpha >= 1.0 else alpha) / 2.0)
+    rest = (g((alpha - s) / 2.0) * g((1.0 + s) / 2.0) * math.sin(-math.pi * s / 2.0)
+            * g(1.0 + s / 2.0) * g(1.0 - z)
+            / (math.sqrt(math.pi) * sin_half * g(1.0 + alpha / 2.0) * g((1.0 + alpha) / 2.0)))
+    value = rest * math.sin(math.pi * z)
+    return value, 2e-14 * abs(value) + 1e-15 * abs(rest)
 
 
 def r2(alpha: float, beta: float) -> ThresholdValue:

@@ -152,15 +152,15 @@ def test_verdict_priority_is_stable(ergodic_spec):
 # number of one gate chain per verdict are pinned (None: the ergodic chain)
 @pytest.mark.parametrize("spec, verdict, digest", [
     (make_chain(1.5), "Recurrent",
-     "025506a98726003e797693376b94e08c3605e04c23b8b15c4003d3d636871084"),
+     "8a5b54ad1661b90ff65851796a87ab3d2fd31477b5134e397288569ef2f71907"),
     (make_chain(1.2), "Recurrent",
-     "27e799eddcae671cfa52ef8414ba369e61a6c0f54d542aef3622d0e8cb5be9c9"),
+     "44ec0d47e73c8b62e3c0a76cb43d8cae299e7c48f7bf547d24eba5532d7bd137"),
     (make_chain(0.8, delta=0.5), "Transient",
-     "ab3ea64616b9b52e585a7ce956e736d819edbed3dc57f445c8716ed988f76aad"),
+     "6491d6b1ab128eb35f6dfc2fa288dc58861f7ad8fcc927bb3e72b43312f629a0"),
     (make_chain(1.0), "Inconclusive",
-     "2ba01723ba154a4b7131f982932efefb89030903dc2085c129ee3c1f14cce0a7"),
+     "01445d7bc60ce911a129a7c3194eb820bec387442b4477fdcc48f4ad7955b71c"),
     (None, "Ergodic",
-     "c0e63b564ef355939cd70ee358f4651fc445af5fec3ae2f9d6585909e4f108f8"),
+     "d88c5b6fcb9f016bbd2118b10fc8d1cea847d58bc8c25579445b0babf26abcc4"),
 ], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
 def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     res = classify(spec or ergodic_spec)

@@ -87,6 +87,27 @@ def test_thresholds_subcommand_csv(smoke_config_text):
     assert float(rows[1][3]) == 0.0
 
 
+def test_thresholds_subcommand_runs_on_its_defaults(smoke_config_text, tmp_path):
+    # kinds [r1, r2, t] on alphas [0.5, 1, 1.5] and betas [0.5]: r2 needs
+    # beta < alpha, so r2 at alpha = 0.5 is skipped with one stdout line
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    del doc["thresholds"]
+    cfg = tmp_path / "defaults.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    proc = _invoke("thresholds", "--config", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "skipped r2 at alpha=0.5, beta=0.5: r2 requires beta < alpha, got beta=0.5, alpha=0.5",
+        "wrote 8 threshold rows",
+    ]
+    rows = [line.split(",")[:3] for line in
+            (out / "thresholds.csv").read_text().splitlines()[2:]]
+    assert rows == [["r1", "0.5", ""], ["r1", "1.0", ""], ["r1", "1.5", ""],
+                    ["r2", "1.0", "0.5"], ["r2", "1.5", "0.5"],
+                    ["t", "0.5", "0.5"], ["t", "1.0", "0.5"], ["t", "1.5", "0.5"]]
+
+
 def test_classify_subcommand_json_and_exit_zero(smoke_config_text):
     path, out = smoke_config_text
     proc = _invoke("classify", "--config", str(path))
@@ -129,6 +150,36 @@ def test_drift_scan_subcommand_csv(smoke_config_text):
     lines = (out / "drift_scan.csv").read_text().splitlines()
     assert lines[1] == "x,delta,d,raw_integral,normalized_lhs,quadrature_error"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("condition, alpha, betas, beta", [
+    ("bnd_trans", 1.5, [1.0, 0.3], 0.3),
+    ("pow_rec", 0.8, [1.0, 0.9, 0.5], 0.5),
+    ("pow_rec", 0.3, None, None),  # the default 0.5 is not below alpha
+    ("bnd_trans", 1.5, [1.0], None),
+    ("pow_rec", 0.8, [1.0], None),
+])
+def test_drift_scan_cuts_beta_to_the_threshold_domain(smoke_config_text, tmp_path, monkeypatch,
+                                                      capsys, condition, alpha, betas, beta):
+    # the scan takes the first beta of classify's cut ladder; with none left,
+    # a config problem is reported before any quadrature runs
+    path, _ = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    doc["chain"]["alpha"]["values"] = [alpha]
+    doc["scan"].update(condition=condition, betas=betas)
+    cfg = tmp_path / "scan.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    scanned = []
+    monkeypatch.setattr(cli, "tail_scan", lambda spec, **kw: scanned.append(kw["beta"]) or
+                        stablike.tail_scan(spec, **kw))
+    code = main(["drift-scan", "--config", str(cfg)])
+    if beta is None:
+        assert code == 1 and scanned == []
+        assert capsys.readouterr().err.startswith(
+            f"config error: scan.betas: no beta of {betas or [0.5]} lies in the domain of "
+            f"{condition}'s threshold (beta < smallest limiting alpha")
+    else:
+        assert code == 0 and scanned == [beta]
 
 
 def test_simulate_subcommand_csv(smoke_config_text):
@@ -355,7 +406,9 @@ FIELD_PROBLEMS = [
                                 "'bnd_trans', 'mom_trans')"]),
     ("thresholds.kinds", ["r9"], ["thresholds.kinds: expected a subset of [r1, r2, t]"]),
     ("thresholds.alphas", [], ["thresholds.alphas: expected a non-empty list of numbers"]),
+    ("thresholds.alphas", [0.5, 2.0], ["thresholds.alphas: values must lie in (0, 2)"]),
     ("thresholds.betas", "x", ["thresholds.betas: expected a non-empty list of numbers"]),
+    ("thresholds.betas", [0.0], ["thresholds.betas: values must lie in (0, 1]"]),
     ("mc.seed", _MISSING, ["mc.seed: required field missing"]),
     ("mc.n_paths", 0, ["mc.n_paths: must be a positive integer"]),
     ("mc.n_steps", 1.5, ["mc.n_steps: wrong type float"]),

@@ -246,3 +246,18 @@ def test_failing_block_cancels_the_blocks_not_started(monkeypatch):
     assert exc.value is boom
     assert len(finished) == len(started) - 1
     assert len(started) < 8
+
+
+def test_nan_steps_freeze_like_simulate():
+    # at alpha ~ 0.002 the CMS map gives inf * 0 = nan in a share of draws;
+    # such a path freezes at +-FREEZE with its previous sign, as in simulate
+    const = make_chain(0.002)
+    states = list(mc._ensemble(const, 50.0, 1000, 3, np.random.SeedSequence(1)))
+    assert not any(np.isnan(x).any() for x in states)
+    assert np.count_nonzero(np.abs(states[-1]) == mc.FREEZE) > 100
+    periodic = dataclasses.replace(
+        const, alpha_profile=ProfileFn("periodic", values=(0.002, 0.003), period=1.0))
+    (stats,) = interval_stats(periodic, 50.0, [mc._ball(10.0)], 50, 200, seed=3)
+    assert stats.return_fraction < 1.0
+    tv = tv_convergence(periodic, 50.0, -50.0, (5, 20), 200, bin_width=5.0, seed=3)
+    assert all(0.0 <= v <= 1.0 for v in tv.tv_values)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stablike import DomainError, r1, r2, t, thresholds
+from stablike import DomainError, r1, r2, t
 
 
 def test_r1_frozen_values():
@@ -128,18 +128,56 @@ def _series_reference(alpha, s):
         return float(head + edge + rest + g2 / (2 - a) + g4 / (4 - a))
 
 
-@pytest.mark.parametrize("alpha", [0.8, 0.9, 1.0])
-def test_series_integral_raises_no_quadpack_message(monkeypatch, alpha):
-    # the (1-u)^s endpoint singularity at u = 1 must not trip any QUADPACK message
-    quad = thresholds.integrate.quad
+def _value(alpha, s):
+    # R(alpha, s) as r2 (s > 0) or t (s < 0) reports it: r2 = R(alpha, beta), t = -R(alpha, -beta)
+    v = r2(alpha, s) if s > 0 else t(alpha, -s)
+    return (v.value if s > 0 else -v.value), v.est_abs_error
 
-    def strict(*args, **kwargs):
-        out = quad(*args, **kwargs)
-        assert len(out) == 3, out[-1]
-        return out
 
-    monkeypatch.setattr(thresholds.integrate, "quad", strict)
-    val, err = thresholds._even_series_integral(alpha, -0.5)
-    diff = abs(val - _series_reference(alpha, -0.5))
-    assert diff <= 1e-12
+_ORACLE_GRID = [(a, s) for a in (0.05, 0.3, 0.55, 0.8, 0.9, 0.99, 1.0, 1.3, 1.55, 1.8, 1.99)
+                for s in (-0.99, -0.5, -0.01, 0.01, 0.5, 0.99, 1.0) if s < a]
+
+
+@pytest.mark.parametrize("alpha, s", _ORACLE_GRID)
+def test_closed_form_matches_series_reference(alpha, s):
+    # an independent route to R at 30 digits: the even binomial series S
+    # plus two 2F1 values, R = -S + 2/alpha - [F(-1) + F(1)]/(alpha - s)
+    # with F(z) = 2F1(-s, alpha - s; 1 + alpha - s; z)
+    import mpmath as mp
+
+    series = _series_reference(alpha, s)
+    with mp.workdps(30):
+        a, z = mp.mpf(alpha), mp.mpf(s)
+        f = [mp.hyp2f1(-z, a - z, 1 + a - z, x) for x in (-1, 1)]
+        ref = float(-series + 2 / a - (f[0] + f[1]) / (a - z))
+    value, err = _value(alpha, s)
+    diff = abs(value - ref)
+    assert diff <= 1e-13 * max(1.0, abs(ref))
     assert diff <= err
+
+
+def _gamma_form(alpha, s):
+    # the closed form at 40 digits, at the same float inputs
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, z = mp.mpf(alpha), mp.mpf(s)
+        return float(mp.sqrt(mp.pi) * abs(mp.gamma(-a / 2)) * mp.gamma((a - z) / 2)
+                     * mp.gamma((1 + z) / 2) * mp.rgamma((1 + a) / 2) * mp.rgamma(-z / 2)
+                     * mp.rgamma((1 - a + z) / 2))
+
+
+def test_reported_error_is_honest(rng):
+    # the error must cover the 40-digit value next to the critical lines
+    # alpha = 1 +- beta, where R vanishes, and at alpha >= 1.99, where
+    # sin(pi*alpha/2) does
+    points = [(a, s) for a, s in zip(rng.uniform(0.01, 1.99, 200), rng.uniform(-0.999, 1.0, 200))
+              if s < a]
+    for beta in (0.05, 0.3, 0.5, 0.7, 0.95, 0.999):
+        for eps in (0.0, 1e-15, -1e-15, 1e-12, -1e-12):
+            points += [(1.0 + beta + eps, beta), (1.0 - beta + eps, -beta)]
+    for a in (1.99, 1.999, 2.0 - 1e-9, 2.0 - 1e-15):
+        points += [(a, s) for s in (-0.999999, -0.99, -0.5, 0.01, 0.5, 0.99, 1.0)]
+    for alpha, s in points:
+        value, err = _value(alpha, s)
+        assert abs(value - _gamma_form(alpha, s)) <= err, (alpha, s)
