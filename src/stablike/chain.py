@@ -12,19 +12,27 @@ verdicts as conditional.
 
 simulate runs one path. It needs an enumerable alpha profile: each
 block of its random stream becomes a table of jumps, one row per alpha
-value, from one vectorised Chambers-Mallows-Stuck call. A path that
-reaches |x| >= FREEZE stays at +-FREEZE, the same rule the Monte Carlo
+value, from one vectorised Chambers-Mallows-Stuck call. The path is
+stepped one profile cell at a time. p(x, dy) = f_x(y - x) dy changes
+only where alpha, gamma or delta changes, so between cell edges the
+chain is a plain random walk: ProfileFn.cell gives each value with a
+span [lo, hi) that provably keeps it, and a step looks a profile up
+again only once x has left that span. Every step thus uses exactly the
+values a lookup at x would give, in the same arithmetic, and a path is
+the same float for float however its lookups fall. A path that reaches
+|x| >= FREEZE stays at +-FREEZE, the same rule the Monte Carlo
 ensembles in `mc` apply.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StablikeError
 from .stable import StableParams, cms_transform, tail_constant
 
 FREEZE = 1e300  # overflow guard: transient low-index chains overflow doubles
@@ -52,7 +60,7 @@ class ProfileFn:
     fn: object = None
 
     def __post_init__(self):
-        """Check the kind's shape; __call__ and at index values without checks."""
+        """Check the kind's shape; cell, __call__ and at then index values safely."""
         if self.kind not in _KINDS:
             raise DomainError(f"profile kind must be one of {_KINDS}, got {self.kind!r}")
         if self.kind == "custom":
@@ -93,26 +101,59 @@ class ProfileFn:
         return cls("custom", fn=fn)
 
     def __call__(self, x: float) -> float:
+        return self.cell(x)[2]
+
+    def cell(self, x: float) -> tuple:
+        """(lo, hi, value): the value at x and a span [lo, hi) that keeps it.
+
+        The profile takes value at every position of [lo, hi), which holds
+        x, unless lo == hi: an empty span tells nothing, and the caller
+        looks up again at its next position. The span may be smaller than
+        the profile's true cell; a custom profile's is always empty. A
+        non-finite x raises DomainError.
+        """
+        if not -math.inf < x < math.inf:
+            raise DomainError(f"profile position must be finite, got {x}")
+        v = self.values
         if self.kind == "constant":
-            return self.values[0]
+            return -math.inf, math.inf, v[0]
         if self.kind == "two_valued":
-            return self.values[0] if x < 0 else self.values[1]
-        if self.kind == "periodic":
-            cell_w = self.period / len(self.values)
-            i = int(np.floor((x % self.period) / cell_w))
-            return self.values[min(i, len(self.values) - 1)]
+            return (-math.inf, 0.0, v[0]) if x < 0 else (0.0, math.inf, v[1])
         if self.kind == "piecewise":
-            i = int(np.searchsorted(self.breakpoints, x, side="right"))
-            return self.values[i]
-        return float(self.fn(x))
+            b = self.breakpoints
+            i = bisect.bisect_right(b, x)  # as searchsorted(side="right") in at
+            return (b[i - 1] if i else -math.inf), (b[i] if i < len(b) else math.inf), v[i]
+        if self.kind == "periodic":
+            n = len(v)
+            cell_w = self.period / n
+            r = x % self.period
+            i = min(math.floor(r / cell_w), n - 1)
+            # within one period r is x minus a fixed multiple of the period,
+            # rounded at most once, so the index never falls as x grows; the
+            # cell [i*w, (i+1)*w) moved back around x is off by under 4 ulps
+            # of |x| + period, and 8 ulps trimmed from each end keep it inside
+            end = (i + 1) * cell_w if i < n - 1 else self.period
+            trim = 8.0 * math.ulp(abs(x) + self.period)
+            lo, hi = x - (r - i * cell_w) + trim, x + (end - r) - trim
+            return (lo, hi, v[i]) if lo <= x < hi else (x, x, v[i])
+        return x, x, float(self.fn(x))
 
     def at(self, x) -> np.ndarray:
-        """Vectorized lookup over an array of positions."""
+        """Vectorized lookup over an array of positions.
+
+        A periodic or piecewise profile rejects a non-finite position with
+        DomainError; constant and two-valued ones take any position. A
+        custom fn is called once on the whole array, and once per position
+        only if that call returns no float array of x's shape or raises
+        anything but a StablikeError.
+        """
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.full_like(x, self.values[0])
         if self.kind == "two_valued":
             return np.where(x < 0, self.values[0], self.values[1])
+        if self.kind != "custom" and not np.isfinite(x).all():
+            raise DomainError("profile positions must be finite")
         if self.kind == "periodic":
             cell_w = self.period / len(self.values)
             idx = np.floor((x % self.period) / cell_w).astype(int)
@@ -121,6 +162,14 @@ class ProfileFn:
         if self.kind == "piecewise":
             idx = np.searchsorted(self.breakpoints, x, side="right")
             return np.asarray(self.values)[idx]
+        try:
+            v = self.fn(x)
+        except StablikeError:
+            raise  # a fault the fn reports on purpose, whatever its input
+        except Exception:  # a scalar-only fn; the per-position calls raise a real fault
+            v = None
+        if isinstance(v, np.ndarray) and v.dtype == float and v.shape == x.shape:
+            return v
         return np.vectorize(self.fn, otypes=[float])(x)
 
     def value_set(self) -> tuple:
@@ -218,32 +267,53 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     SeedSequence(seed)) is read in whole blocks of 4096 steps: 4096
     uniform angles on (-pi/2, pi/2), then 4096 standard exponentials, so
     a longer run extends a shorter one. One cms_transform call per block
-    gives each step a jump J for every alpha value; a step looks up the
-    row of alpha(x) and sets x <- x + delta(x) + gamma(x) * J. A custom
-    alpha profile raises DomainError (custom gamma and delta are fine).
-    Once |x| >= FREEZE or x is not finite, the path stays at +-FREEZE.
+    gives each step a jump J for every alpha value, and a step sets
+    x <- x + delta(x) + gamma(x) * J with J from the row of alpha(x).
+
+    Each profile is looked up (ProfileFn.cell) only when x has left the
+    span its last lookup gave. A span keeps its value throughout, so
+    every step uses the values a lookup at x would give, and the states
+    do not depend on how often the lookups run. A custom alpha
+    profile raises DomainError (custom gamma and delta are fine, looked
+    up on every step), and so does a non-finite x0. Once |x| >= FREEZE
+    or x is not finite, the path stays at +-FREEZE.
     """
     if n_steps < 1:
         raise DomainError("simulate requires n_steps >= 1")
-    alphas = spec.alpha_profile.value_set()
-    row_of = {a: i for i, a in enumerate(alphas)}
-    a_col = np.array(alphas)[:, None]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     a_fn = spec.alpha_profile
     g_fn = spec.family.gamma_profile
     d_fn = spec.family.delta_profile
+    alphas = a_fn.value_set()
+    row_of = {a: i for i, a in enumerate(alphas)}
+    a_col = np.array(alphas)[:, None]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = np.empty(n_steps)
     x = float(x0)
-    for i in range(n_steps):
-        j = i % _STEP_BLOCK
-        if j == 0:
-            u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, _STEP_BLOCK)
-            e = rng.standard_exponential(_STEP_BLOCK)
-            rows = cms_transform(a_col, u, e).tolist()
-        x_new = x + d_fn(x) + g_fn(x) * rows[row_of[a_fn(x)]][j]
-        if not -FREEZE < x_new < FREEZE:
-            # a nan jump (inf * 0 in the transform) keeps the old sign
-            states[i:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
-            break
-        x = states[i] = x_new
+    # nan spans hold no x, so the first step looks every profile up
+    a_lo = a_hi = g_lo = g_hi = d_lo = d_hi = math.nan
+    row = 0
+    for start in range(0, n_steps, _STEP_BLOCK):
+        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, _STEP_BLOCK)
+        e = rng.standard_exponential(_STEP_BLOCK)
+        rows = cms_transform(a_col, u, e).tolist()
+        jumps = rows[row]
+        block = []
+        for j in range(min(_STEP_BLOCK, n_steps - start)):
+            if not a_lo <= x < a_hi:
+                a_lo, a_hi, a = a_fn.cell(x)
+                row = row_of[a]
+                jumps = rows[row]
+            if not g_lo <= x < g_hi:
+                g_lo, g_hi, g = g_fn.cell(x)
+            if not d_lo <= x < d_hi:
+                d_lo, d_hi, d = d_fn.cell(x)
+            x_new = x + d + g * jumps[j]
+            if not -FREEZE < x_new < FREEZE:
+                # a nan jump (inf * 0 in the transform) keeps the old sign
+                states[start + j:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
+                states[start:start + j] = block
+                return Trajectory(float(x0), states, seed)
+            x = x_new
+            block.append(x)
+        states[start:start + len(block)] = block
     return Trajectory(float(x0), states, seed)

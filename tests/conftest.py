@@ -4,8 +4,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stablike import ChainSpec, ProfileFn, SasJump, make_chain
+
+# property tests replay the same examples on every run and set only their
+# own max_examples
+settings.register_profile("stablike", derandomize=True, deadline=None)
+settings.load_profile("stablike")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

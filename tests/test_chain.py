@@ -1,6 +1,7 @@
 """Chain specification, profiles and the trajectory simulator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,17 +85,60 @@ def _profile_args(draw):
     return kind, tuple(values), tuple(breakpoints), draw(st.floats())
 
 
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(args=_profile_args(), x=st.floats(allow_nan=False, allow_infinity=False))
-def test_accepted_profiles_look_up_alike(args, x):
-    # every shape the constructor accepts is one __call__ and at can index
+def _check_cell(p, x):
+    """p.cell(x) agrees with p(x) and p.at, and its span keeps the value; the value."""
+    lo, hi, v = p.cell(x)
+    assert v == p(x) == p.at([x])[0]
+    if lo != hi:
+        assert lo <= x < hi
+        # the first and the last float of the span look up alike
+        assert p(max(lo, -sys.float_info.max)) == v
+        assert p(math.nextafter(hi, -math.inf)) == v
+    return v
+
+
+def _nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@settings(max_examples=500)
+@given(args=_profile_args(), x=st.floats(allow_nan=False, allow_infinity=False),
+       k=st.integers(-10**6, 10**6) | st.integers(-2**62, 2**62), ulps=st.integers(-4, 4))
+def test_accepted_profiles_look_up_alike(args, x, k, ulps):
+    # every shape the constructor accepts is one cell, __call__ and at can
+    # index, at any finite x and next to a cell edge: a breakpoint, the
+    # origin, or the k-th multiple of the periodic cell width
     try:
         p = ProfileFn(*args)
     except DomainError:
         return
-    v = p(x)
-    assert v == p.at([x])[0]
-    assert v in p.value_set()
+    assert _check_cell(p, x) in p.value_set()
+    if p.kind == "periodic":
+        edge = k * (p.period / len(p.values))
+    else:
+        edge = p.breakpoints[k % len(p.breakpoints)] if p.breakpoints else 0.0
+    if math.isfinite(edge):
+        _check_cell(p, _nudged(edge, ulps))
+
+
+@pytest.mark.parametrize("p", [
+    ProfileFn.constant(1.5),
+    ProfileFn.two_valued(1.2, 1.0),
+    ProfileFn.periodic(2.0, (1.1, 1.9)),
+    ProfileFn.piecewise((-1.0, 1.0), (0.5, 1.0, 1.5)),
+    ProfileFn.custom(lambda x: 1.5),
+], ids=lambda p: p.kind)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_profiles_reject_non_finite_positions(p, x):
+    with pytest.raises(DomainError, match="finite"):
+        p.cell(x)
+    with pytest.raises(DomainError, match="finite"):
+        p(x)
+    if p.kind in ("periodic", "piecewise"):
+        with pytest.raises(DomainError, match="finite"):
+            p.at([0.0, x])
 
 
 def test_make_chain_accepts_numbers():
@@ -151,6 +195,11 @@ def test_simulate_prefix_property(sas15):
     short = simulate(sas15, x0=0.0, n_steps=50, seed=7)
     long = simulate(sas15, x0=0.0, n_steps=300, seed=7)
     assert np.array_equal(long.states[:50], short.states)
+    # so do runs that end on either side of a 4096-step block edge
+    spec = make_chain(ProfileFn.periodic(2.0, (0.9, 1.6)), delta=ProfileFn.two_valued(0.2, -0.2))
+    long = simulate(spec, x0=0.5, n_steps=9000, seed=11).states
+    for n in (4095, 4096, 4097, 8192, 8193):
+        assert simulate(spec, x0=0.5, n_steps=n, seed=11).states.tobytes() == long[:n].tobytes()
 
 
 def test_simulate_state_dependence():
@@ -193,6 +242,7 @@ def test_simulate_freezes_overflowing_paths(alpha):
     # at index 0.01 a single jump can exceed any double; the path must
     # stop at +-1e300 like the ensembles, not run on as inf or nan
     states = simulate(make_chain(alpha), x0=0.0, n_steps=5000, seed=1).states
+    assert states.tobytes() == _simulate_per_step(make_chain(alpha), 0.0, 5000, 1).tobytes()
     assert np.all(np.isfinite(states))
     hit = np.flatnonzero(np.abs(states) >= 1e300)
     assert hit.size > 0
@@ -209,3 +259,95 @@ def test_simulate_needs_enumerable_alpha():
 def test_simulate_rejects_bad_lengths(sas15):
     with pytest.raises(DomainError):
         simulate(sas15, x0=0.0, n_steps=0, seed=1)
+
+
+def _lookup_per_point(p, x):
+    """The profile value at x, computed afresh as __call__ did before cells."""
+    if p.kind == "constant":
+        return p.values[0]
+    if p.kind == "two_valued":
+        return p.values[0] if x < 0 else p.values[1]
+    if p.kind == "periodic":
+        cell_w = p.period / len(p.values)
+        i = int(np.floor((x % p.period) / cell_w))
+        return p.values[min(i, len(p.values) - 1)]
+    if p.kind == "piecewise":
+        return p.values[int(np.searchsorted(p.breakpoints, x, side="right"))]
+    return float(p.fn(x))
+
+
+def _simulate_per_step(spec, x0, n_steps, seed):
+    """simulate's states from the loop it replaced: three lookups on every step."""
+    alphas = spec.alpha_profile.value_set()
+    row_of = {a: i for i, a in enumerate(alphas)}
+    a_col = np.array(alphas)[:, None]
+    rng = default_rng(SeedSequence(seed))
+    a_fn, g_fn, d_fn = spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile
+    states = np.empty(n_steps)
+    x = float(x0)
+    for i in range(n_steps):
+        j = i % 4096
+        if j == 0:
+            u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 4096)
+            e = rng.standard_exponential(4096)
+            rows = cms_transform(a_col, u, e).tolist()
+        x_new = (x + _lookup_per_point(d_fn, x)
+                 + _lookup_per_point(g_fn, x) * rows[row_of[_lookup_per_point(a_fn, x)]][j])
+        if not -1e300 < x_new < 1e300:
+            states[i:] = math.copysign(1e300, x if math.isnan(x_new) else x_new)
+            break
+        x = states[i] = x_new
+    return states
+
+
+@st.composite
+def _enumerable_profile(draw, values):
+    v = st.sampled_from(values)
+    kind = draw(st.sampled_from(("constant", "two_valued", "periodic", "piecewise")))
+    if kind == "constant":
+        return ProfileFn.constant(draw(v))
+    if kind == "two_valued":
+        return ProfileFn.two_valued(draw(v), draw(v))
+    if kind == "periodic":
+        period = draw(st.sampled_from((0.3, 1.0, 2.0, 7.0)))
+        return ProfileFn.periodic(period, draw(st.lists(v, min_size=1, max_size=3)))
+    breakpoints = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3, unique=True))
+    return ProfileFn.piecewise(sorted(breakpoints),
+                               draw(st.lists(v, min_size=len(breakpoints) + 1,
+                                             max_size=len(breakpoints) + 1)))
+
+
+def _edges(p):
+    """Positions where p may change value, near the origin."""
+    if p.kind == "two_valued":
+        return [0.0]
+    if p.kind == "periodic":
+        return [k * (p.period / len(p.values)) for k in range(-4, 2 * len(p.values) + 1)]
+    return list(p.breakpoints)
+
+
+_ALPHAS = (0.5, 0.9, 1.2, 1.5, 1.8)
+_CUSTOM_GAMMA = ProfileFn.custom(lambda x: 1.0 + 0.5 * math.sin(x))
+_CUSTOM_DELTA = ProfileFn.custom(lambda x: -0.5 * math.tanh(x))
+
+
+@settings(max_examples=100)
+@given(
+    alpha=_enumerable_profile(_ALPHAS)
+    | st.sampled_from((ProfileFn.constant(0.01), ProfileFn.periodic(1.0, (0.01, 1.5)))),
+    gamma=_enumerable_profile((0.2, 1.0, 2.5)) | st.just(_CUSTOM_GAMMA),
+    delta=_enumerable_profile((-0.5, 0.0, 0.3)) | st.just(_CUSTOM_DELTA),
+    start=st.data(),
+    n_steps=st.sampled_from((1, 4095, 4096, 4097, 9000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_the_per_step_loop(alpha, gamma, delta, start, n_steps, seed):
+    # bit for bit, from starts on and next to cell edges, across block
+    # boundaries, with custom gamma and delta, and on chains that freeze
+    # (alpha 0.01; test_simulate_freezes_overflowing_paths pins two more)
+    spec = ChainSpec(alpha, SasJump(gamma, delta), unchecked="custom" in (gamma.kind, delta.kind))
+    edges = _edges(alpha) + _edges(gamma) + _edges(delta)
+    x0 = start.draw(st.sampled_from(edges) if edges else st.floats(-20.0, 20.0))
+    x0 = _nudged(x0, start.draw(st.integers(-2, 2)))
+    got = simulate(spec, x0, n_steps, seed).states
+    assert got.tobytes() == _simulate_per_step(spec, x0, n_steps, seed).tobytes()

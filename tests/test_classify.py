@@ -262,7 +262,7 @@ _DELTAS = {"0": ProfileFn.constant(0.0), "+0.5": ProfileFn.constant(0.5),
            "-0.5": ProfileFn.constant(-0.5), "inward": ProfileFn.two_valued(0.5, -0.5)}
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     alphas=st.lists(st.sampled_from(_ALPHAS), min_size=1, max_size=2),
     delta=st.sampled_from(sorted(_DELTAS)),

@@ -106,6 +106,37 @@ def test_interval_stats_matches_separate_calls(spec, x0, compact, n_paths):
     assert ball.return_fraction > 0.0
 
 
+def test_custom_profile_is_called_once_per_step_on_the_whole_block():
+    # a custom alpha that mirrors two_valued(1.5, 1.8) steps like it
+    shapes = []
+
+    def alpha(x):
+        shapes.append(np.shape(x))
+        return np.where(x < 0, 1.5, 1.8)
+
+    delta = ProfileFn.two_valued(0.5, -0.5)
+    intervals = [(-10.0, 10.0, 10.0), (-20.0, 30.0, 25.0)]
+    want = interval_stats(make_chain(ProfileFn.two_valued(1.5, 1.8), delta=delta),
+                          3.0, intervals, 300, 500, seed=4)
+    got = interval_stats(make_chain(ProfileFn.custom(alpha), delta=delta, unchecked=True),
+                         3.0, intervals, 300, 500, seed=4)
+    for a, b in zip(got, want):
+        _same_stats(a, b)
+    assert shapes == [(500,)] * 300
+
+
+def test_scalar_only_custom_profile_still_steps():
+    # a fn that cannot take an array is called once per position instead
+    alpha = ProfileFn.custom(lambda x: 1.5 if x < 0 else 1.8)
+    assert alpha.at([-1.0, 2.0]).tolist() == [1.5, 1.8]
+    delta = ProfileFn.two_valued(0.5, -0.5)
+    want = interval_stats(make_chain(ProfileFn.two_valued(1.5, 1.8), delta=delta),
+                          3.0, [(-10.0, 10.0, 10.0)], 100, 200, seed=4)
+    got = interval_stats(make_chain(alpha, delta=delta, unchecked=True),
+                         3.0, [(-10.0, 10.0, 10.0)], 100, 200, seed=4)
+    _same_stats(got[0], want[0])
+
+
 def test_occupation_scales_with_set_size(sas15):
     small = occupation(sas15, x0=0.0, compact_c=(-2.0, 2.0), n_steps=2000,
                        n_paths=100, seed=3)
