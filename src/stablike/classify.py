@@ -46,7 +46,7 @@ import numpy as np
 
 from .chain import ChainSpec, ProfileFn, alpha_at, c_at
 from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, default_x_grid, tail_scan
-from .errors import DomainError
+from .errors import DomainError, TableOverflowError
 # r1 and r2 are unused here; perfbench's tracer wraps them by name
 from .thresholds import r1, r2
 
@@ -172,23 +172,23 @@ def _fired(report: TailScanReport) -> bool:
     return report.margin > 0.0 and report.margin >= 2.0 * report.scan_error
 
 
-def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list) -> list:
-    # scans with the same kernel (log_rec/log_erg, pow_rec/pow_erg per
-    # beta, the five first-moment scans) share one raw-integral set
+def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list, caveats: list) -> list:
+    # scans with the same kernel (log_rec/log_erg, pow_rec/pow_erg per beta, the
+    # five first-moment scans) share one raw-integral set; a scan that needs a
+    # density table that overflows is left out, under one caveat for them all
     integrals: dict = {}
-    return [
-        tail_scan(
-            spec,
-            x_grid=settings.x_grid,
-            delta_grid=settings.delta_grid,
-            d_grid=settings.d_grid,
-            condition_id=cid,
-            beta=beta,
-            d_weight=weight,
-            integrals=integrals,
-        )
-        for cid, beta, weight in jobs
-    ]
+    reports, skipped, reasons = [], {}, {}
+    for cid, beta, weight in jobs:
+        try:
+            reports.append(tail_scan(
+                spec, x_grid=settings.x_grid, delta_grid=settings.delta_grid,
+                d_grid=settings.d_grid, condition_id=cid, beta=beta, d_weight=weight,
+                integrals=integrals))
+        except TableOverflowError as exc:
+            skipped[cid] = reasons[str(exc)] = None
+    if skipped:
+        caveats.append(f"{', '.join(skipped)}: not scanned, {'; '.join(reasons)}")
+    return reports
 
 
 def _best_per_condition(reports) -> dict:
@@ -248,9 +248,11 @@ def classify_null(spec: ChainSpec, settings: ScanSettings | None = None) -> Evid
     """
     settings = settings or ScanSettings()
     _require_builtin_alpha(spec)
-    reports = _run_scans(spec, settings, _jobs(("rec",), False, _beta_ladders(spec, settings)))
+    skipped: list = []
+    reports = _run_scans(spec, settings, _jobs(("rec",), False, _beta_ladders(spec, settings)),
+                         skipped)
     ev = _null_evidence(spec, _best_per_condition(reports))
-    return replace(ev, reports=tuple(reports))
+    return replace(ev, caveats=ev.caveats + tuple(skipped), reports=tuple(reports))
 
 
 def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
@@ -322,9 +324,10 @@ def f_ergodic_check(
             raise DomainError("weight profile must satisfy g(x) >= 1")
         caveat_g = ()
     jobs = _jobs(("erg",), False, _beta_ladders(spec, settings), weight=g_profile)
+    skipped: list = []
     reports = [
         replace(rep, condition_id=rep.condition_id + "_w")
-        for rep in _run_scans(spec, settings, jobs)
+        for rep in _run_scans(spec, settings, jobs, skipped)
     ]
     best = _best_per_condition(reports)
     fired = {cid: rep for cid, rep in best.items() if _fired(rep)}
@@ -334,14 +337,12 @@ def f_ergodic_check(
     else:
         vals = ", ".join(f"{v:g}" for v in g_profile.value_set())
         weight_class = f"{g_profile.kind} weight with values {{{vals}}}"
+    caveats = caveat_g + tuple(skipped)
     if fired:
         detail = f"weighted drift certified for {weight_class}"
-        caveats = caveat_g
     else:
         detail = f"no weighted display certified for {weight_class}"
-        caveats = caveat_g + (
-            "weight grows faster than the certified drift margin",
-        )
+        caveats += ("weight grows faster than the certified drift margin",)
     return Evidence(bool(fired), detail, margins, caveats, tuple(reports))
 
 
@@ -397,7 +398,8 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
             "first-moment displays skipped: jump-tail uniformity not "
             "certifiable for custom profiles"
         )
-    reports = _run_scans(spec, settings, _jobs(("rec", "trans", "erg"), moments_ok, ladders))
+    reports = _run_scans(spec, settings, _jobs(("rec", "trans", "erg"), moments_ok, ladders),
+                         caveats)
     best = _best_per_condition(reports)
     fired = {cid: rep for cid, rep in best.items() if _fired(rep)}
     for rep in best.values():

@@ -9,6 +9,10 @@ class DomainError(StablikeError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class TableOverflowError(DomainError):
+    """A density table's values, spline or error bound overflow a double."""
+
+
 class ConvergenceError(StablikeError, RuntimeError):
     """A series or iteration failed to reach the requested tolerance.
 

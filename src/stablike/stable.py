@@ -7,26 +7,25 @@ the characteristic function,
 
     f(y) = (1/pi) * int_0^inf exp(-(gamma t)^alpha) cos(t (y-delta)) dt,
 
-reduced to the standard scale z = (y-delta)/gamma. Method selection
-(worked out against a Taylor-series arbiter at small z and the power
-tail law at large z):
+reduced to the standard scale z = (y-delta)/gamma. One numpy engine
+serves every z of an array at once:
 
-  alpha < 0.7   rotate the contour t -> i*r, which turns the oscillatory
-                integral into int_0^inf exp(-r^a cos(pi a/2) - r z)
-                * sin(r^a sin(pi a/2)) dr / pi: total phase is bounded by
-                ~40*tan(pi a/2) so plain adaptive quadrature converges;
-                the bound grows without limit as a -> 1, and from
-                a = 0.99 up QUADPACK gives up
-  alpha >= 0.7  plain quadrature on [0, T] for z < 0.05 (under a quarter
-                period of the cosine), finite-range cosine-weighted
-                quadrature (QAWO) on [0, T] otherwise, T = 41.45^(1/a)
-                so the discarded envelope tail is below 1e-17
+  z < z_0       f(0) = Gamma(1 + 1/alpha)/pi, where z_0 puts the z^2 term
+                of the Taylor series at 0 under eps/2 of f(0)
+  z <= 30       Zolotarev's integral in Nolan's form, f(z) = alpha/(pi
+                |alpha-1| z) int_0^(pi/2) g e^(-g) dtheta with g monotone,
+                split at its peak g = 1 and summed by nested tanh-sinh
+                levels; within 1e-5 of alpha = 1, where alpha/(alpha-1)
+                amplifies the rounding of log g, the first-order expansion
+                about the Cauchy law
   |z| > 30      power-tail series sum_k (-1)^(k+1) Gamma(k a + 1)/k!
                 * sin(k pi a / 2) z^(-k a - 1) / pi, convergent for a < 1
                 and asymptotic (min-term truncation) for a > 1; at z = 30
-                it agrees with quadrature to ~1e-12 relative. One
+                it agrees with the integral to ~1e-12 relative. One
                 coefficient set per alpha, cut at z = 30, serves both
                 sas_density and DensityTable
+
+alpha = 1 (Cauchy) and alpha = 2 (Normal) are closed forms.
 
 Sampling is exact through the Chambers-Mallows-Stuck transform of a
 uniform angle and a standard exponential.
@@ -39,14 +38,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, TableOverflowError
 from .specfun import gamma as gamma_fn
 
 _TAIL_Z = 30.0
-_SMALL_Z = 0.05
-_ENVELOPE_CUT = 41.45  # exp(-41.45) ~ 1e-18
+_HALF_PI = 0.5 * math.pi
+_EPS = 2.220446049250313e-16
+_TS_REACH = 3.5  # tanh-sinh abscissa cut: nodes past it weigh under 1e-20
+_TS_LEVELS = 9  # step halvings before a value must converge
+_TS_RTOL = 1e-13
+_BLOCK = 1 << 13  # float64 entries of one node temporary (64 KB): a block needs < 1 MB
+_NEAR_ONE = 1e-5  # |alpha - 1| served by the expansion about the Cauchy law
 _TAIL_RATIO = 1.1  # geometric tail panels of DensityTable.rule
 # 3-point Gauss-Legendre nodes (0, +-sqrt(3/5)) and weights on [-1, 1]
 _GL_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
@@ -126,89 +129,119 @@ def _tail_std(alpha: float, z):
     return np.polyval(_tail_coefficients(alpha)[0], w) * w / z
 
 
-def _density_quad(alpha: float, z: float, f, upper: float, **options):
-    """Integral of f over [0, upper], over pi, with its error estimate.
+@functools.lru_cache(maxsize=None)
+def _ts_level(level: int):
+    """Abscissae t >= 0 that tanh-sinh level `level` adds, as (q, w).
 
-    A QUADPACK message (ier > 0) raises QuadratureError: its error
-    estimate may then be low, so the value carries no honest bound.
+    The step is 2^-level, and later levels add only its odd multiples. A t
+    names the two nodes q*L from either end of a length-L interval, with
+    q = (1 - tanh(pi/2 sinh t))/2 exact near the ends, each weighing w*L.
     """
-    out = integrate.quad(f, 0.0, upper, epsabs=1e-14, epsrel=1e-12, full_output=1,
-                         **options)
-    val, err = out[0] / math.pi, out[1] / math.pi
-    if len(out) > 3:
-        raise QuadratureError(
-            f"density quadrature at alpha={alpha}, z={z}: {out[3]}",
-            partial=val,
-            est_abs_error=err,
-        )
-    return val, err
+    h = 0.5 ** level
+    t = h * np.arange(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2)
+    e = np.exp(-math.pi * np.sinh(t))
+    w = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    return e / (1.0 + e), np.where(t == 0.0, 0.5 * w, w)  # t = 0 is one node, named twice
 
 
-def _contour_quad(alpha: float, z: float) -> tuple[float, float]:
-    # alpha < 0.7: non-oscillatory rotated-contour representation
-    th = math.pi * alpha / 2.0
-    c, s = math.cos(th), math.sin(th)
-
-    def f(r):
-        ra = r ** alpha
-        return math.exp(-ra * c - r * z) * math.sin(ra * s)
-
-    return _density_quad(alpha, z, f, np.inf, limit=400)
+def _log_g(alpha: float, z, th, ph):
+    # log g(theta) with cos(theta) = sin(ph), ph = pi/2 - theta
+    return (alpha / (alpha - 1.0) * np.log(z * np.sin(ph) / np.sin(alpha * th))
+            + np.log(np.cos((alpha - 1.0) * th) / np.sin(ph)))
 
 
-def _direct_quad(alpha: float, z: float) -> tuple[float, float]:
-    # alpha >= 0.7, small z: the cosine barely varies across the envelope
-    def f(t):
-        return math.exp(-(t ** alpha)) * math.cos(t * z)
+def _zolotarev(alpha: float, z):
+    """Standard density at every z of a 1-d array, from Zolotarev's integral.
 
-    return _density_quad(alpha, z, f, _ENVELOPE_CUT ** (1.0 / alpha), limit=200)
+    Bisection on log theta finds the theta* where the monotone g crosses
+    1. Only the z whose last two levels still differ by more than the
+    tolerance go on, in row blocks of under 1 MB, each row summed on its
+    own, so no value depends on its batch. The error estimate is the last
+    level difference plus 4 (1 + |alpha/(alpha-1)|) eps of the value, the
+    rounding of log g.
+    """
+    rising = alpha < 1.0  # g climbs from 0 to inf, or falls for alpha > 1
+    floor = 4.0 * (1.0 + abs(alpha / (alpha - 1.0))) * _EPS
+    pref = alpha / (math.pi * abs(alpha - 1.0) * z)
+    # log theta from the smallest double to log(pi/2): 64 halvings reach an ulp
+    lo, hi = np.full_like(z, -745.0), np.full_like(z, math.log(_HALF_PI))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        th = np.exp(mid)
+        past = (_log_g(alpha, z, th, _HALF_PI - th) > 0.0) == rising
+        lo, hi = np.where(past, lo, mid), np.where(past, mid, hi)
+    t_star = np.exp(0.5 * (lo + hi))
+    p_star = _HALF_PI - t_star
+    total, err, active = np.zeros_like(z), np.zeros_like(z), np.arange(z.size)
+    for level in range(_TS_LEVELS + 1):
+        q, w = _ts_level(level)
+        sums = np.empty(active.size)
+        rows = max(1, _BLOCK // (4 * q.size))
+        for s in range(0, active.size, rows):
+            i = active[s:s + rows]
+            ts, ps = t_star[i, None], p_star[i, None]
+            a, b = ts * q, ps * q  # node offsets on [0, theta*] and [theta*, pi/2]
+            th = np.concatenate([a, ts - a, ts + b, _HALF_PI - b], axis=1)
+            ph = np.concatenate([_HALF_PI - a, ps + a, ps - b, b], axis=1)
+            lg = _log_g(alpha, z[i, None], th, ph)
+            wt = np.concatenate([ts * w, ts * w, ps * w, ps * w], axis=1)
+            sums[s:s + rows] = (np.exp(lg - np.exp(lg)) * wt).sum(axis=1)
+        new = sums + 0.5 * total[active]
+        diff = np.abs(new - total[active])
+        total[active], err[active] = new, diff + floor * new
+        active = active[diff > max(_TS_RTOL, floor) * new] if level else active
+        if not active.size:
+            return pref * total, pref * err
+    k = active[0]
+    raise QuadratureError(f"density quadrature at alpha={alpha}, z={z[k]}: no convergence in "
+                          f"{_TS_LEVELS} tanh-sinh levels", pref[k] * total[k], pref[k] * err[k])
 
 
-def _qawo_quad(alpha: float, z: float) -> tuple[float, float]:
-    # alpha >= 0.7, moderate z: cosine-weighted quadrature on the finite range
-    return _density_quad(alpha, z, lambda u: math.exp(-(u ** alpha)),
-                         _ENVELOPE_CUT ** (1.0 / alpha), weight="cos", wvar=z,
-                         limit=300, maxp1=100)
-
-
-def _std_density(alpha: float, z: float) -> tuple[float, float]:
-    """Standard-scale density at z >= 0 with an absolute error estimate."""
-    z = abs(z)
-    if alpha == 1.0:
-        return 1.0 / (math.pi * (1.0 + z * z)), 0.0
-    if alpha == 2.0:
-        return math.exp(-z * z / 4.0) / (2.0 * math.sqrt(math.pi)), 0.0
-    if z > _TAIL_Z:
-        coefs, last = _tail_coefficients(alpha)
-        return float(_tail_std(alpha, z)), last * z ** (-len(coefs) * alpha - 1.0)
-    if z == 0.0:
-        return gamma_fn(1.0 + 1.0 / alpha) / math.pi, 1e-16
-    if alpha < 0.7:
-        val, err = _contour_quad(alpha, z)
-    elif z < _SMALL_Z:
-        val, err = _direct_quad(alpha, z)
-    else:
-        val, err = _qawo_quad(alpha, z)
-    # the density is unimodal with mode at 0, so the z = 0 closed form
-    # bounds every value; the peak exceeds 1 once alpha < ~0.42
+def _std_density(alpha: float, z):
+    """Standard-scale density at |z| (scalar or array) with absolute error estimates."""
+    z = np.abs(np.asarray(z, dtype=float))
+    flat, shape = z.ravel(), z.shape
+    if alpha in (1.0, 2.0):
+        val = (1.0 / (math.pi * (1.0 + flat * flat)) if alpha == 1.0
+               else np.exp(-flat * flat / 4.0) / (2.0 * math.sqrt(math.pi)))
+        return val.reshape(shape)[()], np.zeros(shape)[()]
     peak = gamma_fn(1.0 + 1.0 / alpha) / math.pi
-    if not math.isfinite(val) or not 0.0 <= val <= peak * (1.0 + 1e-9) or err > 1e-8:
-        raise QuadratureError(
-            f"density quadrature failed at alpha={alpha}, z={z}",
-            partial=val,
-            est_abs_error=err,
-        )
-    return val, err
+    val, err = np.full_like(flat, peak), np.full_like(flat, 4.0 * _EPS * peak)
+    tail = flat > _TAIL_Z
+    if tail.any():
+        coefs, last = _tail_coefficients(alpha)
+        val[tail] = _tail_std(alpha, flat[tail])
+        err[tail] = last * flat[tail] ** (-len(coefs) * alpha - 1.0)
+    # below z_0 the z^2 term of the Taylor series at 0 is under eps/2 of f(0)
+    z_0 = math.exp(0.5 * (math.log(_EPS) + math.lgamma(1.0 / alpha) - math.lgamma(3.0 / alpha)))
+    body = (flat >= z_0) & (flat > 0.0) & ~tail
+    zb = flat[body]
+    if abs(alpha - 1.0) < _NEAR_ONE:
+        # first order about the Cauchy law: df/dalpha at 1 is
+        # -Re[(psi(2) - log p) / p^2] / pi, p = 1 - iz; |d2f/dalpha2| < 0.63
+        p = 1.0 - 1j * zb
+        v = ((1.0 - (alpha - 1.0) * (1.0 - np.euler_gamma - np.log(p)) / p) / p).real / math.pi
+        e = 0.315 * (alpha - 1.0) ** 2 + 4.0 * _EPS * v
+    else:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            v, e = _zolotarev(alpha, zb)
+        # the density is unimodal with mode at 0, so the z = 0 closed form
+        # bounds every value; the peak exceeds 1 once alpha < ~0.42
+        ok = np.isfinite(v) & (v >= 0.0) & (v <= peak * (1.0 + 1e-9)) & (e <= 1e-8)
+        if not ok.all():
+            k = np.argmin(ok)
+            raise QuadratureError(f"density quadrature failed at alpha={alpha}, z={zb[k]}",
+                                  v[k], e[k])
+    val[body], err[body] = v, e
+    val[np.isnan(flat)] = err[np.isnan(flat)] = np.nan  # no mask above takes NaN
+    return val.reshape(shape)[()], err.reshape(shape)[()]
 
 
 def sas_density(params: StableParams, y):
     """Density of S(alpha, gamma, delta) at y (scalar or array)."""
     g = params.gamma_scale
     z = (np.asarray(y, dtype=float) - params.delta_shift) / g
-    if z.ndim == 0:
-        return _std_density(params.alpha, float(z))[0] / g
-    flat = [_std_density(params.alpha, float(w))[0] / g for w in z.ravel()]
-    return np.array(flat).reshape(z.shape)
+    return _std_density(params.alpha, z)[0] / g
 
 
 def cms_transform(alpha, u, e):
@@ -244,10 +277,15 @@ class DensityTable:
 
     Built once per alpha (the scale and shift reduce to the standard
     grid by affine change of variables) and shared by every drift
-    integral at that alpha. Spline error is measured off-knot and kept
-    as table_error; beyond the table the power-tail series takes over,
-    truncated where it stops improving at z = 30 and summed by Horner's
-    rule. Both pieces are plain arrays, so every lookup is vectorised.
+    integral at that alpha. The knots and 60 off-knot probes come from
+    one call of the density engine each; table_error is the largest
+    error estimate of a knot (the difference of its last two tanh-sinh
+    levels plus the rounding of log g) plus the spline error measured
+    at the probes. A table whose values, spline or table_error overflow
+    a double (alpha below ~0.0065) raises TableOverflowError. Beyond
+    the table the power-tail series takes over, truncated where it
+    stops improving at z = 30 and summed by Horner's rule. Both pieces
+    are plain arrays, so every lookup is vectorised.
 
     rule() lays a fixed 3-point Gauss-Legendre rule on every spline
     segment and on geometric tail panels (ratio 1.1, nodes in log z),
@@ -277,32 +315,31 @@ class DensityTable:
             [start + step * np.arange(count) for start, step, count in zones]
         )
         zs = np.append(zs, _TAIL_Z)
-        vals = np.empty_like(zs)
-        worst = 0.0
-        for i, z in enumerate(zs):
-            v, e = _std_density(alpha, float(z))
-            vals[i] = v
-            worst = max(worst, e)
-        # below alpha ~ 0.006 the peak f(0) = Gamma(1 + 1/alpha)/pi or its
-        # knot slopes overflow a double
-        if not np.isfinite(np.diff(vals) / np.diff(zs)).all():
-            raise DomainError(f"density table overflows at alpha={alpha}: f(0) = {vals[0]:.3g}")
+        vals, errs = _std_density(alpha, zs)
         # even extension so the spline is smooth through z = 0, then keep
         # only the z >= 0 coefficient block
         full_z = np.concatenate([-zs[:0:-1], zs])
         full_v = np.concatenate([vals[:0:-1], vals])
-        spline = CubicSpline(full_z, full_v)
         self._knots = zs
-        self._coef = np.ascontiguousarray(spline.c[:, len(zs) - 1:])
         # measure the interpolation error off-knot instead of assuming it:
         # the peak turns cusp-like as alpha drops and the head segments
         # carry visibly more error than the smooth body
         probes = np.concatenate(
             [(zs[:20] + zs[1:21]) / 2.0, np.geomspace(0.01, zs[-2], 40)]
         )
-        direct = np.array([_std_density(alpha, float(z))[0] for z in probes])
-        interp_err = float(np.max(np.abs(self._spline_std(probes) - direct)))
-        self.table_error = float(worst + interp_err + 1e-13)
+        # below alpha ~ 0.0065 the peak f(0) = Gamma(1 + 1/alpha)/pi, its knot
+        # slopes, the spline through them or its off-knot error overflow
+        overflow = TableOverflowError(
+            f"density table overflows at alpha={alpha}: f(0) = {vals[0]:.3g}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not np.isfinite(np.diff(vals) / np.diff(zs)).all():
+                raise overflow
+            spline = CubicSpline(full_z, full_v)
+            self._coef = np.ascontiguousarray(spline.c[:, len(zs) - 1:])
+            interp_err = np.max(np.abs(self._spline_std(probes) - _std_density(alpha, probes)[0]))
+        self.table_error = float(errs.max() + interp_err + 1e-13)
+        if not (np.isfinite(self._coef).all() and math.isfinite(self.table_error)):
+            raise overflow
         self._rule = None
 
     @classmethod

@@ -152,15 +152,15 @@ def test_verdict_priority_is_stable(ergodic_spec):
 # number of one gate chain per verdict are pinned (None: the ergodic chain)
 @pytest.mark.parametrize("spec, verdict, digest", [
     (make_chain(1.5), "Recurrent",
-     "8a5b54ad1661b90ff65851796a87ab3d2fd31477b5134e397288569ef2f71907"),
+     "954df7bc5385e2b15505d4c454d04429b951f3c8111c3fe8de930a18b79b48a2"),
     (make_chain(1.2), "Recurrent",
-     "44ec0d47e73c8b62e3c0a76cb43d8cae299e7c48f7bf547d24eba5532d7bd137"),
+     "6588f627e6a7eda26196e49ed7fd27586b91b98b92657774e31b1785fa5fe062"),
     (make_chain(0.8, delta=0.5), "Transient",
-     "6491d6b1ab128eb35f6dfc2fa288dc58861f7ad8fcc927bb3e72b43312f629a0"),
+     "b9be02ab2e9328e85911dc3c961e74fee186b63166ab3cf60ce4e8196a6837fb"),
     (make_chain(1.0), "Inconclusive",
      "01445d7bc60ce911a129a7c3194eb820bec387442b4477fdcc48f4ad7955b71c"),
     (None, "Ergodic",
-     "d88c5b6fcb9f016bbd2118b10fc8d1cea847d58bc8c25579445b0babf26abcc4"),
+     "145a0b233f28c1e73a0cf6a89cc4f0090ed94b1a537e1c12060ba324385f0ce7"),
 ], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
 def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     res = classify(spec or ergodic_spec)
@@ -172,7 +172,7 @@ def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
 # the rungs that no real chain reaches: crafted scan reports stand in for
 # the tail scans, so only the verdict ladder runs
 def _crafted_scans(monkeypatch, report_of):
-    def run_scans(spec, settings, jobs):
+    def run_scans(spec, settings, jobs, caveats):
         return [report_of(cid, beta) for cid, beta, _ in jobs]
 
     monkeypatch.setattr(sys.modules["stablike.classify"], "_run_scans", run_scans)
@@ -252,9 +252,22 @@ def test_given_betas_outside_the_threshold_domain_are_skipped():
     assert any("pow_rec" in c and "not scanned" in c for c in res.caveats)
 
 
-def test_density_overflow_is_a_domain_error():
-    with pytest.raises(DomainError, match="alpha=0.005"):
-        classify(make_chain(0.005))
+@pytest.mark.parametrize("alpha", [0.005, 0.006])
+def test_table_overflow_skips_only_the_displays_that_read_the_table(alpha):
+    # below alpha ~ 0.0065 no density table can be built; the first-moment
+    # scans of a symmetric chain read none and still decide
+    res = classify(make_chain(alpha))
+    assert res.verdict == "Transient"
+    assert res.conditions_used == ("mom_trans", "idx_decay")
+    peak = "inf" if alpha < 0.006 else "8.69e+298"
+    skipped = [c for c in res.caveats if "density table overflows" in c]
+    assert skipped == [f"log_rec, log_erg, bnd_trans: not scanned, density table "
+                       f"overflows at alpha={alpha}: f(0) = {peak}"]
+    doc = res.to_json_dict()
+    assert {r["condition"] for r in doc["reports"]} == {"mom_rec", "mom_trans", "mom_erg"}
+    assert "nan" not in json.dumps(doc).lower()
+    ev = classify_null(make_chain(alpha))
+    assert any(c.startswith("log_rec: not scanned, density table overflows") for c in ev.caveats)
 
 
 _ALPHAS = (0.006, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99, 1.0, 1.3, 1.7, 1.999)

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from stablike import DomainError, QuadratureError, StableParams, sas_density, stable, tail_constant
+from stablike.errors import TableOverflowError
 from stablike.stable import DensityTable, sas_sample_n, _std_density
 
 
@@ -79,13 +80,14 @@ def test_table_error_is_measured_not_assumed():
     assert DensityTable.for_alpha(1.4).table_error < 1e-9
 
 
-@pytest.mark.parametrize("alpha", [0.0059, 0.005])
+@pytest.mark.parametrize("alpha", [0.006, 0.0059, 0.005])
 def test_table_overflow_is_a_domain_error(alpha):
-    # f(0) = Gamma(1 + 1/alpha)/pi, or its slope over the first knot cell,
-    # overflows a double below alpha ~ 0.006
-    with pytest.raises(DomainError, match=f"alpha={alpha}"):
+    # f(0) = Gamma(1 + 1/alpha)/pi, its slope over the first knot cell or
+    # the spline through the knots overflows a double below alpha ~ 0.0065
+    with pytest.raises(TableOverflowError, match=f"alpha={alpha}"):
         DensityTable(alpha)
-    assert math.isfinite(DensityTable.for_alpha(0.006).pdf_std(1.0))
+    tab = DensityTable.for_alpha(0.0065)
+    assert np.isfinite(tab._coef).all() and math.isfinite(tab.table_error)
 
 
 def test_tail_constant_frozen_values():
@@ -144,12 +146,28 @@ def test_series_quadrature_handoff_is_smooth():
 
 
 def test_density_array_input_matches_scalar(rng):
-    params = StableParams(1.3, 2.0, 0.5)
-    ys = rng.uniform(-30.0, 30.0, size=40)
-    arr = sas_density(params, ys)
-    assert arr.shape == ys.shape
-    for y, v in zip(ys, arr):
-        assert v == sas_density(params, float(y))
+    # bit for bit: no value may depend on the batch it was computed in
+    for alpha in (0.5, 1.3, 1.9):
+        params = StableParams(alpha, 2.0, 0.5)
+        ys = rng.uniform(-70.0, 70.0, size=40)
+        arr = sas_density(params, ys)
+        assert arr.shape == ys.shape
+        for y, v in zip(ys, arr):
+            assert v == sas_density(params, float(y))
+        assert np.isnan(sas_density(params, np.array([np.nan, 0.5]))[0])
+
+
+@pytest.mark.parametrize("alpha", [0.45, 1.3])
+def test_table_knots_do_not_depend_on_the_block(monkeypatch, alpha):
+    # the default blocks hold dozens of z per temporary; a block of one row,
+    # or one z per call, must give the same knot values bit for bit
+    whole = DensityTable(alpha)
+    single = [_std_density(alpha, float(z))[0] for z in whole._knots[:-1:7]]
+    assert np.array_equal(whole._coef[3, ::7], single)  # each segment starts at its knot value
+    monkeypatch.setattr(stable, "_BLOCK", 1)
+    one = DensityTable(alpha)
+    assert np.array_equal(whole._coef, one._coef)
+    assert whole.table_error == one.table_error
 
 
 def test_params_validation():
@@ -200,16 +218,16 @@ def test_sampler_location_scale_transport():
     assert np.allclose(moved, 5.0 + 2.0 * base, rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("alpha, z", [(0.5, 1.0), (1.5, 0.01), (1.5, 1.0)],
-                         ids=["contour", "direct", "qawo"])
-def test_quadpack_message_raises(monkeypatch, alpha, z):
-    # every density quadrature route must refuse a value QUADPACK flagged
-    def flagged(*args, **kwargs):
-        return 0.1, 1e-15, {}, "The maximum number of subdivisions has been achieved."
-
-    monkeypatch.setattr(stable.integrate, "quad", flagged)
-    with pytest.raises(QuadratureError, match="subdivisions"):
-        _std_density(alpha, z)
+@pytest.mark.parametrize("alpha", [0.5, 0.999, 1.5])
+def test_unconverged_knot_raises(monkeypatch, alpha):
+    # a value whose last two tanh-sinh levels still differ by more than the
+    # tolerance at the level cap must raise, never be kept or dropped
+    monkeypatch.setattr(stable, "_TS_LEVELS", 1)
+    with pytest.raises(QuadratureError, match="no convergence") as info:
+        DensityTable(alpha)
+    assert info.value.partial is not None and info.value.est_abs_error > 0.0
+    with pytest.raises(QuadratureError, match="no convergence"):
+        sas_density(StableParams(alpha), np.array([0.0, 0.5, 40.0]))
 
 
 def _fourier_density(alpha, z):
@@ -224,9 +242,46 @@ def _fourier_density(alpha, z):
         return float(mp.quad(lambda t: mp.exp(-t ** a) * mp.cos(t * z), cuts) / mp.pi)
 
 
+def _contour_density(alpha, z):
+    # alpha < 1: the contour t -> i r turns the Fourier integral into
+    # (1/pi) int_0^inf exp(-r^a cos(pi a/2) - r z) sin(r^a sin(pi a/2)) dr,
+    # which does not oscillate for small alpha; 25 digits, split at decades
+    import mpmath as mp
+
+    with mp.workdps(25):
+        a = mp.mpf(alpha)
+        c, s = mp.cos(mp.pi * a / 2), mp.sin(mp.pi * a / 2)
+        cuts = [mp.mpf(0)] + [mp.mpf(10) ** k for k in range(-6, 40)] + [mp.inf]
+        return float(mp.quad(lambda r: mp.exp(-r ** a * c - r * z) * mp.sin(r ** a * s), cuts)
+                     / mp.pi)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.001, 1.5, 1.99])
+def test_density_matches_mpmath_oracle(alpha):
+    # the engine's error estimate is checked, not only reported: the Fourier
+    # top 80^(1/alpha) is out of reach below alpha ~ 0.9, the contour there
+    oracle = _contour_density if alpha < 0.9 else _fourier_density
+    for z in (0.005, 0.5, 5.0, 29.5):
+        val, err = _std_density(alpha, z)
+        diff = abs(val - oracle(alpha, z))
+        assert diff <= err
+        assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.0 - 1e-9, 1.0 - 9e-6, 1.0 + 9e-6, 1.0 + 2e-5])
+def test_density_next_to_one_matches_fourier_oracle(alpha):
+    # within 1e-5 of alpha = 1 the expansion about the Cauchy law serves,
+    # where alpha/(alpha-1) would amplify the rounding of log g past 1e-10;
+    # 1 + 2e-5 is the engine just outside that band
+    for z in (0.005, 0.5, 5.0):
+        val, err = _std_density(alpha, z)
+        diff = abs(val - _fourier_density(alpha, z))
+        assert diff <= err <= 1e-10
+
+
 @pytest.mark.parametrize("alpha", [0.99, 0.999])
 def test_table_just_below_one_matches_fourier_oracle(alpha):
-    # the rotated contour fails here; the Fourier routes must serve it
+    # the peak of g e^(-g) narrows to a width of about |alpha - 1| here
     tab = DensityTable(alpha)
     for z in (0.005, 0.5, 5.0):
         diff = abs(float(tab.pdf_std(z)) - _fourier_density(alpha, z))
