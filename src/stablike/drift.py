@@ -19,6 +19,12 @@ with E, O the even/odd kernel parts. For symmetric jump families the
 odd density difference vanishes identically and the FirstMoment
 integral is exactly zero by construction rather than by cancellation.
 
+One engine integrates a whole x grid in one call (_integrals): the x
+that share (alpha, gamma, shift) read one cumulative rule from 0 at
+their bounds, a few rows (_BLOCK node entries) at a time. A shifted
+density adds a pass over z < 0 folded onto u = -z, so a shift larger
+than delta*|x| needs no branch of its own.
+
 CONDITIONS declares each display once. Its kernel fixes the prefactor
 (|x|^(a-1)/c times sgn(x) for the first moment, |x|^a/c otherwise) and
 the threshold (r2 for the power kernel, t for the bounded kernel, r1
@@ -54,6 +60,9 @@ from .errors import DomainError
 from .specfun import real_binom
 from .stable import DensityTable
 from .thresholds import r1, r2, t as t_threshold
+
+_BLOCK = 1 << 14  # float64 entries of one x block's node temporary (128 KB); ~4 per rule cell
+_T_MAX = 1.0 - 2.0 ** -53  # largest double below 1
 
 @dataclass(frozen=True)
 class DriftKernel:
@@ -163,7 +172,9 @@ def kernel_parts(kernel: DriftKernel, x: float):
 
     E and O are the even and odd parts of the shifted kernel in y; the
     caller multiplies O by sgn(x). Small |t| goes through the binomial
-    series (the expm1/log1p route loses all digits below t ~ 1e-8).
+    series (the expm1/log1p route loses all digits below t ~ 1e-8). t is
+    clipped an ulp inside (-1, 1), so a block of rows may evaluate a row
+    past its integration range, which lies in |t| <= delta < 1.
     """
     ax = abs(x)
     kind = kernel.kind
@@ -173,7 +184,7 @@ def kernel_parts(kernel: DriftKernel, x: float):
         den = 1.0 + ax
 
         def eo_log(y):
-            t = np.divide(y, den)
+            t = np.clip(np.divide(y, den), -_T_MAX, _T_MAX)
             return 0.5 * np.log1p(-t * t), np.arctanh(t)
 
         return eo_log
@@ -185,7 +196,7 @@ def kernel_parts(kernel: DriftKernel, x: float):
     od = tuple(reversed(_binom_coefs(s, odd=True)))
 
     def eo_pow(y):
-        t = np.atleast_1d(np.divide(y, den))
+        t = np.atleast_1d(np.clip(np.divide(y, den), -_T_MAX, _T_MAX))
         e, o = np.empty_like(t), np.empty_like(t)
         small = np.abs(t) < 1e-2
         ts = t[small]
@@ -222,103 +233,87 @@ def truncated_integral_with_error(
     difference summed over the cells, plus table_error * min(L, 100
     gamma) for the density table's own error.
     """
-    value, err = _integrals_at(spec, kernel, x, (delta,))
-    return float(value[0]), float(err[0])
+    value, err = _integrals(spec, kernel, (x,), (delta,))
+    return float(value[0, 0]), float(err[0, 0])
 
 
-def _branch(table: DensityTable, g, a, b):
-    """Integrals of g(u) * density(u) over [a_j, b_j], 0 <= a_j <= b_j.
+def _cumulative(table: DensityTable, kern, v):
+    """Integrals of kern(u) * density(u) over [0, v] and their errors.
 
-    The rule cells strictly between the smallest and the largest bound
-    are summed once and accumulated; only the cells that a bound cuts
-    get nodes of their own. g is called once, on every point at once.
-    Returns values and error estimates.
+    v holds the bounds of a block of x rows, one row per x, and kern maps
+    u of shape (rows, n) to the rows' kernel values. One cumsum per row
+    sums the whole rule cells below each bound; only the cell that a
+    bound cuts gets nodes of its own. A row reads no cell past its own
+    bounds, so its values depend neither on its block nor on its number
+    of bounds.
     """
-    n = len(a)
-    pts = np.concatenate([a, b])
-    lo, hi = pts.min(), pts.max()
-    if hi <= lo:
-        return np.zeros(n), np.zeros(n)
-    edges, nodes, weights, diff, left, right = table.rule(hi)
-    ip = np.minimum(np.searchsorted(edges, pts, side="right") - 1, len(edges) - 2)
-    i0, i1 = ip.min(), ip.max()
-    # G(v) = integral over [lo, v]: the head piece [lo, end of lo's cell],
-    # the full cells after it, and the piece of v's own cell up to v
-    past = ip > i0
-    cut_lo = np.append(np.where(past, edges[ip], lo), lo)
-    cut_hi = np.append(pts, edges[i0 + 1] if i1 > i0 else lo)
-    c_nodes, c_weights, c_diff, c_left, c_right = table.cells(cut_lo, cut_hi)
-    full = slice(i0 + 1, i1)
-    parts = (nodes[full].ravel(), edges[i0 + 1:i1 + 1], c_nodes.ravel(), cut_lo, cut_hi)
-    gv = g(np.concatenate(parts))
-    g_full, g_edge, g_cut, g_lo, g_hi = np.split(gv, np.cumsum([len(p) for p in parts[:-1]]))
-    g_full, g_cut = g_full.reshape(-1, 3), g_cut.reshape(-1, 3)
-
-    val = (weights[full] * g_full).sum(axis=1)
-    err = np.abs((diff[full] * g_full).sum(axis=1)
-                 - left[full] * g_edge[:-1] - right[full] * g_edge[1:])
-    cum_v = np.concatenate(([0.0], np.cumsum(val)))
-    cum_e = np.concatenate(([0.0], np.cumsum(err)))
+    edges, nodes, weights, diff, left, right = table.rule(v.max())
+    ip = np.searchsorted(edges, v, side="right") - 1
+    n, (rows, k) = ip.max(), v.shape
+    lo = edges[ip]
+    c_nodes, c_weights, c_diff, c_left, c_right = table.cells(lo.ravel(), v.ravel())
+    g_full = kern(np.broadcast_to(nodes[:n].ravel(), (rows, 3 * n))).reshape(rows, n, 3)
+    g_edge = kern(np.broadcast_to(edges[:n + 1], (rows, n + 1)))
+    g_cut = kern(c_nodes.reshape(rows, 3 * k)).reshape(-1, 3)
+    val = (weights[:n] * g_full).sum(axis=2)
+    err = np.abs((diff[:n] * g_full).sum(axis=2)
+                 - left[:n] * g_edge[:, :-1] - right[:n] * g_edge[:, 1:])
     pv = (c_weights * g_cut).sum(axis=1)
-    pe = np.abs((c_diff * g_cut).sum(axis=1) - c_left * g_lo - c_right * g_hi)
-    k = np.maximum(ip - i0 - 1, 0)
-    big_g = pv[:-1] + np.where(past, pv[-1] + cum_v[k], 0.0)
-    big_e = pe[:-1] + np.where(past, pe[-1] + cum_e[k], 0.0)
-    return big_g[n:] - big_g[:n], big_e[n:] + big_e[:n]
+    pe = np.abs((c_diff * g_cut).sum(axis=1)
+                - c_left * kern(lo).ravel() - c_right * kern(v).ravel())
+    cum_v, cum_e = (np.cumsum(np.pad(a, ((0, 0), (1, 0))), axis=1) for a in (val, err))
+    return (np.take_along_axis(cum_v, ip, axis=1) + pv.reshape(rows, k),
+            np.take_along_axis(cum_e, ip, axis=1) + pe.reshape(rows, k))
 
 
-def _z_integrals(table: DensityTable, kern, gamma: float, m: float, z1):
-    """Integrals of kern(gamma*z - m) * density(|z|) over z in [m/gamma, z1_j].
+def _integrals(spec: ChainSpec, kernel: DriftKernel, xs, deltas):
+    """Raw integrals and their error estimates, both of shape (x, delta).
 
-    The substitution y = gamma*z - m carries the scaled, shifted jump
-    density onto the table; z < 0 is folded onto |z|.
+    In z = (y - shift)/gamma the jump density is the table's. A pass
+    over z >= 0 (side 1), or over z < 0 folded onto u = -z (side -1),
+    reads _cumulative at its bounds +-(L -+ shift)/gamma clipped at 0:
+    the integral is the upper read minus the lower one. A symmetric
+    group needs only the first pass, of twice the even kernel part.
     """
-    z0 = m / gamma
-    if z0 >= 0.0:
-        return _branch(table, lambda u: kern(gamma * u - m), np.full_like(z1, z0), z1)
-    v_neg, e_neg = _branch(
-        table, lambda u: kern(-gamma * u - m), np.maximum(-z1, 0.0), np.full_like(z1, -z0)
-    )
-    v_pos, e_pos = _branch(
-        table, lambda u: kern(gamma * u - m), np.zeros_like(z1), np.maximum(z1, 0.0)
-    )
-    return v_neg + v_pos, e_neg + e_pos
-
-
-def _integrals_at(spec: ChainSpec, kernel: DriftKernel, x: float, deltas):
-    """Raw integrals and error estimates at one x for every delta level."""
-    if x == 0.0:
+    xs = np.asarray(xs, dtype=float)
+    if (xs == 0.0).any():
         raise DomainError("truncated_integral requires x != 0")
     for delta in deltas:
         if not 0.0 < delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    L = np.asarray(deltas, dtype=float) * abs(x)
-    g = gamma_at(spec, x)
-    dshift = delta_at(spec, x)
-    if kernel.kind == "first_moment" and dshift == 0.0:
-        # odd kernel against an even density: exactly zero
-        return np.zeros_like(L), np.zeros_like(L)
-    table = DensityTable.for_alpha(alpha_at(spec, x))
-    eo = kernel_parts(kernel, x)
-    if dshift == 0.0:
-        val, err = _z_integrals(table, lambda y: 2.0 * eo(y)[0], g, 0.0, L / g)
-    else:
-        # the shifted kernels compose as g(sgn(x) * t), so their odd part
-        # carries sgn(x); the first-moment kernel is plain y and must not,
-        # the display-level sgn(x) is applied by normalized_lhs instead
-        sgn = 1.0 if x > 0 or kernel.kind == "first_moment" else -1.0
+    L = np.asarray(deltas, dtype=float) * np.abs(xs)[:, None]
+    k = L.shape[1]
+    val, err = np.zeros_like(L), np.zeros_like(L)
+    groups = {}
+    for i, x in enumerate(xs.tolist()):
+        groups.setdefault((alpha_at(spec, x), gamma_at(spec, x), delta_at(spec, x)), []).append(i)
+    for (alpha, g, m), idx in groups.items():
+        if kernel.kind == "first_moment" and m == 0.0:
+            # odd kernel against an even density: exactly zero
+            continue
+        table = DensityTable.for_alpha(alpha)
+        edges = table.rule((L[idx].max() + abs(m)) / g)[0]
+        step = max(1, _BLOCK // (4 * len(edges)))
+        for b in range(0, len(idx), step):
+            rows = idx[b:b + step]
+            x, Lr = xs[rows, None], L[rows]
+            eo = kernel_parts(kernel, x)
+            # the shifted kernels compose as g(sgn(x) * t), so their odd
+            # part carries sgn(x); the first-moment kernel is plain y and
+            # must not, the display-level sgn(x) is applied by _lhs instead
+            sgn = np.where((x > 0) | (kernel.kind == "first_moment"), 1.0, -1.0)
 
-        def along(side):
-            # kernel at side*y, against the density at side*y
-            def kern(y):
-                e, o = eo(y)
-                return e + side * sgn * o
-            return kern
+            def whole(y):
+                ev, od = eo(y)
+                return 2.0 * ev if m == 0.0 else ev + sgn * od
 
-        v_p, e_p = _z_integrals(table, along(1.0), g, -dshift, (L - dshift) / g)
-        v_m, e_m = _z_integrals(table, along(-1.0), g, dshift, (L + dshift) / g)
-        val, err = v_p + v_m, e_p + e_m
-    return val, err + table.table_error * np.minimum(L, 100.0 * g)
+            v = e = 0.0
+            for side in (1.0,) if m == 0.0 else (1.0, -1.0):
+                ends = np.maximum(np.concatenate([Lr - side * m, -Lr - side * m], axis=1) / g, 0.0)
+                cv, ce = _cumulative(table, lambda u: whole(side * g * u + m), ends)
+                v, e = v + cv[:, :k] - cv[:, k:], e + ce[:, :k] + ce[:, k:]
+            val[rows], err[rows] = v, e + table.table_error * np.minimum(Lr, 100.0 * g)
+    return val, err
 
 
 def _condition(condition_id: str, beta: float | None) -> Condition:
@@ -333,8 +328,8 @@ def _condition(condition_id: str, beta: float | None) -> Condition:
 def _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight=None):
     """Normalized left-hand sides lhs[d, delta, x] and errors err[delta, x].
 
-    raw[x, value/error, delta] holds the raw integrals as _integrals_at
-    gives them per x. The first-moment displays carry sgn(x); the d-term
+    raw is the (values, errors) pair of _integrals, each of shape (x,
+    delta). The first-moment displays carry sgn(x); the d-term
     (times d_weight) is evaluated per x in Python floats, where numpy's
     vectorised power would differ by an ulp.
     """
@@ -348,8 +343,8 @@ def _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight=None):
         [p * (dterm(x, d, beta) * w) for x, p, w in zip(x_grid, prefs, weights)]
         for d in d_grid
     ])
-    lhs = prefs * (sign * raw[:, 0].T) + shift[:, None, :]
-    return lhs, prefs * raw[:, 1].T
+    lhs = prefs * (sign * raw[0].T) + shift[:, None, :]
+    return lhs, prefs * raw[1].T
 
 
 def normalized_lhs(
@@ -365,9 +360,9 @@ def normalized_lhs(
     One point of the tail-scan arithmetic (_lhs) on one raw integral.
     """
     cond = _condition(condition_id, beta)
-    raw = np.array([_integrals_at(spec, cond.kernel_at(beta), x, (delta,))])
+    raw = _integrals(spec, cond.kernel_at(beta), (x,), (delta,))
     lhs, err = _lhs(spec, (x,), (d,), cond, beta, raw)
-    return DriftPoint(x, delta, d, float(raw[0, 0, 0]), float(lhs[0, 0, 0]), float(err[0, 0]))
+    return DriftPoint(x, delta, d, float(raw[0][0, 0]), float(lhs[0, 0, 0]), float(err[0, 0]))
 
 
 def default_x_grid(n_per_side: int = 13, lo: float = 1e2, hi: float = 1e5) -> tuple:
@@ -453,11 +448,10 @@ def tail_scan(
     integrals = {} if integrals is None else integrals
     key = (spec, kernel, x_grid, delta_grid)
     if key not in integrals:
-        # shape (x, value/error, delta)
-        integrals[key] = np.array([_integrals_at(spec, kernel, x, delta_grid) for x in x_grid])
+        integrals[key] = _integrals(spec, kernel, x_grid, delta_grid)
     raw = integrals[key]
     lhs, quad = _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight)
-    raw_l, quad_l = raw[:, 0].T.tolist(), quad.tolist()
+    raw_l, quad_l = raw[0].T.tolist(), quad.tolist()
     points = tuple(
         DriftPoint(x, delta, d, r, v, e)
         for d, lhs_d in zip(d_grid, lhs.tolist())

@@ -344,11 +344,14 @@ class DensityTable:
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "DensityTable":
-        tab = cls._cache.get(alpha)
-        if tab is None:
-            tab = cls(alpha)
-            cls._cache[alpha] = tab
-        return tab
+        if alpha not in cls._cache:
+            try:
+                cls._cache[alpha] = cls(alpha)
+            except TableOverflowError as exc:
+                cls._cache[alpha] = str(exc)  # raised afresh on every lookup
+        if isinstance(cls._cache[alpha], str):
+            raise TableOverflowError(cls._cache[alpha])
+        return cls._cache[alpha]
 
     def _spline_std(self, z):
         # z in [0, 30]: cubic of the segment that holds z

@@ -22,6 +22,8 @@ from stablike import (
 )
 from stablike.classify import ScanSettings
 from stablike.drift import CONDITIONS, TailScanReport, default_x_grid
+from stablike.errors import TableOverflowError
+from stablike.stable import DensityTable
 
 
 def test_symmetric_walk_recurrent_above_one():
@@ -152,15 +154,15 @@ def test_verdict_priority_is_stable(ergodic_spec):
 # number of one gate chain per verdict are pinned (None: the ergodic chain)
 @pytest.mark.parametrize("spec, verdict, digest", [
     (make_chain(1.5), "Recurrent",
-     "954df7bc5385e2b15505d4c454d04429b951f3c8111c3fe8de930a18b79b48a2"),
+     "51fd258dd7394b1532d833a48ad4d8f732d4946a21c60717128799ff2a7d065a"),
     (make_chain(1.2), "Recurrent",
      "6588f627e6a7eda26196e49ed7fd27586b91b98b92657774e31b1785fa5fe062"),
     (make_chain(0.8, delta=0.5), "Transient",
-     "b9be02ab2e9328e85911dc3c961e74fee186b63166ab3cf60ce4e8196a6837fb"),
+     "aa7c69cd77dba4f69e67962f4a26c04b9275d07229cbd890415f0805e43d3d57"),
     (make_chain(1.0), "Inconclusive",
-     "01445d7bc60ce911a129a7c3194eb820bec387442b4477fdcc48f4ad7955b71c"),
+     "292acc540d409be6b05602002e59468bc6815a38e196e5be592c17d8fceaeb7c"),
     (None, "Ergodic",
-     "145a0b233f28c1e73a0cf6a89cc4f0090ed94b1a537e1c12060ba324385f0ce7"),
+     "51a5eb1d04253ddc73b541a0c20e332a9a89687cda52c9854d258ffa94f15b11"),
 ], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
 def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     res = classify(spec or ergodic_spec)
@@ -268,6 +270,24 @@ def test_table_overflow_skips_only_the_displays_that_read_the_table(alpha):
     assert "nan" not in json.dumps(doc).lower()
     ev = classify_null(make_chain(alpha))
     assert any(c.startswith("log_rec: not scanned, density table overflows") for c in ev.caveats)
+
+
+def test_overflowing_table_is_built_once(monkeypatch):
+    # every scan that reads the table gets the cached failure, not a rebuild
+    builds = []
+    build = DensityTable.__init__
+
+    def counted(self, alpha):
+        builds.append(alpha)
+        build(self, alpha)
+
+    monkeypatch.setattr(DensityTable, "__init__", counted)
+    monkeypatch.setattr(DensityTable, "_cache", {})
+    res = classify(make_chain(0.005))
+    assert builds == [0.005]
+    assert sum("density table overflows" in c for c in res.caveats) == 1
+    with pytest.raises(TableOverflowError, match="overflows at alpha=0.005: f"):
+        DensityTable.for_alpha(0.005)
 
 
 _ALPHAS = (0.006, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99, 1.0, 1.3, 1.7, 1.999)

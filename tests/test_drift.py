@@ -10,13 +10,18 @@ from scipy import integrate
 from stablike import (
     DomainError,
     DriftKernel,
+    ProfileFn,
     make_chain,
     normalized_lhs,
     r1,
     tail_scan,
     truncated_integral,
 )
-from stablike.drift import kernel_parts, truncated_integral_with_error
+from stablike import drift
+from stablike.drift import (
+    CONDITIONS, DEFAULT_DELTA_GRID, default_x_grid, kernel_parts,
+    truncated_integral_with_error,
+)
 from stablike.specfun import real_binom
 from stablike.stable import (
     DensityTable, StableParams, _tail_coefficients, sas_density, sas_sample_n,
@@ -273,18 +278,45 @@ def _quad_reference(alpha, gamma, shift, x, deltas, kernel):
 def test_truncated_integral_matches_quad_reference(alpha):
     kernels = (DriftKernel.log_shift(), DriftKernel.power_beta(0.5),
                DriftKernel.bounded_beta(0.4), DriftKernel.first_moment())
-    for gamma in (1.0, 2.0):
+    cases = [(gamma, shift, (-1e5, -1e3, -1e2, 1e2, 1e3, 1e5), (0.5, 0.05))
+             for gamma in (1.0, 2.0) for shift in (0.0, 0.5, -0.5)]
+    # a shift larger than delta*|x|: the whole z-interval lies on one side of 0
+    cases += [(1.0, shift, (-1e2, 1e2), (0.05,)) for shift in (8.0, -8.0)]
+    for gamma, shift, xs, deltas in cases:
         c = tail_constant(StableParams(alpha, gamma))
-        for shift in (0.0, 0.5, -0.5):
-            spec = make_chain(alpha, gamma=gamma, delta=shift)
-            for kernel in kernels:
-                power = alpha - 1.0 if kernel.kind == "first_moment" else alpha
-                for x in (-1e5, -1e3, -1e2, 1e2, 1e3, 1e5):
-                    ref = _quad_reference(alpha, gamma, shift, x, (0.5, 0.05), kernel)
-                    for delta in (0.5, 0.05):
-                        value, err = truncated_integral_with_error(spec, x, delta, kernel)
-                        diff = abs(value - ref[delta])
-                        where = (gamma, shift, kernel.kind, x, delta)
-                        # normalized units: the display prefactor |x|^power / c
-                        assert abs(x) ** power / c * diff <= 1e-9, where
-                        assert diff <= err, where
+        spec = make_chain(alpha, gamma=gamma, delta=shift)
+        for kernel in kernels:
+            power = alpha - 1.0 if kernel.kind == "first_moment" else alpha
+            for x in xs:
+                ref = _quad_reference(alpha, gamma, shift, x, deltas, kernel)
+                for delta in deltas:
+                    value, err = truncated_integral_with_error(spec, x, delta, kernel)
+                    diff = abs(value - ref[delta])
+                    where = (gamma, shift, kernel.kind, x, delta)
+                    # normalized units: the display prefactor |x|^power / c
+                    assert abs(x) ** power / c * diff <= 1e-9, where
+                    assert diff <= err, where
+
+
+@pytest.mark.parametrize("spec", [
+    make_chain(1.5),
+    make_chain(ProfileFn.two_valued(1.5, 1.8), delta=ProfileFn.two_valued(0.5, -0.5)),
+    make_chain(ProfileFn.periodic(2.0, (0.9, 1.6))),
+    make_chain(1.2, delta=-0.5),
+], ids=["constant", "two-valued", "periodic", "shifted"])
+def test_scan_rows_do_not_depend_on_the_grid(spec, monkeypatch):
+    # every raw integral and error of a scan equals its one-point call bit
+    # for bit, with the rows in blocks and with one row per block
+    x_grid, blocks = default_x_grid(), (drift._BLOCK, 1)
+    for cid, beta in (("log_rec", None), ("pow_rec", 0.5), ("bnd_trans", 0.4),
+                      ("mom_trans", None)):
+        kernel = CONDITIONS[cid].kernel_at(beta)
+        one = np.array([[truncated_integral_with_error(spec, x, delta, kernel)
+                         for delta in DEFAULT_DELTA_GRID] for x in x_grid])
+        for block in blocks:
+            monkeypatch.setattr(drift, "_BLOCK", block)
+            integrals = {}
+            tail_scan(spec, condition_id=cid, beta=beta, integrals=integrals)
+            (val, err), = integrals.values()
+            assert np.array_equal(val, one[:, :, 0]), (cid, block)
+            assert np.array_equal(err, one[:, :, 1]), (cid, block)
