@@ -46,7 +46,7 @@ import numpy as np
 
 from .chain import ChainSpec, ProfileFn, alpha_at, c_at
 from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, default_x_grid, tail_scan
-from .errors import DomainError, TableOverflowError
+from .errors import DomainError, QuadratureError, TableOverflowError
 # r1 and r2 are unused here; perfbench's tracer wraps them by name
 from .thresholds import r1, r2
 
@@ -174,8 +174,8 @@ def _fired(report: TailScanReport) -> bool:
 
 def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list, caveats: list) -> list:
     # scans with the same kernel (log_rec/log_erg, pow_rec/pow_erg per beta, the
-    # five first-moment scans) share one raw-integral set; a scan that needs a
-    # density table that overflows is left out, under one caveat for them all
+    # five first-moment scans) share one raw-integral set; a scan whose density
+    # table overflows or does not converge is left out, under one caveat for all
     integrals: dict = {}
     reports, skipped, reasons = [], {}, {}
     for cid, beta, weight in jobs:
@@ -184,7 +184,7 @@ def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list, caveats: lis
                 spec, x_grid=settings.x_grid, delta_grid=settings.delta_grid,
                 d_grid=settings.d_grid, condition_id=cid, beta=beta, d_weight=weight,
                 integrals=integrals))
-        except TableOverflowError as exc:
+        except (TableOverflowError, QuadratureError) as exc:
             skipped[cid] = reasons[str(exc)] = None
     if skipped:
         caveats.append(f"{', '.join(skipped)}: not scanned, {'; '.join(reasons)}")

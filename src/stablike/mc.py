@@ -161,7 +161,7 @@ def _clipped_counts(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     counts, _ = np.histogram(x, bins=edges)
     counts = counts.astype(float)
     counts[0] += np.count_nonzero(x < edges[0])
-    counts[-1] += np.count_nonzero(x >= edges[-1])
+    counts[-1] += np.count_nonzero(x > edges[-1])  # the last bin is closed
     return counts
 
 

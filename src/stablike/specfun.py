@@ -1,17 +1,17 @@
 """Real-argument special functions: Gamma, digamma, binomial, Gauss 2F1.
 
-Self-contained evaluators for the special functions of the stable
-densities and the drift kernels. Everything here is pure and reentrant.
-The hypergeometric evaluator returns a value together with an
-estimated absolute error so downstream margins can be honest.
+Evaluators for the special functions of the stable densities and the
+drift kernels, on the standard library alone except hyp2f1's Euler
+integral, which imports scipy.integrate when it is first called.
+Everything here is pure and reentrant. The hypergeometric evaluator
+returns a value together with an estimated absolute error so
+downstream margins can be honest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, QuadratureError
 
@@ -117,6 +117,8 @@ def _euler_integral(a: float, b: float, c: float, z: float) -> SpecFunResult:
 
         def f(t):
             return (1.0 - t * z) ** (-a)
+
+    from scipy import integrate
 
     out = integrate.quad(f, 0.0, 1.0, weight="alg", wvar=wvar, epsabs=1e-14,
                          epsrel=1e-13, limit=300, full_output=1)

@@ -281,11 +281,15 @@ class DensityTable:
     one call of the density engine each; table_error is the largest
     error estimate of a knot (the difference of its last two tanh-sinh
     levels plus the rounding of log g) plus the spline error measured
-    at the probes. A table whose values, spline or table_error overflow
-    a double (alpha below ~0.0065) raises TableOverflowError. Beyond
-    the table the power-tail series takes over, truncated where it
-    stops improving at z = 30 and summed by Horner's rule. Both pieces
-    are plain arrays, so every lookup is vectorised.
+    at the probes. The spline comes from scipy.interpolate, which the
+    first build imports; no other code here needs scipy. A table whose
+    values, spline or table_error overflow a double (alpha below
+    ~0.0065) raises TableOverflowError, and one whose knots the engine
+    cannot converge raises QuadratureError; for_alpha caches either
+    failure and raises it afresh on every lookup. Beyond the table the
+    power-tail series takes over, truncated where it stops improving at
+    z = 30 and summed by Horner's rule. Both pieces are plain arrays, so
+    every lookup is vectorised.
 
     rule() lays a fixed 3-point Gauss-Legendre rule on every spline
     segment and on geometric tail panels (ratio 1.1, nodes in log z),
@@ -347,10 +351,11 @@ class DensityTable:
         if alpha not in cls._cache:
             try:
                 cls._cache[alpha] = cls(alpha)
-            except TableOverflowError as exc:
-                cls._cache[alpha] = str(exc)  # raised afresh on every lookup
-        if isinstance(cls._cache[alpha], str):
-            raise TableOverflowError(cls._cache[alpha])
+            except (TableOverflowError, QuadratureError) as exc:
+                cls._cache[alpha] = (type(exc), str(exc))  # raised afresh on every lookup
+        if isinstance(cls._cache[alpha], tuple):
+            kind, message = cls._cache[alpha]
+            raise kind(message)
         return cls._cache[alpha]
 
     def _spline_std(self, z):

@@ -22,7 +22,7 @@ from stablike import (
 )
 from stablike.classify import ScanSettings
 from stablike.drift import CONDITIONS, TailScanReport, default_x_grid
-from stablike.errors import TableOverflowError
+from stablike.errors import QuadratureError, TableOverflowError
 from stablike.stable import DensityTable
 
 
@@ -288,6 +288,48 @@ def test_overflowing_table_is_built_once(monkeypatch):
     assert sum("density table overflows" in c for c in res.caveats) == 1
     with pytest.raises(TableOverflowError, match="overflows at alpha=0.005: f"):
         DensityTable.for_alpha(0.005)
+
+
+_NO_CONVERGENCE = ("density quadrature at alpha=1.9999, z=7.68: "
+                   "no convergence in 9 tanh-sinh levels")
+
+
+def test_unconverged_table_skips_only_the_displays_that_read_the_table():
+    # the density engine does not converge at one knot of the alpha = 1.9999
+    # table; the first-moment scans of a symmetric chain read no table
+    res = classify(make_chain(1.9999))
+    assert res.verdict == "Recurrent"
+    assert res.conditions_used == ("mom_rec",)
+    assert (f"log_rec, log_erg, pow_rec, pow_erg, bnd_trans: not scanned, "
+            f"{_NO_CONVERGENCE}") in res.caveats
+
+
+def test_unconverged_table_leaves_a_shifted_chain_inconclusive():
+    # a shifted chain's first-moment scans read the table too, so nothing is scanned
+    res = classify(make_chain(1.9999, delta=0.5))
+    assert res.verdict == "Inconclusive"
+    assert res.conditions_used == ()
+    assert res.reports == ()
+    assert [c for c in res.caveats if "not scanned" in c] == [
+        f"log_rec, log_erg, pow_rec, pow_erg, bnd_trans, mom_rec, mom_trans, mom_erg, "
+        f"mom_erg_b: not scanned, {_NO_CONVERGENCE}"]
+
+
+def test_unconverged_table_is_built_once(monkeypatch):
+    builds = []
+    build = DensityTable.__init__
+
+    def counted(self, alpha):
+        builds.append(alpha)
+        build(self, alpha)
+
+    monkeypatch.setattr(DensityTable, "__init__", counted)
+    monkeypatch.setattr(DensityTable, "_cache", {})
+    classify(make_chain(1.9999, delta=0.5))
+    assert builds == [1.9999]
+    with pytest.raises(QuadratureError, match=_NO_CONVERGENCE):
+        DensityTable.for_alpha(1.9999)
+    assert builds == [1.9999]
 
 
 _ALPHAS = (0.006, 0.01, 0.05, 0.2, 0.5, 0.9, 0.99, 1.0, 1.3, 1.7, 1.999)

@@ -14,19 +14,24 @@ import yaml
 import stablike
 from stablike import ConfigError, DomainError, ProfileFn, cli, make_chain, mc
 from stablike.cli import load_config, main, run, save_config
+from stablike.stable import DensityTable
 
 # the child process imports the same package as this one, cwd independent
 SRC_DIR = os.path.dirname(os.path.dirname(stablike.__file__))
 
 
-def _invoke(*args):
+def _python(*args):
     path = os.pathsep.join(p for p in (SRC_DIR, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "stablike.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _invoke(*args):
+    return _python("-m", "stablike.cli", *args)
 
 
 def test_load_valid_config(smoke_config_text):
@@ -217,6 +222,49 @@ def test_mc_diagnose_subcommand_csv(smoke_config_text):
     tv = (out / "tv_convergence.csv").read_text().splitlines()
     assert tv[1] == "time_point,tv"
     assert len(tv) == 2 + 2
+
+
+# runs in a fresh interpreter: the subcommands that read no density table
+# must not load scipy, and the two scipy users must still work after them
+_COLD_START = """
+import json, sys
+import stablike, stablike.cli
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [stablike.cli.main([sub, "--config", cfg])
+         for sub in ("thresholds", "simulate", "mc-diagnose")]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+from stablike.specfun import hyp2f1
+from stablike.stable import DensityTable
+euler = hyp2f1(0.3, 0.7, 1.9, 0.8)
+table = DensityTable.for_alpha(1.5)
+with open(out, "w") as fh:
+    json.dump({"codes": codes, "loaded": loaded, "euler": [euler.value, euler.est_abs_error],
+               "pdf": table.pdf_std([0.0, 0.7, 12.5, 30.0, 400.0]).tolist(),
+               "table_error": table.table_error}, fh)
+"""
+
+
+def test_cold_start_loads_no_scipy(smoke_config_text, tmp_path):
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    doc["thresholds"]["kinds"] = ["r1", "r2", "t"]
+    doc["mc"].update(n_paths=64, n_steps=1000)
+    cfg = tmp_path / "cold.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    result = tmp_path / "cold.json"
+    proc = _python("-c", _COLD_START, str(cfg), str(result))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(result.read_text())
+    assert got["codes"] == [0, 0, 0]
+    assert got["loaded"] == []
+    assert {p.name for p in out.iterdir()} == {
+        "thresholds.csv", "trajectory.csv", "mc_stats.csv", "tv_convergence.csv"}
+    # the Euler route of hyp2f1 and a table build load scipy on first use
+    euler = stablike.hyp2f1(0.3, 0.7, 1.9, 0.8)
+    assert got["euler"] == [euler.value, euler.est_abs_error]
+    table = DensityTable.for_alpha(1.5)
+    assert got["pdf"] == table.pdf_std([0.0, 0.7, 12.5, 30.0, 400.0]).tolist()
+    assert got["table_error"] == table.table_error
 
 
 def test_outputs_have_no_numpy_reprs(smoke_config_text):

@@ -156,6 +156,16 @@ def test_bin_count_is_bounded(sas15, bin_width):
     assert len(mc._hist_edges(1e-3)) <= 10 ** 6 + 2
 
 
+def test_clipped_counts_count_each_state_once():
+    # np.histogram already puts x == edges[-1] in its closed last bin
+    edges = mc._hist_edges(5.0)
+    x = np.array([edges[-1], 1e300, edges[0], -1e300, 0.0])
+    counts = mc._clipped_counts(x, edges)
+    assert counts.sum() == len(x)
+    assert counts[-1] == 2.0 and counts[0] == 2.0
+    assert mc._clipped_counts(np.array([500.0, 0.0]), edges).sum() == 2.0
+
+
 def test_tv_noise_floor_when_starts_coincide(sas15):
     tv = tv_convergence(sas15, x0_a=3.0, x0_b=3.0, time_points=(20,),
                         n_paths=20_000, bin_width=0.5, seed=4)
