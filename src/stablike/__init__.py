@@ -6,8 +6,9 @@ delta(x) depend on the current position through finitely-many-valued
 profiles. This package evaluates the drift-criterion integrals that
 decide long-run behaviour, compares them against closed-form threshold
 constants, and corroborates the verdicts with Monte Carlo diagnostics.
-Importing it loads numpy and no scipy module; scipy is loaded on first
-use, by a density-table build and by hyp2f1's Euler-integral route.
+Only hyp2f1's Euler-integral route imports scipy (scipy.integrate, on
+first use); classify, the drift scans and the Monte Carlo code run on
+numpy alone.
 """
 
 __version__ = "0.1.0"

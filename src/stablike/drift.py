@@ -20,10 +20,10 @@ odd density difference vanishes identically and the FirstMoment
 integral is exactly zero by construction rather than by cancellation.
 
 One engine integrates a whole x grid in one call (_integrals): the x
-that share (alpha, gamma, shift) read one cumulative rule from 0 at
-their bounds, a few rows (_BLOCK node entries) at a time. A shifted
-density adds a pass over z < 0 folded onto u = -z, so a shift larger
-than delta*|x| needs no branch of its own.
+that share (alpha, gamma, shift) read one cumulative Gauss-Kronrod rule
+from 0 at their bounds (DensityTable), a few rows (_BLOCK node entries)
+at a time. A shifted density adds a pass over z < 0 folded onto u = -z,
+so a shift larger than delta*|x| needs no branch of its own.
 
 CONDITIONS declares each display once. Its kernel fixes the prefactor
 (|x|^(a-1)/c times sgn(x) for the first moment, |x|^a/c otherwise) and
@@ -61,7 +61,7 @@ from .specfun import real_binom
 from .stable import DensityTable
 from .thresholds import r1, r2, t as t_threshold
 
-_BLOCK = 1 << 14  # float64 entries of one x block's node temporary (128 KB); ~4 per rule cell
+_BLOCK = 1 << 14  # float64 entries of one x block's node temporary (128 KB); ~16 per rule cell
 _T_MAX = 1.0 - 2.0 ** -53  # largest double below 1
 
 @dataclass(frozen=True)
@@ -226,12 +226,12 @@ def truncated_integral_with_error(
 ) -> tuple[float, float]:
     """Integral of kernel(y) times the jump density from x over |y| <= delta*|x|.
 
-    One point of the engine that tail scans run over whole grids: a
-    fixed 3-point Gauss-Legendre rule on every spline segment of the
-    per-alpha density table and on geometric panels of its power tail
-    (DensityTable.rule). The error estimate is the Gauss minus Simpson
-    difference summed over the cells, plus table_error * min(L, 100
-    gamma) for the density table's own error.
+    One point of the engine that tail scans run over whole grids: the
+    per-alpha Gauss-Kronrod rule of DensityTable, whose nodes carry the
+    density engine's own values. The error estimate sums, over the
+    rule's cells, the Kronrod minus Gauss difference of kernel times
+    density, the engine's error weighted by |kernel|, and a few ulp of
+    sum |w kernel f| for summation rounding.
     """
     value, err = _integrals(spec, kernel, (x,), (delta,))
     return float(value[0, 0]), float(err[0, 0])
@@ -242,25 +242,25 @@ def _cumulative(table: DensityTable, kern, v):
 
     v holds the bounds of a block of x rows, one row per x, and kern maps
     u of shape (rows, n) to the rows' kernel values. One cumsum per row
-    sums the whole rule cells below each bound; only the cell that a
-    bound cuts gets nodes of its own. A row reads no cell past its own
-    bounds, so its values depend neither on its block nor on its number
-    of bounds.
+    sums the whole rule cells below each bound; the cell that a bound
+    cuts comes from the table's memo of cut cells. A row reads no cell
+    past its own bounds, so its values depend neither on its block nor
+    on its number of bounds. The error of a cell is its Kronrod minus
+    Gauss difference plus the density's error and summation rounding,
+    weighted by |kern|.
     """
-    edges, nodes, weights, diff, left, right = table.rule(v.max())
+    edges, nodes, weights, diff, bound = table.rule(v.max())
     ip = np.searchsorted(edges, v, side="right") - 1
-    n, (rows, k) = ip.max(), v.shape
-    lo = edges[ip]
-    c_nodes, c_weights, c_diff, c_left, c_right = table.cells(lo.ravel(), v.ravel())
-    g_full = kern(np.broadcast_to(nodes[:n].ravel(), (rows, 3 * n))).reshape(rows, n, 3)
-    g_edge = kern(np.broadcast_to(edges[:n + 1], (rows, n + 1)))
-    g_cut = kern(c_nodes.reshape(rows, 3 * k)).reshape(-1, 3)
-    val = (weights[:n] * g_full).sum(axis=2)
-    err = np.abs((diff[:n] * g_full).sum(axis=2)
-                 - left[:n] * g_edge[:, :-1] - right[:n] * g_edge[:, 1:])
-    pv = (c_weights * g_cut).sum(axis=1)
-    pe = np.abs((c_diff * g_cut).sum(axis=1)
-                - c_left * kern(lo).ravel() - c_right * kern(v).ravel())
+    n, (rows, k), m = ip.max(), v.shape, nodes.shape[1]
+    c_nodes, c_weights, c_diff, c_bound = table.cut(v.ravel())
+    g_full = kern(np.broadcast_to(nodes[:n].ravel(), (rows, m * n))).reshape(rows, n, m)
+    g_cut = kern(c_nodes.reshape(rows, m * k)).reshape(-1, m)
+
+    def sums(w, d, b, g):
+        return (w * g).sum(axis=-1), np.abs((d * g).sum(axis=-1)) + (b * np.abs(g)).sum(axis=-1)
+
+    val, err = sums(weights[:n], diff[:n], bound[:n], g_full)
+    pv, pe = sums(c_weights, c_diff, c_bound, g_cut)
     cum_v, cum_e = (np.cumsum(np.pad(a, ((0, 0), (1, 0))), axis=1) for a in (val, err))
     return (np.take_along_axis(cum_v, ip, axis=1) + pv.reshape(rows, k),
             np.take_along_axis(cum_e, ip, axis=1) + pe.reshape(rows, k))
@@ -293,7 +293,7 @@ def _integrals(spec: ChainSpec, kernel: DriftKernel, xs, deltas):
             continue
         table = DensityTable.for_alpha(alpha)
         edges = table.rule((L[idx].max() + abs(m)) / g)[0]
-        step = max(1, _BLOCK // (4 * len(edges)))
+        step = max(1, _BLOCK // (16 * len(edges)))
         for b in range(0, len(idx), step):
             rows = idx[b:b + step]
             x, Lr = xs[rows, None], L[rows]
@@ -312,7 +312,7 @@ def _integrals(spec: ChainSpec, kernel: DriftKernel, xs, deltas):
                 ends = np.maximum(np.concatenate([Lr - side * m, -Lr - side * m], axis=1) / g, 0.0)
                 cv, ce = _cumulative(table, lambda u: whole(side * g * u + m), ends)
                 v, e = v + cv[:, :k] - cv[:, k:], e + ce[:, :k] + ce[:, k:]
-            val[rows], err[rows] = v, e + table.table_error * np.minimum(Lr, 100.0 * g)
+            val[rows], err[rows] = v, e
     return val, err
 
 

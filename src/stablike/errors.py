@@ -10,7 +10,7 @@ class DomainError(StablikeError, ValueError):
 
 
 class TableOverflowError(DomainError):
-    """A density table's values, spline or error bound overflow a double."""
+    """A density table's values overflow a double: f(0) = Gamma(1 + 1/alpha)/pi."""
 
 
 class ConvergenceError(StablikeError, RuntimeError):

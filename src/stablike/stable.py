@@ -21,11 +21,14 @@ serves every z of an array at once:
   |z| > 30      power-tail series sum_k (-1)^(k+1) Gamma(k a + 1)/k!
                 * sin(k pi a / 2) z^(-k a - 1) / pi, convergent for a < 1
                 and asymptotic (min-term truncation) for a > 1; at z = 30
-                it agrees with the integral to ~1e-12 relative. One
-                coefficient set per alpha, cut at z = 30, serves both
-                sas_density and DensityTable
+                it agrees with the integral to ~1e-12 relative; one
+                coefficient set per alpha, cut at z = 30
 
 alpha = 1 (Cauchy) and alpha = 2 (Normal) are closed forms.
+
+DensityTable feeds the engine's values, at the nodes of a fixed
+15-point Gauss-Kronrod rule, straight into the drift integrals; no
+interpolant stands between the engine and an integral.
 
 Sampling is exact through the Chambers-Mallows-Stuck transform of a
 uniform angle and a standard exponential.
@@ -50,10 +53,25 @@ _TS_LEVELS = 9  # step halvings before a value must converge
 _TS_RTOL = 1e-13
 _BLOCK = 1 << 13  # float64 entries of one node temporary (64 KB): a block needs < 1 MB
 _NEAR_ONE = 1e-5  # |alpha - 1| served by the expansion about the Cauchy law
-_TAIL_RATIO = 1.1  # geometric tail panels of DensityTable.rule
-# 3-point Gauss-Legendre nodes (0, +-sqrt(3/5)) and weights on [-1, 1]
-_GL_NODES = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
-_GL_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+_BODY_LO = _TAIL_Z * 2.0 ** -38  # first geometric edge of DensityTable's body (~1.1e-10)
+_ROUNDING = 8.0 * _EPS  # summation rounding of a rule value, relative to sum |w kern f|
+# QUADPACK's 15-point Kronrod rule on [-1, 1] (qk15): the nodes +-_XK and 0,
+# their weights _WK, and the weights _WG of the 7-point Gauss rule that
+# shares the nodes +-_XK[1], +-_XK[3], +-_XK[5] and 0
+_XK = [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245]
+_WK = [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714]
+_WG = [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327]
+_KR_NODES = np.array([-x for x in _XK] + [0.0] + _XK[::-1])
+_KR_WEIGHTS = np.array(_WK + _WK[-2::-1])
+_KR_MINUS_G7 = _KR_WEIGHTS - np.array([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3],
+                                        0.0, _WG[2], 0.0, _WG[1], 0.0, _WG[0], 0.0])
 
 
 @dataclass(frozen=True)
@@ -121,12 +139,6 @@ def _tail_coefficients(alpha: float):
         w *= za
         k += 1
     return tuple(coefs[::-1]), last
-
-
-def _tail_std(alpha: float, z):
-    """Standard density at z > 30 (scalar or array) by Horner's rule in w = z^(-alpha)."""
-    w = z ** -alpha
-    return np.polyval(_tail_coefficients(alpha)[0], w) * w / z
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,8 +222,10 @@ def _std_density(alpha: float, z):
     tail = flat > _TAIL_Z
     if tail.any():
         coefs, last = _tail_coefficients(alpha)
-        val[tail] = _tail_std(alpha, flat[tail])
-        err[tail] = last * flat[tail] ** (-len(coefs) * alpha - 1.0)
+        zt = flat[tail]
+        w = zt ** -alpha  # Horner's rule in w
+        val[tail] = np.polyval(coefs, w) * w / zt
+        err[tail] = last * zt ** (-len(coefs) * alpha - 1.0)
     # below z_0 the z^2 term of the Taylor series at 0 is under eps/2 of f(0)
     z_0 = math.exp(0.5 * (math.log(_EPS) + math.lgamma(1.0 / alpha) - math.lgamma(3.0 / alpha)))
     body = (flat >= z_0) & (flat > 0.0) & ~tail
@@ -273,78 +287,45 @@ def sas_sample_n(params: StableParams, rng: np.random.Generator, n: int) -> np.n
 
 
 class DensityTable:
-    """Cubic-spline table of the standard-scale density on z in [0, 30].
+    """Fixed Gauss-Kronrod rule for integrals against the standard-scale density.
 
     Built once per alpha (the scale and shift reduce to the standard
-    grid by affine change of variables) and shared by every drift
-    integral at that alpha. The knots and 60 off-knot probes come from
-    one call of the density engine each; table_error is the largest
-    error estimate of a knot (the difference of its last two tanh-sinh
-    levels plus the rounding of log g) plus the spline error measured
-    at the probes. The spline comes from scipy.interpolate, which the
-    first build imports; no other code here needs scipy. A table whose
-    values, spline or table_error overflow a double (alpha below
-    ~0.0065) raises TableOverflowError, and one whose knots the engine
-    cannot converge raises QuadratureError; for_alpha caches either
-    failure and raises it afresh on every lookup. Beyond the table the
-    power-tail series takes over, truncated where it stops improving at
-    z = 30 and summed by Horner's rule. Both pieces are plain arrays, so
-    every lookup is vectorised.
+    variable z by an affine change) and shared by every drift integral
+    at that alpha. The rule lays QUADPACK's 15-point Kronrod nodes on
+    the panel [0, 30 * 2^-38] and on geometric panels of ratio 2 from
+    there up to z = 30, and beyond z = 30 on panels of ratio 2 laid in
+    log z. One call of the density engine fills every body node; beyond
+    z = 30 the engine's power-tail series serves. The density is folded
+    into the weights once per table. Each cell also carries the embedded
+    7-point Gauss rule, so the K15 minus G7 difference estimates the
+    rule's error, and the engine's own error estimate at every node,
+    plus a few ulp of the value for summation rounding, bounds what the
+    density's error adds. table_error is the largest engine error over
+    the body nodes.
 
-    rule() lays a fixed 3-point Gauss-Legendre rule on every spline
-    segment and on geometric tail panels (ratio 1.1, nodes in log z),
-    with the density folded into the weights once per table. Each cell
-    also carries Simpson's rule, which shares the Gauss midpoint, so
-    the difference of the two rules estimates the quadrature error. The
-    Gauss rule integrates the spline times a quadratic exactly and the
-    power tail of a panel to ~1e-14 relative; the Simpson difference
-    overstates its error by orders of magnitude.
+    A cell cut by an integration bound v, [edge below v, v], gets its
+    own 15 engine values, kept in a memo keyed by v: an integral then
+    depends only on its own bounds, and every kernel and pass that
+    reads v reuses them. Below alpha ~ 0.115 the engine does not
+    converge for z between its Taylor cut-off and ~1e-10, where the
+    bottom panel has nodes, and from alpha ~ 1.9997 up it fails near
+    z = 8 to 10; the build, or a cut cell there, raises its
+    QuadratureError. Where f(0) = Gamma(1 + 1/alpha)/pi overflows a
+    double (alpha below ~0.00586) the build raises TableOverflowError.
+    for_alpha caches a failed build and raises it afresh on every lookup.
     """
 
     _cache: dict = {}
 
     def __init__(self, alpha: float):
-        from scipy.interpolate import CubicSpline
-
         self.alpha = alpha
-        # zone layout (start, step, knot count); small alpha gets a much
-        # finer head because the peak sharpens into a near-cusp as the
-        # index drops (f(0) ~ Gamma(1 + 1/alpha)/pi grows without bound)
-        if alpha < 0.6:
-            zones = ((0.0, 2e-4, 500), (0.1, 0.005, 580),
-                     (3.0, 0.02, 350), (10.0, 0.1, 200))
-        else:
-            zones = ((0.0, 0.005, 600), (3.0, 0.02, 350), (10.0, 0.1, 200))
-        zs = np.concatenate(
-            [start + step * np.arange(count) for start, step, count in zones]
-        )
-        zs = np.append(zs, _TAIL_Z)
-        vals, errs = _std_density(alpha, zs)
-        # even extension so the spline is smooth through z = 0, then keep
-        # only the z >= 0 coefficient block
-        full_z = np.concatenate([-zs[:0:-1], zs])
-        full_v = np.concatenate([vals[:0:-1], vals])
-        self._knots = zs
-        # measure the interpolation error off-knot instead of assuming it:
-        # the peak turns cusp-like as alpha drops and the head segments
-        # carry visibly more error than the smooth body
-        probes = np.concatenate(
-            [(zs[:20] + zs[1:21]) / 2.0, np.geomspace(0.01, zs[-2], 40)]
-        )
-        # below alpha ~ 0.0065 the peak f(0) = Gamma(1 + 1/alpha)/pi, its knot
-        # slopes, the spline through them or its off-knot error overflow
-        overflow = TableOverflowError(
-            f"density table overflows at alpha={alpha}: f(0) = {vals[0]:.3g}")
-        with np.errstate(invalid="ignore", over="ignore"):
-            if not np.isfinite(np.diff(vals) / np.diff(zs)).all():
-                raise overflow
-            spline = CubicSpline(full_z, full_v)
-            self._coef = np.ascontiguousarray(spline.c[:, len(zs) - 1:])
-            interp_err = np.max(np.abs(self._spline_std(probes) - _std_density(alpha, probes)[0]))
-        self.table_error = float(errs.max() + interp_err + 1e-13)
-        if not (np.isfinite(self._coef).all() and math.isfinite(self.table_error)):
-            raise overflow
-        self._rule = None
+        peak = gamma_fn(1.0 + 1.0 / alpha) / math.pi
+        if not math.isfinite(peak):
+            raise TableOverflowError(f"density table overflows at alpha={alpha}: f(0) = {peak:.3g}")
+        self._edges = np.concatenate([[0.0], _BODY_LO * 2.0 ** np.arange(39)])
+        *self._rule, err = self._cells(self._edges[:-1], self._edges[1:])
+        self.table_error = float(err.max())
+        self._cuts = {}
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "DensityTable":
@@ -358,68 +339,52 @@ class DensityTable:
             raise kind(message)
         return cls._cache[alpha]
 
-    def _spline_std(self, z):
-        # z in [0, 30]: cubic of the segment that holds z
-        c = self._coef
-        i = np.minimum(np.searchsorted(self._knots, z, side="right") - 1, c.shape[1] - 1)
-        dz = z - self._knots[i]
-        return ((c[0, i] * dz + c[1, i]) * dz + c[2, i]) * dz + c[3, i]
+    def _cells(self, lo, hi):
+        """Kronrod nodes on each [lo_i, hi_i] and the weights to apply to g(nodes).
 
-    def pdf_std(self, z):
-        """Standard-scale density, vectorized; series beyond the table."""
-        z = np.abs(np.asarray(z, dtype=float))
-        scalar_in = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.empty_like(z)
-        inside = z <= _TAIL_Z
-        out[inside] = self._spline_std(z[inside])
-        if not inside.all():
-            out[~inside] = _tail_std(self.alpha, z[~inside])
-        return out[0] if scalar_in else out
-
-    def cells(self, lo, hi):
-        """Weights of the Gauss and Simpson rules for g(z) * density on [lo, hi].
-
-        Each [lo_i, hi_i] must lie inside one spline segment or one tail
-        panel; tail panels are integrated in log z. Returns (nodes,
-        weights, diff, left, right): the Gauss rule is sum(weights *
-        g(nodes)) per row, and the Gauss minus Simpson difference is
-        sum(diff * g(nodes)) - left * g(lo) - right * g(hi).
+        Cells from z = 30 on are laid in log z. Returns (nodes, weights,
+        diff, bound, err), each of shape (cells, 15): per cell the rule
+        is sum(weights * g), its distance from the Gauss rule is
+        |sum(diff * g)|, the density's error and the summation rounding
+        add at most sum(bound * |g|), and err is the engine's error at
+        each node.
         """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
         tail = lo >= _TAIL_Z
         a = np.where(tail, np.log(np.maximum(lo, _TAIL_Z)), lo)
         b = np.where(tail, np.log(np.maximum(hi, _TAIL_Z)), hi)
-        half = 0.5 * (b - a)
-        s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        half = 0.5 * (b - a)[:, None]
+        s = 0.5 * (a + b)[:, None] + half * _KR_NODES
         nodes = np.where(tail[:, None], np.exp(s), s)
-        # density times the Jacobian dz/ds of the log-z substitution
-        pts = np.concatenate([nodes.ravel(), lo, hi])
-        jac = np.concatenate([np.where(tail[:, None], nodes, 1.0).ravel(),
-                              np.where(tail, lo, 1.0), np.where(tail, hi, 1.0)])
-        dens = self.pdf_std(pts) * jac
-        k = nodes.size
-        weights = half[:, None] * _GL_WEIGHTS * dens[:k].reshape(nodes.shape)
-        sixth = (b - a) / 6.0
-        diff = weights.copy()
-        diff[:, 1] -= 4.0 * sixth * dens[1:k:3]
-        left = sixth * dens[k:k + len(lo)]
-        right = sixth * dens[k + len(lo):]
-        return nodes, weights, diff, left, right
+        dens, err = _std_density(self.alpha, nodes)
+        jac = half * np.where(tail[:, None], nodes, 1.0)  # dz/ds of the log-z substitution
+        return (nodes, jac * _KR_WEIGHTS * dens, jac * _KR_MINUS_G7 * dens,
+                jac * _KR_WEIGHTS * (err + _ROUNDING * dens), err)
 
     def rule(self, z_max: float):
-        """Cached cells() over all of [0, z_max] and beyond, with their edges.
+        """(edges, nodes, weights, diff, bound) of whole cells over [0, z_max] and beyond.
 
-        The edges are the spline knots, then 30 * 1.1^k; a request past
-        the cached reach rebuilds with more panels, which leaves every
-        existing cell unchanged.
+        A request past the cached reach appends tail panels, which
+        leaves every existing cell unchanged.
         """
-        if self._rule is None or self._rule[0][-1] <= z_max:
-            reach = math.log(max(z_max, _TAIL_Z) / _TAIL_Z) / math.log(_TAIL_RATIO)
-            n = max(160, math.ceil(reach) + 1)
-            edges = np.concatenate(
-                [self._knots, _TAIL_Z * _TAIL_RATIO ** np.arange(1, n + 1)]
-            )
-            self._rule = (edges,) + self.cells(edges[:-1], edges[1:])
-        return self._rule
+        top = self._edges[-1]
+        if top <= z_max:
+            new = top * 2.0 ** np.arange(1, math.floor(math.log2(z_max / top)) + 2)
+            cells = self._cells(np.concatenate([[top], new[:-1]]), new)[:4]
+            self._edges = np.concatenate([self._edges, new])
+            self._rule = [np.concatenate(pair) for pair in zip(self._rule, cells)]
+        return (self._edges, *self._rule)
+
+    def cut(self, v):
+        """(nodes, weights, diff, bound) of the cells [edge below v_i, v_i].
+
+        v is 1-d and must lie within the rule's reach. The bounds not yet
+        in the memo are filled by one engine call.
+        """
+        new = [u for u in dict.fromkeys(v.tolist()) if u not in self._cuts]
+        if new:
+            hi = np.array(new)
+            lo = self._edges[np.searchsorted(self._edges, hi, side="right") - 1]
+            cells = self._cells(lo, hi)[:4]
+            for i, u in enumerate(new):
+                self._cuts[u] = [c[i] for c in cells]
+        return [np.array(c) for c in zip(*(self._cuts[u] for u in v.tolist()))]

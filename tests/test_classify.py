@@ -99,6 +99,17 @@ def test_inward_drift_chain_ergodic(ergodic_spec):
     assert {"log_rec", "pow_rec"} & set(res.conditions_used)
 
 
+@pytest.mark.parametrize("alpha", [0.8, 0.85, 0.9, 0.95, 0.99])
+def test_bounded_drift_below_one_is_never_recurrent(alpha):
+    # a bounded drift adds O(|x|^(beta-1)) to the generator of |x|^beta and
+    # the alpha < 1 jumps Theta(|x|^(beta-alpha)), so these chains are
+    # transient; the drift's share of a display decays only like
+    # |x|^(alpha-1), which the scan's trend test must see, not certify
+    for d in (0.2, 0.5, 1.0, 2.0):
+        res = classify(make_chain(alpha, delta=ProfileFn.two_valued(d, -d)))
+        assert res.verdict not in ("Recurrent", "NullCandidate", "Ergodic"), (d, res.verdict)
+
+
 def test_random_walk_never_positive():
     ev = classify_null(make_chain(1.5))
     assert any("no finite invariant measure" in c for c in ev.caveats)
@@ -154,15 +165,15 @@ def test_verdict_priority_is_stable(ergodic_spec):
 # number of one gate chain per verdict are pinned (None: the ergodic chain)
 @pytest.mark.parametrize("spec, verdict, digest", [
     (make_chain(1.5), "Recurrent",
-     "51fd258dd7394b1532d833a48ad4d8f732d4946a21c60717128799ff2a7d065a"),
+     "abea6b84a9b78a6de7a26ffa4a0251afb65777460dcb15c763154d5c20e88a00"),
     (make_chain(1.2), "Recurrent",
-     "6588f627e6a7eda26196e49ed7fd27586b91b98b92657774e31b1785fa5fe062"),
+     "960efe5efa04e3ac403d96229123332d531e7577d91f72a23fbc4379c93fb0a2"),
     (make_chain(0.8, delta=0.5), "Transient",
-     "aa7c69cd77dba4f69e67962f4a26c04b9275d07229cbd890415f0805e43d3d57"),
+     "da04860ec4f404ec6c970d085e0980364c546a30fb66734252ecc90e46f5c792"),
     (make_chain(1.0), "Inconclusive",
-     "292acc540d409be6b05602002e59468bc6815a38e196e5be592c17d8fceaeb7c"),
+     "e8bcb7675d2b9ba454887fa8d2b6c76f2a01291f93a5df65a46e5102505c8897"),
     (None, "Ergodic",
-     "51a5eb1d04253ddc73b541a0c20e332a9a89687cda52c9854d258ffa94f15b11"),
+     "f04e0f49c34d9bebcfd4176d50c0437a49342d728ba7f97aad13b5910c2b40b6"),
 ], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
 def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     res = classify(spec or ergodic_spec)
@@ -227,15 +238,20 @@ def test_rung_null_candidate(monkeypatch):
     assert res.caveats[-1] == "recurrent with evidence against a finite invariant measure"
 
 
+_ENGINE_FAILS_AT_0_01 = "density quadrature failed at alpha=0.01, z=4.662776816542126e-13"
+
+
 @pytest.mark.parametrize("spec", [make_chain(0.01), ChainSpec(
     ProfileFn.two_valued(0.01, 1.5), SasJump(ProfileFn.constant(1.0), ProfileFn.constant(0.0)))],
     ids=["0.01", "two_valued(0.01, 1.5)"])
 def test_default_ladder_skips_betas_outside_the_threshold_domain(spec):
-    # the ladder's 0.01 is not below alpha = 0.01, so no beta display is admissible
+    # the ladder's 0.01 is not below alpha = 0.01, so no beta display is
+    # admissible; the alpha = 0.01 table is skipped under a caveat of its own
     res = classify(spec)
     skipped = [c for c in res.caveats if "not scanned" in c]
-    assert len(skipped) == 1
+    assert len(skipped) == 2
     assert all(cid in skipped[0] for cid in ("pow_rec", "pow_erg", "mom_erg_b"))
+    assert skipped[1] == f"log_rec, log_erg, bnd_trans: not scanned, {_ENGINE_FAILS_AT_0_01}"
     assert not {"pow_rec", "pow_erg", "mom_erg_b"} & {r["condition"] for r in
                                                         res.to_json_dict()["reports"]}
     if spec.alpha_profile.kind == "constant":
@@ -256,20 +272,21 @@ def test_given_betas_outside_the_threshold_domain_are_skipped():
 
 @pytest.mark.parametrize("alpha", [0.005, 0.006])
 def test_table_overflow_skips_only_the_displays_that_read_the_table(alpha):
-    # below alpha ~ 0.0065 no density table can be built; the first-moment
-    # scans of a symmetric chain read none and still decide
+    # below alpha ~ 0.00586 f(0) overflows, and up to alpha ~ 0.11 the
+    # engine does not converge at the rule's nodes; the first-moment scans
+    # of a symmetric chain read no table and still decide
     res = classify(make_chain(alpha))
     assert res.verdict == "Transient"
     assert res.conditions_used == ("mom_trans", "idx_decay")
-    peak = "inf" if alpha < 0.006 else "8.69e+298"
-    skipped = [c for c in res.caveats if "density table overflows" in c]
-    assert skipped == [f"log_rec, log_erg, bnd_trans: not scanned, density table "
-                       f"overflows at alpha={alpha}: f(0) = {peak}"]
+    reason = (f"density table overflows at alpha={alpha}: f(0) = inf" if alpha < 0.006 else
+              f"density quadrature failed at alpha={alpha}, z=4.662776816542126e-13")
+    skipped = [c for c in res.caveats if c.endswith(reason)]
+    assert skipped == [f"log_rec, log_erg, bnd_trans: not scanned, {reason}"]
     doc = res.to_json_dict()
     assert {r["condition"] for r in doc["reports"]} == {"mom_rec", "mom_trans", "mom_erg"}
     assert "nan" not in json.dumps(doc).lower()
     ev = classify_null(make_chain(alpha))
-    assert any(c.startswith("log_rec: not scanned, density table overflows") for c in ev.caveats)
+    assert f"log_rec: not scanned, {reason}" in ev.caveats
 
 
 def test_overflowing_table_is_built_once(monkeypatch):
@@ -290,7 +307,7 @@ def test_overflowing_table_is_built_once(monkeypatch):
         DensityTable.for_alpha(0.005)
 
 
-_NO_CONVERGENCE = ("density quadrature at alpha=1.9999, z=7.68: "
+_NO_CONVERGENCE = ("density quadrature at alpha=1.9999, z=8.469258054002271: "
                    "no convergence in 9 tanh-sinh levels")
 
 

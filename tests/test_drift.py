@@ -1,6 +1,6 @@
 """Truncated drift integrals, normalization and tail scans."""
 
-import bisect
+import functools
 import math
 
 import numpy as np
@@ -24,8 +24,7 @@ from stablike.drift import (
 )
 from stablike.specfun import real_binom
 from stablike.stable import (
-    DensityTable, StableParams, _tail_coefficients, sas_density, sas_sample_n,
-    tail_constant,
+    StableParams, _std_density, sas_sample_n, tail_constant,
 )
 
 
@@ -189,30 +188,16 @@ def test_tail_scan_reports_inf_side_levels(sas15):
         assert rep.quad_error == max(p.quadrature_error for p in level(0.05))
 
 
-# Reference for the fixed-rule engine: scipy's adaptive quad on every
-# spline segment (the density is a piecewise cubic, so each knot is a
-# breakpoint) and in log z on the power tail, with scalar kernels and
-# densities read from the same table and the pieces summed by fsum.
+# Reference for the fixed-rule engine: scipy's adaptive quad over the
+# density engine's own values, memoised per |z|, split at fixed decades of
+# z and in log z on the power tail, with scalar kernels and the pieces
+# summed by fsum. It shares no node, panel or weight with DensityTable.
+_REF_CUTS = (0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 300.0, 3e3, 3e4, 3e5)
 
 
-def _scalar_density(table):
-    knots, coef = table._knots.tolist(), table._coef.T.tolist()
-    tail = _tail_coefficients(table.alpha)[0]
-    alpha, last = table.alpha, len(coef) - 1
-
-    def pdf(z):
-        z = abs(z)
-        if z > 30.0:
-            w, acc = z ** -alpha, 0.0
-            for cf in tail:
-                acc = acc * w + cf
-            return acc * w / z
-        i = min(bisect.bisect_right(knots, z) - 1, last)
-        dz = z - knots[i]
-        c0, c1, c2, c3 = coef[i]
-        return ((c0 * dz + c1) * dz + c2) * dz + c3
-
-    return pdf
+@functools.lru_cache(maxsize=None)
+def _engine_density(alpha, z):
+    return float(_std_density(alpha, z)[0])
 
 
 def _scalar_parts(kernel, x):
@@ -243,24 +228,22 @@ def _scalar_parts(kernel, x):
 
 def _quad_reference(alpha, gamma, shift, x, deltas, kernel):
     """Truncated integrals at one x for each delta, keyed by delta."""
-    table = DensityTable.for_alpha(alpha)
-    pdf, eo = _scalar_density(table), _scalar_parts(kernel, x)
+    eo = _scalar_parts(kernel, x)
     sgn = 1.0 if x > 0 or kernel.kind == "first_moment" else -1.0
-    knots = table._knots.tolist()
-    knots = [-k for k in knots[:0:-1]] + knots
+    cuts = (0.0,) + _REF_CUTS + tuple(-c for c in _REF_CUTS)
     pieces = {delta: [] for delta in deltas}
     # kernel at +y against f(y), kernel at -y against f(-y), in z = (y + m)/gamma
     passes = [(0.0, 0.0, 2.0)] if shift == 0.0 else [(-shift, 1.0, 1.0), (shift, -1.0, 1.0)]
     for m, side, scale in passes:
         def f(z, m=m, side=side, scale=scale):
             e, o = eo(gamma * z - m)
-            return scale * (e + side * sgn * o) * pdf(z)
+            return scale * (e + side * sgn * o) * _engine_density(alpha, abs(z))
 
         ends = {delta: (delta * abs(x) + m) / gamma for delta in deltas}
         top = max(ends.values())
-        cuts = sorted({m / gamma, *ends.values()} | {k for k in knots if m / gamma < k < top})
+        inner = sorted({m / gamma, *ends.values()} | {c for c in cuts if m / gamma < c < top})
         done = []
-        for lo, hi in zip(cuts, cuts[1:]):
+        for lo, hi in zip(inner, inner[1:]):
             if lo >= 30.0:
                 out = integrate.quad(lambda s: f(math.exp(s)) * math.exp(s),
                                      math.log(lo), math.log(hi),
