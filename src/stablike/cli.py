@@ -40,9 +40,9 @@ from .classify import BETA_DOMAINS, ScanSettings, _beta_ladders, classify
 from .drift import (CONDITIONS, DEFAULT_DELTA_GRID, decreasing, default_x_grid,
                     spans_three_decades, tail_scan)
 from .errors import ConfigError, DomainError, StablikeError
-# return_stats and occupation are unused here; perfbench's tracer wraps them by name
-from .mc import (MIN_BIN_WIDTH, _ball, _compact, _run, interval_stats, occupation, return_stats,
-                 tv_convergence)
+# return_stats, occupation and tv_convergence are unused here; perfbench's tracer wraps
+# them by name
+from .mc import MIN_BIN_WIDTH, _ball, _compact, diagnose, occupation, return_stats, tv_convergence
 from .thresholds import r1, r2, t as t_threshold
 
 SCHEMA_VERSION = 1
@@ -425,13 +425,11 @@ def _run_mc_diagnose(config: RunConfig) -> int:
     if config.mc is None:
         raise ConfigError(["mc-diagnose needs an mc section"])
     mc = config.mc
-    # every check runs before any draw; the sweep and both TV starts run side by side
+    # every check runs before any draw; one sweep from x0 gives the ball and compact-set
+    # statistics and TV start a, side by side with start b
     intervals = [_ball(mc.radius), _compact(mc.compact, mc.n_steps)]
-    (rs, occ), tv = _run(
-        interval_stats.job(config.chain, mc.x0, intervals, mc.n_steps, mc.n_paths, mc.seed),
-        tv_convergence.job(config.chain, mc.x0, mc.x0_b, mc.time_points, mc.n_paths,
-                           mc.bin_width, mc.seed),
-    )
+    (rs, occ), tv = diagnose(config.chain, mc.x0, mc.x0_b, intervals, mc.n_steps,
+                             mc.time_points, mc.n_paths, mc.bin_width, mc.seed)
     _write_csv(
         config, "mc_stats.csv",
         ("statistic", "value"),

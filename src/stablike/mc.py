@@ -5,17 +5,20 @@ replace it. The return, occupation and total-variation diagnostics
 run the chain as a vectorized ensemble: paths are grouped into
 fixed-size blocks, each block draws from its own stream spawned off
 the master seed and steps to its end in one task (_ensemble) on a pool
-of os.cpu_count() threads, and every step consumes one uniform angle
-and one exponential per path in a fixed order. Blocks return integer
-partial statistics, added in block order. That makes every statistic
-bit-reproducible for identical (spec, args, seed) on any number of
-threads, and makes return events for a given seed a prefix-stable
-function of n_steps (longer runs extend, never rewrite, history).
+of one thread per CPU the process may run on, and every step consumes
+one uniform angle and one exponential per path in a fixed order. Blocks
+return integer partial statistics, added in block order. That makes
+every statistic bit-reproducible for identical (spec, args, seed) on
+any number of threads, and makes return events for a given seed a
+prefix-stable function of n_steps (longer runs extend, never rewrite,
+history).
 
-Interval statistics that share a seed are read off one sweep:
-interval_stats steps the ensemble once and updates every interval's
-return and occupation counters on each step. mc-diagnose runs the sweep
-and both TV starts as one batch (_run).
+One reader (_read) takes every statistic off a block's states: each
+interval's return and occupation counts on every step, and the clipped
+histogram counts at each TV time point. diagnose, which mc-diagnose
+calls, steps two ensembles: one sweep from x0 on interval_stats'
+streams, which gives the interval statistics and TV start a's law, and
+start b on tv_convergence's stream for it.
 
 invariant_histogram reads one path of chain.simulate (block-drawn
 stream, enumerable alpha only); the ensembles also take a custom alpha.
@@ -24,7 +27,7 @@ Heavy-tail guard: a path whose |state| reaches chain.FREEZE = 1e300 is
 frozen there, here and in simulate alike, and counted as non-returning;
 transient low-index chains can genuinely overflow doubles. A nan step
 (inf * 0 in the CMS map at tiny alpha) freezes at +-FREEZE with the
-sign of the state before it.
+sign of the state before it. A start must be finite.
 
 The total-variation diagnostic is a two-start proxy: the distance
 between empirical laws started from two points, on a fixed histogram,
@@ -81,6 +84,19 @@ class TvEstimate:
     n_paths: int
 
 
+def _at(profile, x: np.ndarray, neg):
+    """The profile's values at the states x, as ProfileFn.at gives them bit for bit.
+
+    A constant is a float. A two-valued profile indexes its values by neg, the step's one
+    x < 0 mask; a gather, unlike np.where, does not branch on each of its random bits.
+    """
+    if profile.kind == "constant":
+        return profile.values[0]
+    if profile.kind == "two_valued":
+        return np.take(profile.values[::-1], neg.view(np.uint8))
+    return profile.at(x)
+
+
 def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
               stream: np.random.SeedSequence):
     """Yield the states of one block of n_paths paths from x0 after each of n_steps steps.
@@ -88,23 +104,61 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
     Each step draws every path's angle, then every exponential; |state| >= FREEZE stays.
     """
     rng = np.random.default_rng(stream)
+    a_fn, g_fn, d_fn = spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile
+    signed = "two_valued" in (a_fn.kind, g_fn.kind, d_fn.kind)
+    # a constant alpha stays one array: a float exponent takes numpy's scalar power
+    # paths (cos(u) ** -1 at alpha = 1), which round otherwise than an array's
+    alpha = np.full(n_paths, float(a_fn.values[0])) if a_fn.kind == "constant" else None
     x = np.full(n_paths, float(x0))
     frozen = np.zeros(n_paths, dtype=bool)
     for _ in range(n_steps):
         u = rng.uniform(-_HALF_PI, _HALF_PI, n_paths)
         e = rng.standard_exponential(n_paths)
-        a = spec.alpha_profile.at(x)
-        g = spec.family.gamma_profile.at(x)
-        d = spec.family.delta_profile.at(x)
+        neg = x < 0 if signed else None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            xn = x + d + g * cms_transform(a, u, e)
+            # x + delta + gamma * J in place: products and sums of two commute bit for bit
+            xn = cms_transform(_at(a_fn, x, neg) if alpha is None else alpha, u, e)
+            xn *= _at(g_fn, x, neg)
+            xn += x + _at(d_fn, x, neg)
         np.clip(xn, -FREEZE, FREEZE, out=xn)
         nan = np.isnan(xn)  # a nan jump (inf * 0 in the transform) keeps the old sign
         if nan.any():
             xn[nan] = np.copysign(FREEZE, x[nan])
-        x = np.where(frozen, x, xn)
-        frozen |= np.abs(x) >= FREEZE
+        x = np.where(frozen, x, xn) if frozen.any() else xn
+        frozen = np.abs(x) >= FREEZE  # a frozen path keeps |x| = FREEZE
         yield x
+
+
+def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tuple,
+          edges, n: int, stream: np.random.SeedSequence) -> tuple:
+    """One block's partial statistics, off one ensemble of n paths from x0.
+
+    For each (lo, hi) row of bounds, over steps 1 to n_steps: the paths that entered
+    [lo, hi] after first leaving it, the sum of their first-entry steps, and the
+    path-steps inside after the burn-in n_steps // 2; as a (rows, 3) int64 array. For
+    each time point of tps: the clipped counts on edges, as one row of the second array.
+    The ensemble steps to the later of n_steps and the last time point.
+    """
+    lo, hi = bounds[:, :1], bounds[:, 1:]
+    burn = n_steps // 2
+    left = np.repeat(~((lo <= x0) & (x0 <= hi)), n, axis=1)
+    returned = np.zeros_like(left)
+    sums = np.zeros((len(bounds), 3), dtype=np.int64)
+    laws, marks = [], set(tps)
+    for t, x in enumerate(_ensemble(spec, x0, n, max((n_steps, *tps)), stream), start=1):
+        if t <= n_steps:
+            inside = (x >= lo) & (x <= hi)
+            hit = left & ~returned & inside
+            returned |= hit
+            left |= ~inside
+            for row, hits, ins in zip(sums, hit, inside):  # cheaper than one axis=1 count
+                row[1] += t * np.count_nonzero(hits)
+                if t > burn:
+                    row[2] += np.count_nonzero(ins)
+        if t in marks:
+            laws.append(_clipped_counts(x, edges))
+    sums[:, 0] = returned.sum(axis=1)
+    return sums, np.array(laws)
 
 
 def _blocks(read, n_paths: int, root: np.random.SeedSequence) -> list:
@@ -113,13 +167,15 @@ def _blocks(read, n_paths: int, root: np.random.SeedSequence) -> list:
     return [functools.partial(read, n, child) for n, child in zip(sizes, root.spawn(len(sizes)))]
 
 
-# made on first use; numpy releases the GIL while a block steps
-_pool = functools.cache(lambda: ThreadPoolExecutor(os.cpu_count()))
+# made on first use, one thread per CPU the process may run on; numpy releases the
+# GIL while a block steps
+_pool = functools.cache(lambda: ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()))
 os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of its threads
 
 
 def _run(*jobs) -> list:
-    """Each job's result; a job is (n_steps, tasks of _blocks, reduce of their results).
+    """Each job's task results, in block order; a job is (n_steps, tasks of _blocks).
 
     Longest job first. If a task raises, the tasks not yet started are cancelled, the
     running ones finish, and the first exception in job and block order is raised.
@@ -135,17 +191,13 @@ def _run(*jobs) -> list:
     wait(flat)
     # nothing is cancelled unless a block failed, and then result() raises first
     partials = iter([f.result() for f in flat if not f.cancelled()])
-    return [reduce([next(partials) for _ in blocks]) for _, blocks, reduce in jobs]
+    return [[next(partials) for _ in tasks] for _, tasks in jobs]
 
 
-def _batchable(job):
-    """The diagnostic that runs the _run job that job(...) checks and returns.
-
-    job stays reachable as .job, so that one _run can batch several diagnostics.
-    """
-    diagnostic = functools.wraps(job)(lambda *args, **kwargs: _run(job(*args, **kwargs))[0])
-    diagnostic.job = job
-    return diagnostic
+def _start(x0: float) -> float:
+    if not -math.inf < x0 < math.inf:
+        raise DomainError(f"start point must be finite, got {x0}")
+    return float(x0)
 
 
 def _hist_edges(bin_width: float) -> np.ndarray:
@@ -178,7 +230,55 @@ def _compact(compact_c: tuple, n_steps: int) -> tuple:
     return (lo, hi, max(0.0, (hi - lo) / 2.0))
 
 
-@_batchable
+def _intervals(intervals, n_steps: int, n_paths: int) -> tuple:
+    """Checked interval_stats arguments: (bounds, stats of the block partials)."""
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
+    if n_steps < 2:
+        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    # one row per interval; an empty one becomes (inf, -inf), which no state enters
+    bounds = np.array([(lo, hi) if lo < hi else (math.inf, -math.inf)
+                       for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
+    burn = n_steps // 2
+
+    def stats(partials):
+        sums = sum((s for s, _ in partials), np.zeros((len(bounds), 3), dtype=np.int64))
+        return tuple(
+            TrajectoryStats(n_paths, n_steps, n_ret / n_paths,
+                            float(rt_sum) / n_ret if n_ret else math.nan,
+                            float(occ_sum) / (n_paths * (n_steps - burn)), label)
+            for (n_ret, rt_sum, occ_sum), (_, _, label) in zip(sums.tolist(), intervals)
+        )
+
+    return bounds, stats
+
+
+def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
+    """Checked tv_convergence arguments: (time points, edges, TV of two starts' partials)."""
+    tps = tuple(int(t) for t in time_points)
+    if not tps or any(t < 1 for t in tps):
+        raise DomainError("time_points must be positive step counts")
+    if any(t2 <= t1 for t1, t2 in zip(tps, tps[1:])):
+        raise DomainError("time_points must be strictly increasing")
+    if n_paths < 2:
+        raise DomainError(f"n_paths must be >= 2, got {n_paths}")
+    edges = _hist_edges(bin_width)
+
+    def tv(partials_a, partials_b):
+        law_a, law_b = (np.sum([c for _, c in p], axis=0) / n_paths
+                        for p in (partials_a, partials_b))
+        tv_values = tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(law_a, law_b))
+        return TvEstimate(tps, tv_values, float(bin_width), n_paths)
+
+    return tps, edges, tv
+
+
+def _law(spec: ChainSpec, x0: float, tps: tuple, edges, n_paths: int, root) -> tuple:
+    """The _run job of one TV start: its clipped counts at the time points, per block."""
+    read = functools.partial(_read, spec, x0, np.empty((0, 2)), 0, tps, edges)
+    return tps[-1], _blocks(read, n_paths, root)
+
+
 def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
                    n_paths: int, seed: int) -> tuple:
     """Return and occupation statistics of several intervals, one sweep.
@@ -190,43 +290,12 @@ def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
     empty interval (lo >= hi) gives (0, nan, 0); if every interval is
     empty, nothing is stepped.
     """
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    if n_steps < 2:
-        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
-    # one row per interval; an empty one becomes (inf, -inf), which no state enters
-    bounds = np.array([(lo, hi) if lo < hi else (math.inf, -math.inf)
-                       for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
-    lo, hi = bounds[:, :1], bounds[:, 1:]
-    burn = n_steps // 2
-
-    def read(n, stream):  # per interval: paths returned, return time sum, occupation
-        left = np.repeat(~((lo <= x0) & (x0 <= hi)), n, axis=1)
-        returned = np.zeros_like(left)
-        return_time = np.zeros(left.shape, dtype=np.int64)
-        occ = np.zeros(left.shape, dtype=np.int64)
-        for t, x in enumerate(_ensemble(spec, x0, n, n_steps, stream), start=1):
-            inside = (x >= lo) & (x <= hi)
-            hit = left & ~returned & inside
-            return_time[hit] = t
-            returned |= hit
-            left |= ~inside
-            if t > burn:
-                occ += inside
-        # return_time is 0 on every path that has not returned
-        return np.stack([returned.sum(axis=1), return_time.sum(axis=1), occ.sum(axis=1)], 1)
-
-    def reduce(partials):
-        sums = sum(partials, np.zeros((len(bounds), 3), dtype=np.int64)).tolist()
-        return tuple(
-            TrajectoryStats(n_paths, n_steps, n_ret / n_paths,
-                            float(rt_sum) / n_ret if n_ret else math.nan,
-                            float(occ_sum) / (n_paths * (n_steps - burn)), label)
-            for (n_ret, rt_sum, occ_sum), (_, _, label) in zip(sums, intervals)
-        )
-
-    root = np.random.SeedSequence(seed)
-    return n_steps, _blocks(read, n_paths, root) if np.any(lo < hi) else [], reduce
+    x0 = _start(x0)
+    bounds, stats = _intervals(intervals, n_steps, n_paths)
+    read = functools.partial(_read, spec, x0, bounds, n_steps, (), None)
+    blocks = (_blocks(read, n_paths, np.random.SeedSequence(seed))
+              if np.any(bounds[:, 0] < bounds[:, 1]) else [])
+    return stats(_run((n_steps, blocks))[0])
 
 
 def return_stats(
@@ -265,7 +334,6 @@ def occupation(
     )[0]
 
 
-@_batchable
 def tv_convergence(
     spec: ChainSpec,
     x0_a: float,
@@ -277,34 +345,39 @@ def tv_convergence(
 ) -> TvEstimate:
     """Histogram total-variation distance between two start points.
 
-    Two independent ensembles (streams spawned from the same master
-    seed) are advanced to each requested time; the TV value at a time
-    point is half the L1 distance between the empirical bin laws. Bins
-    are fixed on [-500, 500] with out-of-range mass folded into the
-    end bins, so the estimate is a lower bound on the true TV.
+    Two independent ensembles are advanced to each requested time:
+    start a on the first of two streams spawned from the master seed,
+    start b on the second. The TV value at a time point is half the L1
+    distance between the empirical bin laws. Bins are fixed on
+    [-500, 500] with out-of-range mass folded into the end bins, so the
+    estimate is a lower bound on the true TV. diagnose reads start a
+    off its interval sweep instead and keeps start b's stream.
     """
-    tps = tuple(int(t) for t in time_points)
-    if not tps or any(t < 1 for t in tps):
-        raise DomainError("time_points must be positive step counts")
-    if any(t2 <= t1 for t1, t2 in zip(tps, tps[1:])):
-        raise DomainError("time_points must be strictly increasing")
-    if n_paths < 2:
-        raise DomainError(f"n_paths must be >= 2, got {n_paths}")
-    edges = _hist_edges(bin_width)
-    marks = set(tps)
-
-    def read(x0, n, stream):  # the clipped counts at each time point
-        states = enumerate(_ensemble(spec, x0, n, tps[-1], stream), start=1)
-        return np.array([_clipped_counts(x, edges) for t, x in states if t in marks])
-
-    def reduce(partials):  # the blocks of start a, then as many of start b
-        law_a, law_b = np.sum(np.split(np.array(partials), 2), axis=1) / n_paths
-        tv_values = tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(law_a, law_b))
-        return TvEstimate(tps, tv_values, float(bin_width), n_paths)
-
+    starts = _start(x0_a), _start(x0_b)
+    tps, edges, tv = _tv(time_points, n_paths, bin_width)
     roots = np.random.SeedSequence(seed).spawn(2)
-    return tps[-1], [task for x0, root in zip((x0_a, x0_b), roots)
-                     for task in _blocks(functools.partial(read, x0), n_paths, root)], reduce
+    return tv(*_run(*(_law(spec, x0, tps, edges, n_paths, root)
+                      for x0, root in zip(starts, roots))))
+
+
+def diagnose(spec: ChainSpec, x0: float, x0_b: float, intervals, n_steps: int,
+             time_points, n_paths: int, bin_width: float, seed: int) -> tuple:
+    """(interval_stats(spec, x0, intervals, n_steps, n_paths, seed), the TV proxy).
+
+    After every check, one sweep from x0 on interval_stats' streams steps to the later
+    of n_steps and the last time point and gives both the interval statistics, bit for
+    bit, and start a's law; start b steps on tv_convergence's stream for it. The TV
+    values differ from tv_convergence's only in start a's sampling noise.
+    """
+    x0, x0_b = _start(x0), _start(x0_b)
+    bounds, stats = _intervals(intervals, n_steps, n_paths)
+    tps, edges, tv = _tv(time_points, n_paths, bin_width)
+    sweep = functools.partial(_read, spec, x0, bounds, n_steps, tps, edges)
+    partials, partials_b = _run(
+        (max(n_steps, tps[-1]), _blocks(sweep, n_paths, np.random.SeedSequence(seed))),
+        _law(spec, x0_b, tps, edges, n_paths, np.random.SeedSequence(seed).spawn(2)[1]),
+    )
+    return stats(partials), tv(partials, partials_b)
 
 
 def invariant_histogram(

@@ -269,14 +269,18 @@ def cms_transform(alpha, u, e):
     alpha = np.asarray(alpha, dtype=float)
     u = np.asarray(u, dtype=float)
     e = np.asarray(e, dtype=float)
-    cu = np.cos(u)
+    # sin(alpha u) * cos(u) ** (-1/alpha) * (cos((1 - alpha) u) / e) ** ((1 - alpha)/alpha),
+    # in that order, in two arrays of the broadcast shape
+    out = np.empty(np.broadcast_shapes(alpha.shape, u.shape, e.shape))
+    w = np.empty_like(out)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = (
-            np.sin(alpha * u)
-            * cu ** (-1.0 / alpha)
-            * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha)
-        )
-    return out
+        np.sin(np.multiply(alpha, u, out=out), out=out)
+        out *= np.cos(u) ** (-1.0 / alpha)
+        np.cos(np.multiply(1.0 - alpha, u, out=w), out=w)
+        w /= e
+        w **= (1.0 - alpha) / alpha
+        out *= w
+    return out[()]
 
 
 def sas_sample_n(params: StableParams, rng: np.random.Generator, n: int) -> np.ndarray:

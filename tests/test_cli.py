@@ -322,7 +322,7 @@ SMOKE_MC_STATS_BODY = (
 
 
 def test_mc_diagnose_one_interval_sweep(smoke_config_text, monkeypatch):
-    # the ball and the compact set share one sweep; the TV proxy runs two
+    # the ball, the compact set and TV start a share one sweep; start b is the other
     path, out = smoke_config_text
     calls = []
     ensemble = mc._ensemble
@@ -333,7 +333,7 @@ def test_mc_diagnose_one_interval_sweep(smoke_config_text, monkeypatch):
 
     monkeypatch.setattr(mc, "_ensemble", counted)
     assert run("mc-diagnose", load_config(str(path))) == 0
-    assert len(calls) == 3
+    assert len(calls) == 2
     body = (out / "mc_stats.csv").read_bytes().split(b"\n", 1)[1]
     assert body == SMOKE_MC_STATS_BODY
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,6 +20,7 @@ from stablike import (
     return_stats,
     tv_convergence,
 )
+from stablike.stable import cms_transform
 
 
 def test_return_stats_replay(sas15):
@@ -302,3 +304,110 @@ def test_nan_steps_freeze_like_simulate():
     assert stats.return_fraction < 1.0
     tv = tv_convergence(periodic, 50.0, -50.0, (5, 20), 200, bin_width=5.0, seed=3)
     assert all(0.0 <= v <= 1.0 for v in tv.tv_values)
+
+
+def _reference_ensemble(spec, x0, n_paths, n_steps, stream):
+    """The ensemble step as ProfileFn.at and cms_transform give it, one expression a step."""
+    rng = np.random.default_rng(stream)
+    x = np.full(n_paths, float(x0))
+    frozen = np.zeros(n_paths, dtype=bool)
+    for _ in range(n_steps):
+        u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n_paths)
+        e = rng.standard_exponential(n_paths)
+        a = spec.alpha_profile.at(x)
+        g = spec.family.gamma_profile.at(x)
+        d = spec.family.delta_profile.at(x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xn = x + d + g * cms_transform(a, u, e)
+        np.clip(xn, -mc.FREEZE, mc.FREEZE, out=xn)
+        nan = np.isnan(xn)
+        xn[nan] = np.copysign(mc.FREEZE, x[nan])
+        x = np.where(frozen, x, xn)
+        frozen |= np.abs(x) >= mc.FREEZE
+        yield x
+
+
+@pytest.mark.parametrize(
+    "spec, n_steps",
+    [
+        (make_chain(1.3, gamma=2.5, delta=0.7), 300),
+        (make_chain(1.0, gamma=0.5, delta=-0.3), 300),
+        (make_chain(ProfileFn.two_valued(1.5, 0.8), gamma=ProfileFn.two_valued(2.0, 0.5),
+                    delta=ProfileFn.two_valued(0.5, -0.5)), 300),
+        (make_chain(ProfileFn.periodic(3.0, (1.2, 0.7, 1.0)), delta=0.2), 300),
+        (make_chain(ProfileFn.piecewise((-5.0, 5.0), (0.6, 1.9, 1.0)),
+                    gamma=ProfileFn.piecewise((0.0,), (1.5, 0.5))), 300),
+        (make_chain(ProfileFn.custom(lambda x: 1.2 + 0.5 * np.tanh(x)), unchecked=True,
+                    delta=ProfileFn.custom(lambda x: -0.1 * np.sign(x))), 300),
+        (make_chain(0.002), 3),
+    ],
+    ids=["constant", "constant-alpha-1", "two-valued", "periodic", "piecewise", "custom",
+         "nan-freeze"],
+)
+def test_ensemble_steps_bit_identically_to_the_reference(spec, n_steps):
+    # every state of every step, frozen and nan-frozen paths included
+    stream = np.random.SeedSequence(5)
+    got = mc._ensemble(spec, 50.0, 1000, n_steps, stream)
+    want = _reference_ensemble(spec, 50.0, 1000, n_steps, stream)
+    for t, (a, b) in enumerate(itertools.zip_longest(got, want), start=1):
+        assert np.array_equal(a, b), f"step {t}"
+    assert t == n_steps
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_is_refused_before_any_draw(monkeypatch, bad):
+    def no_draws(*args):
+        raise AssertionError("stepped an ensemble from a non-finite start")
+
+    monkeypatch.setattr(mc, "_ensemble", no_draws)
+    spec, message = make_chain(1.5), "start point must be finite"
+    ball = [mc._ball(10.0)]
+    calls = [
+        lambda: return_stats(spec, bad, 10.0, 100, 50, seed=1),
+        lambda: occupation(spec, bad, (-5.0, 5.0), 1000, 50, seed=1),
+        lambda: interval_stats(spec, bad, [(5.0, -5.0, 0.0)], 100, 50, seed=1),
+        lambda: tv_convergence(spec, bad, 3.0, (5,), 50, 0.5, seed=1),
+        lambda: tv_convergence(spec, 3.0, bad, (5,), 50, 0.5, seed=1),
+        lambda: mc.diagnose(spec, bad, 3.0, ball, 100, (5,), 50, 0.5, seed=1),
+        lambda: mc.diagnose(spec, 3.0, bad, ball, 100, (5,), 50, 0.5, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_diagnose_stream_layout(ergodic_spec, monkeypatch):
+    # three blocks a start: the sweep on interval_stats' streams, to the last time
+    # point past n_steps, and start b on tv_convergence's second stream
+    monkeypatch.setattr(mc, "_BLOCK", 100)
+    x0, x0_b, n_steps, tps, n_paths, width, seed = 20.0, -20.0, 1000, (50, 1500), 250, 0.5, 6
+    intervals = [mc._ball(10.0), mc._compact((-5.0, 5.0), n_steps)]
+    stats, tv = mc.diagnose(ergodic_spec, x0, x0_b, intervals, n_steps, tps, n_paths,
+                            width, seed)
+    for got, want in zip(stats, interval_stats(ergodic_spec, x0, intervals, n_steps,
+                                               n_paths, seed)):
+        _same_stats(got, want)
+    edges = mc._hist_edges(width)
+
+    def law(start, root):
+        counts = sum(np.array([mc._clipped_counts(x, edges) for t, x in enumerate(
+            mc._ensemble(ergodic_spec, start, n, tps[-1], child), start=1) if t in tps])
+            for n, child in zip((100, 100, 50), root.spawn(3)))
+        return counts / n_paths
+
+    law_a = law(x0, np.random.SeedSequence(seed))
+    law_b = law(x0_b, np.random.SeedSequence(seed).spawn(2)[1])
+    assert tv.tv_values == tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(law_a, law_b))
+    assert (tv.time_points, tv.n_paths, tv.bin_width) == (tps, n_paths, width)
+
+
+def test_pool_has_one_thread_per_usable_cpu(monkeypatch):
+    # pinned to one CPU of four, the pool starts one thread; without affinity, four
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pinned = mc._pool.__wrapped__()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    unknown = mc._pool.__wrapped__()
+    assert (pinned._max_workers, unknown._max_workers) == (1, 4)
+    pinned.shutdown()
+    unknown.shutdown()

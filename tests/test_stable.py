@@ -204,6 +204,32 @@ def test_sampler_tail_exponent():
     assert hi / lo == pytest.approx(2.0 ** -0.7, rel=0.1)
 
 
+def _cms_expression(alpha, u, e):
+    """The Chambers-Mallows-Stuck map as one expression, operand for operand."""
+    alpha, u, e = (np.asarray(v, dtype=float) for v in (alpha, u, e))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return (np.sin(alpha * u) * np.cos(u) ** (-1.0 / alpha)
+                * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
+
+
+def test_cms_transform_is_its_expression_bit_for_bit():
+    # float, array and column alphas (alpha = 1 takes numpy's scalar x ** -1 path
+    # as a float and a column), the nan and inf draws of alpha = 0.002 included
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 4096)
+    e = rng.standard_exponential(4096)
+    alphas = [1.0, 0.5, 1.5, 0.002, np.where(u < 0, 1.0, 1.8),
+              np.array([[1.0], [0.3], [1.9], [0.002]])]
+    for alpha in alphas:
+        got, want = stable.cms_transform(alpha, u, e), _cms_expression(alpha, u, e)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(stable.cms_transform(0.002, u, e)).any()
+    scalar = stable.cms_transform(1.5, 0.3, 1.2)
+    assert isinstance(scalar, np.float64) and scalar == _cms_expression(1.5, 0.3, 1.2)
+    assert stable.cms_transform(np.full(3, 1.5), 0.3, e[:6].reshape(2, 3)).shape == (2, 3)
+
+
 def test_sampler_location_scale_transport():
     base = sas_sample_n(StableParams(1.4, 1.0, 0.0), np.random.default_rng(3), 2000)
     moved = sas_sample_n(StableParams(1.4, 2.0, 5.0), np.random.default_rng(3), 2000)
