@@ -39,14 +39,16 @@ Extra evidence channels:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec, ProfileFn, alpha_at, c_at
+from .chain import ChainSpec, ProfileFn, alpha_at, gamma_at
 from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, default_x_grid, tail_scan
 from .errors import DomainError, QuadratureError, TableOverflowError
+from .stable import StableParams, tail_constant
 # r1 and r2 are unused here; perfbench's tracer wraps them by name
 from .thresholds import r1, r2
 
@@ -173,9 +175,10 @@ def _fired(report: TailScanReport) -> bool:
 
 
 def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list, caveats: list) -> list:
-    # scans with the same kernel (log_rec/log_erg, pow_rec/pow_erg per beta, the
-    # five first-moment scans) share one raw-integral set; a scan whose density
-    # table overflows or does not converge is left out, under one caveat for all
+    # all scans share the grid's per-x data, and scans with the same kernel
+    # (log_rec/log_erg, pow_rec/pow_erg per beta, the five first-moment scans)
+    # one raw-integral set, for this call only; a scan whose density table
+    # overflows or does not converge is left out, under one caveat for all
     integrals: dict = {}
     reports, skipped, reasons = [], {}, {}
     for cid, beta, weight in jobs:
@@ -276,12 +279,14 @@ def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
     mags = np.geomspace(lo, hi, n)
     holds = True
     last_max = 0.0
+    c_of = functools.cache(lambda a, g: tail_constant(StableParams(a, g)))  # c(x), once per value
+
+    def rate_at(x):
+        a = alpha_at(spec, x)
+        return a * abs(x) ** (a - 1.0) / c_of(a, gamma_at(spec, x))
+
     for side in (1.0, -1.0):
-        xs = side * mags
-        rate = np.array(
-            [alpha_at(spec, x) * abs(x) ** (alpha_at(spec, x) - 1.0) / c_at(spec, x)
-             for x in xs]
-        )
+        rate = np.array([rate_at(x) for x in (side * mags).tolist()])
         decade = np.floor(np.log10(mags)).astype(int)
         maxima = [rate[decade == dec].max() for dec in np.unique(decade)]
         if any(m2 > m1 * (1.0 + 1e-12) for m1, m2 in zip(maxima, maxima[1:])):

@@ -25,6 +25,15 @@ from 0 at their bounds (DensityTable), a few rows (_BLOCK node entries)
 at a time. A shifted density adds a pass over z < 0 folded onto u = -z,
 so a shift larger than delta*|x| needs no branch of its own.
 
+A tail scan is array-native: it keeps its (d, delta, x) arrays of
+left-hand sides, raw integrals and errors, and builds the DriftPoint of
+each (x, delta, d) only when report.points is first read (the
+drift-scan CSV and tests read it; classify does not). The per-x data of
+one (spec, x grid), the (alpha, gamma, shift) grouping and the display
+prefactors |x|^(a+p)/c(x), is looked up once (_Grid) and shared by the
+scans of one classification beside their raw-integral sets; nothing is
+kept from one classification to the next.
+
 CONDITIONS declares each display once. Its kernel fixes the prefactor
 (|x|^(a-1)/c times sgn(x) for the first moment, |x|^a/c otherwise) and
 the threshold (r2 for the power kernel, t for the bounded kernel, r1
@@ -51,14 +60,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, alpha_at, c_at, delta_at, gamma_at
+from .chain import ChainSpec, alpha_at, delta_at, gamma_at
 from .errors import DomainError
 from .specfun import real_binom
-from .stable import DensityTable
+from .stable import DensityTable, StableParams, tail_constant
 from .thresholds import r1, r2, t as t_threshold
 
 _BLOCK = 1 << 14  # float64 entries of one x block's node temporary (128 KB); ~16 per rule cell
@@ -104,8 +113,13 @@ class DriftPoint:
 
 @dataclass(frozen=True)
 class TailScanReport:
+    """Aggregates of one tail scan, with its grids and (d, delta, x) arrays.
+
+    points, the DriftPoint of every (x, delta, d) in the display's
+    nesting order, is built from the arrays when first read.
+    """
+
     condition_id: str
-    points: tuple  # of DriftPoint, all (x, delta, d) combinations
     tail_sup_estimate: float
     tail_inf_estimate: float
     threshold: float
@@ -118,6 +132,25 @@ class TailScanReport:
     # quadrature error and the delta-extrapolation gap of tail_inf
     quad_error: float = 0.0
     inf_delta_gap: float = 0.0
+    # the scan's grids; raw_integrals[x, delta], lhs[d, delta, x], quad[delta, x]
+    x_grid: tuple = field(default=(), repr=False, compare=False)
+    delta_grid: tuple = field(default=(), repr=False, compare=False)
+    d_grid: tuple = field(default=(), repr=False, compare=False)
+    raw_integrals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    lhs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    quad: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def points(self) -> tuple:
+        if self.lhs is None:
+            return ()
+        raw_l, quad_l = self.raw_integrals.T.tolist(), self.quad.tolist()
+        return tuple(
+            DriftPoint(x, delta, d, r, v, e)
+            for d, lhs_d in zip(self.d_grid, self.lhs.tolist())
+            for delta, lhs_dd, raw_d, quad_d in zip(self.delta_grid, lhs_d, raw_l, quad_l)
+            for x, v, r, e in zip(self.x_grid, lhs_dd, raw_d, quad_d)
+        )
 
 
 @dataclass(frozen=True)
@@ -233,8 +266,37 @@ def truncated_integral_with_error(
     density, the engine's error weighted by |kernel|, and a few ulp of
     sum |w kernel f| for summation rounding.
     """
-    value, err = _integrals(spec, kernel, (x,), (delta,))
+    value, err = _integrals(_Grid(spec, (x,)), kernel, (delta,))
     return float(value[0, 0]), float(err[0, 0])
+
+
+class _Grid:
+    """The per-x data of one (spec, x grid) that every scan over it reads.
+
+    groups maps each (alpha, gamma, shift) to the indices of the x that
+    share it; prefs[moment] holds the display prefactor |x|^(alpha + p)/c
+    per x, with p = -1 for the first-moment displays and 0 otherwise.
+    outer masks the outer half of the grid by |x|, and mag_of numbers
+    each outer x by its rank among the distinct outer magnitudes.
+    """
+
+    def __init__(self, spec: ChainSpec, x_grid):
+        self.xs = np.asarray(x_grid, dtype=float)
+        if (self.xs == 0.0).any():
+            raise DomainError("truncated_integral requires x != 0")
+        mags = np.abs(self.xs)
+        self.outer = mags >= np.median(mags)
+        self.mag_of = np.unique(mags[self.outer], return_inverse=True)[1]
+        self.groups = {}
+        for i, x in enumerate(self.xs.tolist()):
+            self.groups.setdefault((alpha_at(spec, x), gamma_at(spec, x), delta_at(spec, x)),
+                                   []).append(i)
+        self.prefs = {moment: np.empty_like(self.xs) for moment in (False, True)}
+        for (alpha, g, _), idx in self.groups.items():
+            c = tail_constant(StableParams(alpha, g))
+            for moment, pref in self.prefs.items():
+                power = alpha - 1.0 if moment else alpha
+                pref[idx] = [abs(x) ** power / c for x in self.xs[idx].tolist()]
 
 
 def _cumulative(table: DensityTable, kern, v):
@@ -261,12 +323,14 @@ def _cumulative(table: DensityTable, kern, v):
 
     val, err = sums(weights[:n], diff[:n], bound[:n], g_full)
     pv, pe = sums(c_weights, c_diff, c_bound, g_cut)
-    cum_v, cum_e = (np.cumsum(np.pad(a, ((0, 0), (1, 0))), axis=1) for a in (val, err))
+    cum_v, cum_e = np.zeros((2, rows, n + 1))
+    np.cumsum(val, axis=1, out=cum_v[:, 1:])
+    np.cumsum(err, axis=1, out=cum_e[:, 1:])
     return (np.take_along_axis(cum_v, ip, axis=1) + pv.reshape(rows, k),
             np.take_along_axis(cum_e, ip, axis=1) + pe.reshape(rows, k))
 
 
-def _integrals(spec: ChainSpec, kernel: DriftKernel, xs, deltas):
+def _integrals(grid: _Grid, kernel: DriftKernel, deltas):
     """Raw integrals and their error estimates, both of shape (x, delta).
 
     In z = (y - shift)/gamma the jump density is the table's. A pass
@@ -275,19 +339,14 @@ def _integrals(spec: ChainSpec, kernel: DriftKernel, xs, deltas):
     the integral is the upper read minus the lower one. A symmetric
     group needs only the first pass, of twice the even kernel part.
     """
-    xs = np.asarray(xs, dtype=float)
-    if (xs == 0.0).any():
-        raise DomainError("truncated_integral requires x != 0")
+    xs = grid.xs
     for delta in deltas:
         if not 0.0 < delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {delta}")
     L = np.asarray(deltas, dtype=float) * np.abs(xs)[:, None]
     k = L.shape[1]
     val, err = np.zeros_like(L), np.zeros_like(L)
-    groups = {}
-    for i, x in enumerate(xs.tolist()):
-        groups.setdefault((alpha_at(spec, x), gamma_at(spec, x), delta_at(spec, x)), []).append(i)
-    for (alpha, g, m), idx in groups.items():
+    for (alpha, g, m), idx in grid.groups.items():
         if kernel.kind == "first_moment" and m == 0.0:
             # odd kernel against an even density: exactly zero
             continue
@@ -325,7 +384,7 @@ def _condition(condition_id: str, beta: float | None) -> Condition:
     return cond
 
 
-def _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight=None):
+def _lhs(grid, d_grid, cond, beta, raw, d_weight=None):
     """Normalized left-hand sides lhs[d, delta, x] and errors err[delta, x].
 
     raw is the (values, errors) pair of _integrals, each of shape (x,
@@ -334,13 +393,13 @@ def _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight=None):
     vectorised power would differ by an ulp.
     """
     moment = cond.kernel == "first_moment"
-    power = -1.0 if moment else 0.0
-    prefs = np.array([abs(x) ** (alpha_at(spec, x) + power) / c_at(spec, x) for x in x_grid])
-    sign = np.sign(x_grid) if moment else 1.0
+    prefs = grid.prefs[moment]
+    sign = np.sign(grid.xs) if moment else 1.0
     dterm = cond.d_term or (lambda x, d, beta: 0.0)
+    x_grid = grid.xs.tolist()
     weights = [1.0 if d_weight is None else d_weight(x) for x in x_grid]
     shift = np.array([
-        [p * (dterm(x, d, beta) * w) for x, p, w in zip(x_grid, prefs, weights)]
+        [p * (dterm(x, d, beta) * w) for x, p, w in zip(x_grid, prefs.tolist(), weights)]
         for d in d_grid
     ])
     lhs = prefs * (sign * raw[0].T) + shift[:, None, :]
@@ -360,8 +419,9 @@ def normalized_lhs(
     One point of the tail-scan arithmetic (_lhs) on one raw integral.
     """
     cond = _condition(condition_id, beta)
-    raw = _integrals(spec, cond.kernel_at(beta), (x,), (delta,))
-    lhs, err = _lhs(spec, (x,), (d,), cond, beta, raw)
+    grid = _Grid(spec, (x,))
+    raw = _integrals(grid, cond.kernel_at(beta), (delta,))
+    lhs, err = _lhs(grid, (d,), cond, beta, raw)
     return DriftPoint(x, delta, d, float(raw[0][0, 0]), float(lhs[0, 0, 0]), float(err[0, 0]))
 
 
@@ -425,8 +485,10 @@ def tail_scan(
 
     The raw integrals depend only on the kernel and the (x, delta) grid,
     not on d or the prefactor. integrals, if given, is a dict shared by
-    scans of one classification: each raw-integral set is computed once
-    and stored there for the other scans with the same kernel.
+    the scans of one classification: each raw-integral set is computed
+    once and stored there for the other scans with the same kernel, and
+    so is the per-x data of each (spec, x grid) for every scan over it.
+    The report keeps the scan's arrays; its points are built on demand.
     """
     cond = _condition(condition_id, beta)
     kernel = cond.kernel_at(beta)
@@ -446,22 +508,18 @@ def tail_scan(
         raise DomainError("d_grid must be strictly decreasing")
 
     integrals = {} if integrals is None else integrals
+    if (spec, x_grid) not in integrals:
+        integrals[spec, x_grid] = _Grid(spec, x_grid)
+    grid = integrals[spec, x_grid]
     key = (spec, kernel, x_grid, delta_grid)
     if key not in integrals:
-        integrals[key] = _integrals(spec, kernel, x_grid, delta_grid)
+        integrals[key] = _integrals(grid, kernel, delta_grid)
     raw = integrals[key]
-    lhs, quad = _lhs(spec, x_grid, d_grid, cond, beta, raw, d_weight)
-    raw_l, quad_l = raw[0].T.tolist(), quad.tolist()
-    points = tuple(
-        DriftPoint(x, delta, d, r, v, e)
-        for d, lhs_d in zip(d_grid, lhs.tolist())
-        for delta, lhs_dd, raw_d, quad_d in zip(delta_grid, lhs_d, raw_l, quad_l)
-        for x, v, r, e in zip(x_grid, lhs_dd, raw_d, quad_d)
-    )
+    lhs, quad = _lhs(grid, d_grid, cond, beta, raw, d_weight)
 
     # every aggregate runs over the outer half (by |x|) of the grid;
     # sup/inf per (d, delta) level, and the finest level per magnitude
-    outer = mags >= np.median(mags)
+    outer = grid.outer
     sup = lhs[:, :, outer].max(axis=2).tolist()
     inf = lhs[:, :, outer].min(axis=2).tolist()
     worst_q = float(quad[-1, outer].max())
@@ -497,8 +555,9 @@ def tail_scan(
     # mean the limit is off the grid entirely (e.g. a d-term growing like
     # a power of |x|), so the condition must never certify.
     adverse = 1.0 if is_lt else -1.0
-    level_agg = np.max if is_lt else np.min
-    per_mag = [float(level_agg(lhs[-1, -1, mags == m])) for m in np.unique(mags[outer])]
+    per_mag = np.full(grid.mag_of.max() + 1, -adverse * math.inf)
+    (np.maximum if is_lt else np.minimum).at(per_mag, grid.mag_of, lhs[-1, -1, outer])
+    per_mag = per_mag.tolist()
     cert = final
     x_gap = 0.0
     noise = 4.0 * worst_q + 1e-12 * (1.0 + abs(final))
@@ -524,7 +583,6 @@ def tail_scan(
     scan_error = worst_q + delta_gap + d_gap + x_gap + thr_err
     return TailScanReport(
         condition_id=condition_id,
-        points=points,
         tail_sup_estimate=sup[-1][-1],
         tail_inf_estimate=inf[-1][-1],
         threshold=thr,
@@ -535,4 +593,10 @@ def tail_scan(
         threshold_error=thr_err,
         quad_error=worst_q,
         inf_delta_gap=inf_gap,
+        x_grid=x_grid,
+        delta_grid=delta_grid,
+        d_grid=d_grid,
+        raw_integrals=raw[0],
+        lhs=lhs,
+        quad=quad,
     )

@@ -158,8 +158,9 @@ def _ts_level(level: int):
 
 def _log_g(alpha: float, z, th, ph):
     # log g(theta) with cos(theta) = sin(ph), ph = pi/2 - theta
-    return (alpha / (alpha - 1.0) * np.log(z * np.sin(ph) / np.sin(alpha * th))
-            + np.log(np.cos((alpha - 1.0) * th) / np.sin(ph)))
+    cos_th = np.sin(ph)
+    return (alpha / (alpha - 1.0) * np.log(z * cos_th / np.sin(alpha * th))
+            + np.log(np.cos((alpha - 1.0) * th) / cos_th))
 
 
 def _zolotarev(alpha: float, z):
@@ -308,12 +309,13 @@ class DensityTable:
     the body nodes.
 
     A cell cut by an integration bound v, [edge below v, v], gets its
-    own 15 engine values, kept in a memo keyed by v: an integral then
-    depends only on its own bounds, and every kernel and pass that
-    reads v reuses them. Below alpha ~ 0.115 the engine does not
-    converge for z between its Taylor cut-off and ~1e-10, where the
-    bottom panel has nodes, and from alpha ~ 1.9997 up it fails near
-    z = 8 to 10; the build, or a cut cell there, raises its
+    own 15 engine values, kept in a memo: one row of each of the four
+    cut arrays (nodes, weights, diff, bound) per bound, and a dict from
+    v to its row. An integral then depends only on its own bounds, and
+    every kernel and pass that reads v reuses them. Below alpha ~ 0.115
+    the engine does not converge for z between its Taylor cut-off and
+    ~1e-10, where the bottom panel has nodes, and from alpha ~ 1.9997 up
+    it fails near z = 8 to 10; the build, or a cut cell there, raises its
     QuadratureError. Where f(0) = Gamma(1 + 1/alpha)/pi overflows a
     double (alpha below ~0.00586) the build raises TableOverflowError.
     for_alpha caches a failed build and raises it afresh on every lookup.
@@ -329,7 +331,8 @@ class DensityTable:
         self._edges = np.concatenate([[0.0], _BODY_LO * 2.0 ** np.arange(39)])
         *self._rule, err = self._cells(self._edges[:-1], self._edges[1:])
         self.table_error = float(err.max())
-        self._cuts = {}
+        self._cut_cells = [np.empty((0, _KR_NODES.size)) for _ in range(4)]
+        self._cut_row = {}
 
     @classmethod
     def for_alpha(cls, alpha: float) -> "DensityTable":
@@ -382,13 +385,17 @@ class DensityTable:
         """(nodes, weights, diff, bound) of the cells [edge below v_i, v_i].
 
         v is 1-d and must lie within the rule's reach. The bounds not yet
-        in the memo are filled by one engine call.
+        in the memo are filled by one engine call and appended as rows;
+        the result is one fancy index of each memo array by v's rows.
         """
-        new = [u for u in dict.fromkeys(v.tolist()) if u not in self._cuts]
+        bounds = v.tolist()
+        new = [u for u in dict.fromkeys(bounds) if u not in self._cut_row]
         if new:
             hi = np.array(new)
             lo = self._edges[np.searchsorted(self._edges, hi, side="right") - 1]
             cells = self._cells(lo, hi)[:4]
-            for i, u in enumerate(new):
-                self._cuts[u] = [c[i] for c in cells]
-        return [np.array(c) for c in zip(*(self._cuts[u] for u in v.tolist()))]
+            base = len(self._cut_row)
+            self._cut_row.update((u, base + i) for i, u in enumerate(new))
+            self._cut_cells = [np.concatenate(pair) for pair in zip(self._cut_cells, cells)]
+        rows = [self._cut_row[u] for u in bounds]
+        return [c[rows] for c in self._cut_cells]

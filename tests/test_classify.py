@@ -20,6 +20,7 @@ from stablike import (
     make_chain,
     r1,
 )
+from stablike import drift
 from stablike.classify import ScanSettings
 from stablike.drift import CONDITIONS, TailScanReport, default_x_grid
 from stablike.errors import QuadratureError, TableOverflowError
@@ -182,6 +183,55 @@ def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_classify_builds_no_drift_point(ergodic_spec, monkeypatch):
+    # the verdict reads the scans' arrays; points are built only on demand
+    def no_point(*args):
+        raise AssertionError("classify built a DriftPoint")
+
+    monkeypatch.setattr(drift, "DriftPoint", no_point)
+    for spec, verdict in ((ergodic_spec, "Ergodic"), (make_chain(0.8, delta=0.5), "Transient")):
+        res = classify(spec)
+        assert res.verdict == verdict
+        assert all("points" not in vars(r) for r in res.reports)
+
+
+def test_classify_keeps_nothing_between_calls(monkeypatch):
+    # the per-x data and raw integrals are shared within one classification
+    # only: a repeated call does the same integrals and profile lookups
+    calls = {"integrals": 0, "cell": 0, "at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(drift, "_integrals", counted("integrals", drift._integrals))
+    monkeypatch.setattr(ProfileFn, "cell", counted("cell", ProfileFn.cell))
+    monkeypatch.setattr(ProfileFn, "at", counted("at", ProfileFn.at))
+    counts = []
+    for _ in range(2):
+        calls.update(integrals=0, cell=0, at=0)
+        classify(make_chain(1.5))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["integrals"] > 0 and counts[0]["cell"] > 0
+
+
+# Ergodic verdicts that cannot hold (ROADMAP item 1): a symmetric chain with
+# delta = 0 has no finite invariant law, and a bounded drift cannot hold a
+# chain whose every alpha is below 1
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sound |x| -> inf limits")
+@pytest.mark.parametrize("spec, wrong", [
+    (make_chain(ProfileFn.periodic(2.0, (1.239, 1.46)), gamma=2.54), ("Ergodic",)),
+    (make_chain(ProfileFn.periodic(1.0, (0.897, 0.868)), gamma=0.58,
+                delta=ProfileFn.two_valued(2.672, -2.672)),
+     ("Recurrent", "NullCandidate", "Ergodic")),
+], ids=["symmetric-periodic", "periodic-below-one-inward"])
+def test_unsound_ergodic_verdicts(spec, wrong):
+    assert classify(spec).verdict not in wrong
+
+
 # the rungs that no real chain reaches: crafted scan reports stand in for
 # the tail scans, so only the verdict ladder runs
 def _crafted_scans(monkeypatch, report_of):
@@ -192,7 +242,7 @@ def _crafted_scans(monkeypatch, report_of):
 
 
 def _report(cid, beta, margin, tail_inf=0.0):
-    return TailScanReport(cid, (), tail_inf, tail_inf, 0.0, margin, beta)
+    return TailScanReport(cid, tail_inf, tail_inf, 0.0, margin, beta)
 
 
 def test_rung_displays_fired_both_ways(monkeypatch):

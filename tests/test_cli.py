@@ -1,6 +1,7 @@
 """Config parsing, CSV/JSON artifacts and process exit codes."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -155,6 +156,28 @@ def test_drift_scan_subcommand_csv(smoke_config_text):
     lines = (out / "drift_scan.csv").read_text().splitlines()
     assert lines[1] == "x,delta,d,raw_integral,normalized_lhs,quadrature_error"
     assert len(lines) > 10
+
+
+# the CSV below its comment line (which hashes the config, output directory
+# included), pinned for the smoke config and for a shifted first-moment scan
+# with d levels
+@pytest.mark.parametrize("changes, digest", [
+    ({}, "9093d7dcd384b18712761f4de60d94b5c1ecb0415aa3982ed6e383cf27ab4fd9"),
+    ({"scan": {"condition": "mom_erg_b", "betas": [0.5]},
+      "chain": {"delta": {"kind": "two_valued", "values": [0.5, -0.5]}}},
+     "3db6ef168e3f2e79e2d1dbb5b44ebf8acc76f2b920eca3c75efae5ce00f60491"),
+], ids=["smoke", "shifted-mom-erg-b"])
+def test_drift_scan_csv_is_pinned(smoke_config_text, tmp_path, changes, digest):
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    for section, values in changes.items():
+        doc[section].update(values)
+    cfg = tmp_path / "scan.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["drift-scan", "--config", str(cfg)]) == 0
+    comment, body = (out / "drift_scan.csv").read_bytes().split(b"\n", 1)
+    assert comment.startswith(b"# stablike ")
+    assert hashlib.sha256(body).hexdigest() == digest
 
 
 @pytest.mark.parametrize("condition, alpha, betas, beta", [

@@ -155,6 +155,25 @@ def test_tail_scan_grid_controls(sas15):
     assert seen_delta == {0.5, 0.25}
 
 
+@pytest.mark.parametrize("spec, cid, beta", [
+    (make_chain(1.5), "log_erg", None),
+    (make_chain(1.2, delta=-0.5), "mom_erg_b", 0.5),
+    (make_chain(ProfileFn.periodic(2.0, (0.9, 1.6)), gamma=ProfileFn.two_valued(1.0, 2.0)),
+     "pow_erg", 0.5),
+], ids=["log-erg", "shifted-mom-erg-b", "periodic-pow-erg"])
+def test_points_are_built_on_first_read(spec, cid, beta):
+    # the report keeps its arrays; the points, in (d, delta, x) nesting
+    # order, equal the one-point display field for field and are cached
+    xs = tuple(-(10.0 ** k) for k in (2.0, 3.5, 5.0)) + tuple(10.0 ** k for k in (2.0, 3.5, 5.0))
+    deltas, ds = (0.5, 0.1), (0.1, 0.001)
+    rep = tail_scan(spec, x_grid=xs, delta_grid=deltas, d_grid=ds, condition_id=cid, beta=beta)
+    assert "points" not in vars(rep)
+    want = tuple(normalized_lhs(spec, x, delta, d, cid, beta)
+                 for d in ds for delta in deltas for x in xs)
+    assert repr(rep.points) == repr(want)  # repr tells -0.0 from 0.0
+    assert rep.points is rep.points
+
+
 def test_tail_scan_needs_beta():
     with pytest.raises(DomainError):
         tail_scan(make_chain(1.5), condition_id="pow_rec")
@@ -300,6 +319,8 @@ def test_scan_rows_do_not_depend_on_the_grid(spec, monkeypatch):
             monkeypatch.setattr(drift, "_BLOCK", block)
             integrals = {}
             tail_scan(spec, condition_id=cid, beta=beta, integrals=integrals)
-            (val, err), = integrals.values()
+            # one raw-integral set, beside the grid's per-x data
+            assert len(integrals) == 2
+            (val, err), = (v for v in integrals.values() if isinstance(v, tuple))
             assert np.array_equal(val, one[:, :, 0]), (cid, block)
             assert np.array_equal(err, one[:, :, 1]), (cid, block)

@@ -1,5 +1,6 @@
 """Symmetric stable density, tail law, tables and the CMS sampler."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -160,6 +161,32 @@ def test_table_knots_do_not_depend_on_the_block(monkeypatch, alpha):
     assert all(np.array_equal(a, b) for a, b in zip(rule, one.rule(100.0)))
     assert all(np.array_equal(a, b) for a, b in zip(cut, one.cut(cuts)))
     assert whole.table_error == one.table_error
+
+
+def test_cut_memo_rows_match_a_fresh_table():
+    # bounds met in earlier calls come back from the memo rows bit for bit,
+    # in the order asked, beside bounds the same call adds
+    table = DensityTable(1.3)
+    table.rule(100.0)
+    table.cut(np.array([7.0, 0.3]))
+    later = np.array([45.0, 7.0, 29.0, 0.3, 45.0])
+    fresh = DensityTable(1.3)
+    fresh.rule(100.0)
+    assert all(np.array_equal(a, b) for a, b in zip(table.cut(later), fresh.cut(later)))
+    assert len(table._cut_row) == 4
+
+
+# the rule of a fresh table, edges and every (cells, 15) array, pinned: a
+# change to the density engine must leave it bit for bit as it is
+@pytest.mark.parametrize("alpha, digest", [
+    (0.5, "bd15ad87fb6b76abc7583efc44999d236130c59973bf16b6402edc840545d4b9"),
+    (0.9, "da47a93665898a07565b28c0354b73575289568ca60e1937720f7c38b36ad341"),
+    (1.5, "62ae83f8f3b63e1baf29884537346a3d08892545213ac7cd98a1ac71dff4621e"),
+])
+def test_table_rule_is_pinned(alpha, digest):
+    rule = DensityTable(alpha).rule(100.0)
+    data = b"".join(np.ascontiguousarray(a).tobytes() for a in rule)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_params_validation():
