@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StablikeError
-from .stable import StableParams, cms_transform, tail_constant
+from .stable import cms_transform
 
 FREEZE = 1e300  # overflow guard: transient low-index chains overflow doubles
 _STEP_BLOCK = 4096  # steps per block of simulate's random stream
@@ -253,11 +253,6 @@ def gamma_at(spec: ChainSpec, x: float) -> float:
 
 def delta_at(spec: ChainSpec, x: float) -> float:
     return spec.family.delta_profile(x)
-
-
-def c_at(spec: ChainSpec, x: float) -> float:
-    """Tail coefficient of the jump density from state x."""
-    return tail_constant(StableParams(alpha_at(spec, x), gamma_at(spec, x)))
 
 
 def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:

@@ -18,6 +18,8 @@ the odd part, so the integral over [-L, L] collapses onto [0, L]:
 with E, O the even/odd kernel parts. For symmetric jump families the
 odd density difference vanishes identically and the FirstMoment
 integral is exactly zero by construction rather than by cancellation.
+The three shifted kernels are one closed form in the even and odd parts
+of log(1 + t), log1p(-t^2)/2 and atanh(t) (kernel_parts).
 
 One engine integrates a whole x grid in one call (_integrals): the x
 that share (alpha, gamma, shift) read one cumulative Gauss-Kronrod rule
@@ -66,7 +68,6 @@ import numpy as np
 
 from .chain import ChainSpec, alpha_at, delta_at, gamma_at
 from .errors import DomainError
-from .specfun import real_binom
 from .stable import DensityTable, StableParams, tail_constant
 from .thresholds import r1, r2, t as t_threshold
 
@@ -127,7 +128,6 @@ class TailScanReport:
     beta: float | None = None
     scan_error: float = 0.0
     trend_flag: str = "ok"  # "ok" | "non-monotone" | "extrapolated" | "diverging"
-    threshold_error: float = 0.0
     # finest (d, delta) level, outer half of the grid: the worst
     # quadrature error and the delta-extrapolation gap of tail_inf
     quad_error: float = 0.0
@@ -193,58 +193,44 @@ CONDITIONS = {
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _binom_coefs(s: float, odd: bool) -> tuple:
-    # binomial-series coefficients of (1+t)^s restricted to odd/even powers
-    ks = range(1, 23, 2) if odd else range(2, 24, 2)
-    return tuple(real_binom(s, k) for k in ks)
-
-
 def kernel_parts(kernel: DriftKernel, x: float):
     """Evaluator y -> (E(y), O(y)) over arrays, with sgn(x) factored out.
 
     E and O are the even and odd parts of the shifted kernel in y; the
-    caller multiplies O by sgn(x). Small |t| goes through the binomial
-    series (the expm1/log1p route loses all digits below t ~ 1e-8). t is
-    clipped an ulp inside (-1, 1), so a block of rows may evaluate a row
-    past its integration range, which lies in |t| <= delta < 1.
+    caller multiplies O by sgn(x). Every shifted kernel is read off the
+    same two arrays u = log1p(-t^2)/2 and a = atanh(t), the even and odd
+    parts of log(1 + t). The log kernel is (u, a) itself; the power and
+    bounded kernels take (1 +- t)^s = e^(su) e^(+-sa), s = beta or -beta:
+
+      E = expm1(su) + 2 e^(su) sinh^2(sa/2),   O = e^(su) sinh(sa)
+
+    which keeps full relative precision wherever t^2 is a normal double,
+    up to the factor 1/|1 - s| that the cancellation in E ~ s(s - 1)t^2/2
+    itself costs. t is clipped an ulp inside (-1, 1), so a block of rows
+    may evaluate a row past its integration range, which lies in |t| <=
+    delta < 1.
     """
     ax = abs(x)
     kind = kernel.kind
     if kind == "first_moment":
         return lambda y: (np.zeros_like(y), y)
-    if kind == "log_shift":
-        den = 1.0 + ax
-
-        def eo_log(y):
-            t = np.clip(np.divide(y, den), -_T_MAX, _T_MAX)
-            return 0.5 * np.log1p(-t * t), np.arctanh(t)
-
-        return eo_log
+    s, den, flip = None, 1.0 + ax, 1.0  # log_shift: (u, a) as they are
     if kind == "power_beta":
-        s, den, flip = kernel.beta, ax, 1.0
-    else:  # bounded_beta: 1 - (1+t)^(-b) negates both parts of (1+t)^(-b)
-        s, den, flip = -kernel.beta, 1.0 + ax, -1.0
-    ev = tuple(reversed(_binom_coefs(s, odd=False)))
-    od = tuple(reversed(_binom_coefs(s, odd=True)))
+        s, den = kernel.beta, ax
+    elif kind == "bounded_beta":  # 1 - (1+t)^(-b) negates both parts of (1+t)^(-b)
+        s, flip = -kernel.beta, -1.0
 
-    def eo_pow(y):
-        t = np.atleast_1d(np.clip(np.divide(y, den), -_T_MAX, _T_MAX))
-        e, o = np.empty_like(t), np.empty_like(t)
-        small = np.abs(t) < 1e-2
-        ts = t[small]
-        t2 = ts * ts
-        e[small] = np.polyval(ev, t2) * t2
-        o[small] = np.polyval(od, t2) * ts
-        tb = t[~small]
-        pp = np.expm1(s * np.log1p(tb))
-        pm = np.expm1(s * np.log1p(-tb))
-        e[~small] = 0.5 * (pp + pm)
-        o[~small] = 0.5 * (pp - pm)
-        shape = np.shape(y)
-        return flip * e.reshape(shape), flip * o.reshape(shape)
+    def eo(y):
+        t = np.clip(np.divide(y, den), -_T_MAX, _T_MAX)
+        u, a = 0.5 * np.log1p(-t * t), np.arctanh(t)
+        if s is None:
+            return u, a
+        su, sa = s * u, s * a
+        h = np.sinh(0.5 * sa)
+        g = flip * np.exp(su)
+        return flip * np.expm1(su) + 2.0 * g * h * h, g * np.sinh(sa)
 
-    return eo_pow
+    return eo
 
 
 def truncated_integral(
@@ -435,7 +421,7 @@ def spans_three_decades(mags) -> bool:  # tail_scan's rule for |x| over x_grid
 
 
 def decreasing(grid) -> bool:  # tail_scan's rule for delta_grid and d_grid
-    return all(a > b for a, b in zip(grid, grid[1:]))
+    return len(grid) > 0 and all(a > b for a, b in zip(grid, grid[1:]))
 
 
 DEFAULT_DELTA_GRID = (0.5, 0.2, 0.1, 0.05)
@@ -500,12 +486,12 @@ def tail_scan(
         raise DomainError("x_grid must span at least 3 decades of |x|")
     delta_grid = tuple(delta_grid)
     if not decreasing(delta_grid):
-        raise DomainError("delta_grid must be strictly decreasing")
+        raise DomainError("delta_grid must be non-empty and strictly decreasing")
     if d_grid is None:
         d_grid = DEFAULT_D_GRID if cond.d_term else (0.0,)
     d_grid = tuple(d_grid)
     if not decreasing(d_grid):
-        raise DomainError("d_grid must be strictly decreasing")
+        raise DomainError("d_grid must be non-empty and strictly decreasing")
 
     integrals = {} if integrals is None else integrals
     if (spec, x_grid) not in integrals:
@@ -590,7 +576,6 @@ def tail_scan(
         beta=beta,
         scan_error=scan_error,
         trend_flag=trend,
-        threshold_error=thr_err,
         quad_error=worst_q,
         inf_delta_gap=inf_gap,
         x_grid=x_grid,

@@ -166,15 +166,15 @@ def test_verdict_priority_is_stable(ergodic_spec):
 # number of one gate chain per verdict are pinned (None: the ergodic chain)
 @pytest.mark.parametrize("spec, verdict, digest", [
     (make_chain(1.5), "Recurrent",
-     "abea6b84a9b78a6de7a26ffa4a0251afb65777460dcb15c763154d5c20e88a00"),
+     "1f83c8e61d8a8a3f46323b910bf1008bbc97c8f35fb8ba0b351f687bf2819f2c"),
     (make_chain(1.2), "Recurrent",
-     "960efe5efa04e3ac403d96229123332d531e7577d91f72a23fbc4379c93fb0a2"),
+     "6ff5b3501ca8f1943b68f2ed41044d7b1e07527fb0c083230ebf3d33d45a9578"),
     (make_chain(0.8, delta=0.5), "Transient",
-     "da04860ec4f404ec6c970d085e0980364c546a30fb66734252ecc90e46f5c792"),
+     "348f586930a6f1870469e748da23eb2159fa40fc340433e467f53c949b765ecb"),
     (make_chain(1.0), "Inconclusive",
-     "e8bcb7675d2b9ba454887fa8d2b6c76f2a01291f93a5df65a46e5102505c8897"),
+     "ecb27a01d55346da674e489c253d1b45168f1f4ee8d788f7c58bef52c35d54df"),
     (None, "Ergodic",
-     "f04e0f49c34d9bebcfd4176d50c0437a49342d728ba7f97aad13b5910c2b40b6"),
+     "046ea818430e23d80bfb125071f105d3a0016c692c2ed1ed53176b1d027d6dd2"),
 ], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
 def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     res = classify(spec or ergodic_spec)

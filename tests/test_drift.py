@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -57,6 +58,36 @@ def test_kernel_parts_reassemble(rng):
             e, o = eo(float(y))
             assert e + o == pytest.approx(raw_p, rel=1e-11, abs=1e-14)
             assert e - o == pytest.approx(raw_m, rel=1e-11, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind, beta", [("log_shift", None)] + [
+    ("power_beta", b) for b in (0.01, 0.5, 0.95, 0.99, 1.0)] + [
+    ("bounded_beta", b) for b in (0.01, 0.5, 0.99)])
+def test_kernel_parts_match_mpmath(kind, beta):
+    # both parts to a few ulp against a 90-digit reference, from t = 1e-14
+    # (where the even part is ~t^2) to 0.6; the even part of (1 +- t)^s
+    # cancels to s(s - 1)t^2/2, which costs a factor 1/|1 - s|
+    kernel = DriftKernel(kind, beta)
+    sign = -1 if kind == "bounded_beta" else 1  # 1 - (1 + t)^s negates (1 + t)^s - 1
+    s = 0.0 if beta is None else sign * beta
+    den = 1.0 if kind == "power_beta" else 2.0  # x = 1
+    mags = np.geomspace(1e-14, 0.6, 200)
+    ts = np.concatenate([-mags[::-1], mags])
+    e, o = kernel_parts(kernel, 1.0)(ts * den)
+    eps = np.finfo(float).eps
+    with mpmath.workdps(90):
+        for t, ev, od in zip(ts.tolist(), e.tolist(), o.tolist()):
+            tm = mpmath.mpf(t)
+            if kind == "log_shift":
+                want_e, want_o = mpmath.log1p(-tm * tm) / 2, mpmath.atanh(tm)
+            else:
+                pp, pm = (1 + tm) ** s, (1 - tm) ** s
+                want_e, want_o = sign * ((pp + pm) / 2 - 1), sign * (pp - pm) / 2
+            if s == 1.0:
+                assert abs(ev) <= 8 * eps * t * t, t
+            else:
+                assert abs(ev - want_e) <= 8 * eps * abs(want_e) / min(1.0, abs(1.0 - s)), t
+            assert abs(od - want_o) <= 8 * eps * abs(want_o), t
 
 
 def test_truncated_integral_against_monte_carlo():
@@ -174,6 +205,17 @@ def test_points_are_built_on_first_read(spec, cid, beta):
     assert rep.points is rep.points
 
 
+@pytest.mark.parametrize("grids, name", [
+    ({"delta_grid": ()}, "delta_grid"),
+    ({"d_grid": ()}, "d_grid"),
+    ({"delta_grid": (0.5, 0.1, 0.2)}, "delta_grid"),
+    ({"x_grid": (-1e2, 1e2, 5e4)}, "x_grid"),
+], ids=["empty-delta", "empty-d", "non-decreasing-delta", "short-x"])
+def test_tail_scan_rejects_bad_grids(grids, name):
+    with pytest.raises(DomainError, match=name):
+        tail_scan(make_chain(1.5), condition_id="log_erg", **grids)
+
+
 def test_tail_scan_needs_beta():
     with pytest.raises(DomainError):
         tail_scan(make_chain(1.5), condition_id="pow_rec")
@@ -220,6 +262,12 @@ def _engine_density(alpha, z):
 
 
 def _scalar_parts(kernel, x):
+    """Scalar (E, O) evaluator, kept independent of kernel_parts.
+
+    Binomial series below |t| = 1e-2, expm1 and log1p above: a second
+    form of the kernels, so that the reference does not check the
+    engine's closed form against itself.
+    """
     if kernel.kind == "first_moment":
         return lambda y: (0.0, y)
     if kernel.kind == "log_shift":
