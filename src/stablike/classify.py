@@ -469,8 +469,10 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
         evidence["two_valued_benchmark"] = abs(gap)
     else:
         near = max(best.values(), key=lambda r: r.margin, default=None)
-        if near is not None:
+        if near is not None:  # a diverging closest display means every margin is -inf
             caveats.append(
+                f"no display fired; all {len(best)} displays have a diverging |x| trend"
+                if near.trend_flag == "diverging" else
                 f"no display fired; closest was {near.condition_id} with margin "
                 f"{near.margin:.4g} against scan error {near.scan_error:.4g}"
             )

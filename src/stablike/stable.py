@@ -10,8 +10,8 @@ the characteristic function,
 reduced to the standard scale z = (y-delta)/gamma. One numpy engine
 serves every z of an array at once:
 
-  z < z_0       f(0) = Gamma(1 + 1/alpha)/pi, where z_0 puts the z^2 term
-                of the Taylor series at 0 under eps/2 of f(0)
+  z < z_1       Taylor series at 0, cut where its terms stop decreasing; z_1
+                is 4e-15 at a = 0.12, 0.006 at 0.5, ~0.8 near 1, 1.6 at 1.5, 2 near 2
   z <= 30       Zolotarev's integral in Nolan's form, f(z) = alpha/(pi
                 |alpha-1| z) int_0^(pi/2) g e^(-g) dtheta with g monotone,
                 split at its peak g = 1 and summed by nested tanh-sinh
@@ -142,6 +142,27 @@ def _tail_coefficients(alpha: float):
 
 
 @functools.lru_cache(maxsize=None)
+def _head_coefficients(alpha: float):
+    """Taylor series sum_k (-1)^k Gamma((2k+1)/alpha) z^(2k) / (pi alpha (2k)!) at 0.
+
+    Returns its c_k, highest k first, and the reach z_1 where the first
+    dropped term is eps/2 of f(0) = c_0. The cut (<= 80 terms, Gamma finite)
+    is the longest whose terms, the dropped one too, decrease at z_1: the
+    minimal term for alpha < 1, bounded cancellation for alpha > 1.
+    """
+    log_c = [math.lgamma((2 * k + 1) / alpha) - math.lgamma(2 * k + 1.0) for k in range(81)]
+    keep, steep = 0, math.inf
+    for k in range(1, 81):  # keep the k terms below term k
+        steep = min(steep, log_c[k - 1] - log_c[k])  # log of the least |c_j / c_(j+1)|
+        log_r = (math.log(0.5 * _EPS) + log_c[0] - log_c[k]) / (2 * k)
+        if 2.0 * log_r > steep or (k > 1 and (2 * k - 1) / alpha > 170.0):
+            break
+        keep, reach = k, math.exp(log_r)
+    return tuple((-1.0) ** k * gamma_fn((2 * k + 1) / alpha) / gamma_fn(2 * k + 1.0)
+                 / (math.pi * alpha) for k in range(keep - 1, -1, -1)), reach
+
+
+@functools.lru_cache(maxsize=None)
 def _ts_level(level: int):
     """Abscissae t >= 0 that tanh-sinh level `level` adds, as (q, w).
 
@@ -218,18 +239,21 @@ def _std_density(alpha: float, z):
         val = (1.0 / (math.pi * (1.0 + flat * flat)) if alpha == 1.0
                else np.exp(-flat * flat / 4.0) / (2.0 * math.sqrt(math.pi)))
         return val.reshape(shape)[()], np.zeros(shape)[()]
-    peak = gamma_fn(1.0 + 1.0 / alpha) / math.pi
-    val, err = np.full_like(flat, peak), np.full_like(flat, 4.0 * _EPS * peak)
+    coefs, reach = _head_coefficients(alpha)
+    val, err = np.full_like(flat, np.nan), np.full_like(flat, np.nan)
+    head = flat < reach  # the first dropped term is eps/2 of f(0) at the reach
+    zh = flat[head]
+    val[head] = np.polyval(coefs, zh * zh)
+    err[head] = _EPS * (0.5 * coefs[-1] * (zh / reach) ** (2 * len(coefs))
+                        + 4.0 * np.polyval(np.abs(coefs), zh * zh))
     tail = flat > _TAIL_Z
     if tail.any():
-        coefs, last = _tail_coefficients(alpha)
+        tail_c, last = _tail_coefficients(alpha)
         zt = flat[tail]
         w = zt ** -alpha  # Horner's rule in w
-        val[tail] = np.polyval(coefs, w) * w / zt
-        err[tail] = last * zt ** (-len(coefs) * alpha - 1.0)
-    # below z_0 the z^2 term of the Taylor series at 0 is under eps/2 of f(0)
-    z_0 = math.exp(0.5 * (math.log(_EPS) + math.lgamma(1.0 / alpha) - math.lgamma(3.0 / alpha)))
-    body = (flat >= z_0) & (flat > 0.0) & ~tail
+        val[tail] = np.polyval(tail_c, w) * w / zt
+        err[tail] = last * zt ** (-len(tail_c) * alpha - 1.0)
+    body = (flat >= reach) & ~tail
     zb = flat[body]
     if abs(alpha - 1.0) < _NEAR_ONE:
         # first order about the Cauchy law: df/dalpha at 1 is
@@ -240,15 +264,14 @@ def _std_density(alpha: float, z):
     else:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             v, e = _zolotarev(alpha, zb)
-        # the density is unimodal with mode at 0, so the z = 0 closed form
-        # bounds every value; the peak exceeds 1 once alpha < ~0.42
-        ok = np.isfinite(v) & (v >= 0.0) & (v <= peak * (1.0 + 1e-9)) & (e <= 1e-8)
+        # the density is unimodal with mode at 0, so f(0) = c_0 bounds
+        # every value; the peak exceeds 1 once alpha < ~0.42
+        ok = np.isfinite(v) & (v >= 0.0) & (v <= coefs[-1] * (1.0 + 1e-9)) & (e <= 1e-8)
         if not ok.all():
             k = np.argmin(ok)
             raise QuadratureError(f"density quadrature failed at alpha={alpha}, z={zb[k]}",
                                   v[k], e[k])
     val[body], err[body] = v, e
-    val[np.isnan(flat)] = err[np.isnan(flat)] = np.nan  # no mask above takes NaN
     return val.reshape(shape)[()], err.reshape(shape)[()]
 
 
@@ -312,10 +335,10 @@ class DensityTable:
     own 15 engine values, kept in a memo: one row of each of the four
     cut arrays (nodes, weights, diff, bound) per bound, and a dict from
     v to its row. An integral then depends only on its own bounds, and
-    every kernel and pass that reads v reuses them. Below alpha ~ 0.115
-    the engine does not converge for z between its Taylor cut-off and
-    ~1e-10, where the bottom panel has nodes, and from alpha ~ 1.9997 up
-    it fails near z = 8 to 10; the build, or a cut cell there, raises its
+    every kernel and pass that reads v reuses them. Below alpha ~ 0.112
+    the engine does not converge at bottom-panel nodes (z = 4.7e-13 to
+    1.4e-11, above the head's reach), and from alpha ~ 1.9997 up it fails
+    near z = 8 to 14; the build, or a cut cell there, raises its
     QuadratureError. Where f(0) = Gamma(1 + 1/alpha)/pi overflows a
     double (alpha below ~0.00586) the build raises TableOverflowError.
     for_alpha caches a failed build and raises it afresh on every lookup.

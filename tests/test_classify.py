@@ -52,6 +52,15 @@ def test_boundary_index_inconclusive():
     assert any("no display fired" in c for c in res.caveats)
 
 
+def test_all_diverging_caveat_names_the_trend():
+    # every display's margin is -inf here; the caveat names the diverging
+    # trend, not a "closest" display with margin -inf
+    res = classify(make_chain(1.5, delta=0.3))
+    assert res.verdict == "Inconclusive"
+    assert all(r.trend_flag == "diverging" for r in res.reports)
+    assert res.caveats == ("no display fired; all 9 displays have a diverging |x| trend",)
+
+
 def test_divergent_compensator_reported_not_fired():
     # near the boundary the beta = 1 moment display looks satisfied on any
     # finite grid while its compensator actually diverges; the verdict must
@@ -166,15 +175,15 @@ def test_verdict_priority_is_stable(ergodic_spec):
 # number of one gate chain per verdict are pinned (None: the ergodic chain)
 @pytest.mark.parametrize("spec, verdict, digest", [
     (make_chain(1.5), "Recurrent",
-     "1f83c8e61d8a8a3f46323b910bf1008bbc97c8f35fb8ba0b351f687bf2819f2c"),
+     "7facb7dab4a1754c75520c3eb596a04cb6debc3334cce67237a3245b82c704dd"),
     (make_chain(1.2), "Recurrent",
-     "6ff5b3501ca8f1943b68f2ed41044d7b1e07527fb0c083230ebf3d33d45a9578"),
+     "52357b374c018d0679c48eae1a700df3f9112dec6dffb0543652db16fb86e279"),
     (make_chain(0.8, delta=0.5), "Transient",
-     "348f586930a6f1870469e748da23eb2159fa40fc340433e467f53c949b765ecb"),
+     "f9491b024ce65df195ec9be96cc501b48494f9b4d58c91a73d3aa2a7694462d9"),
     (make_chain(1.0), "Inconclusive",
      "ecb27a01d55346da674e489c253d1b45168f1f4ee8d788f7c58bef52c35d54df"),
     (None, "Ergodic",
-     "046ea818430e23d80bfb125071f105d3a0016c692c2ed1ed53176b1d027d6dd2"),
+     "4d9ae930bc39ac4456de7f9475177f647af9071f6208eb287c5f9b09208043f1"),
 ], ids=["1.5", "1.2", "0.8-shifted", "1.0", "ergodic"])
 def test_classify_output_is_pinned(ergodic_spec, spec, verdict, digest):
     res = classify(spec or ergodic_spec)

@@ -162,10 +162,10 @@ def test_drift_scan_subcommand_csv(smoke_config_text):
 # included), pinned for the smoke config and for a shifted first-moment scan
 # with d levels
 @pytest.mark.parametrize("changes, digest", [
-    ({}, "9093d7dcd384b18712761f4de60d94b5c1ecb0415aa3982ed6e383cf27ab4fd9"),
+    ({}, "113fb6fe0c79b18eeb632b2ae864732b6efeb4b660af1976a43c8974731ed73c"),
     ({"scan": {"condition": "mom_erg_b", "betas": [0.5]},
       "chain": {"delta": {"kind": "two_valued", "values": [0.5, -0.5]}}},
-     "3db6ef168e3f2e79e2d1dbb5b44ebf8acc76f2b920eca3c75efae5ce00f60491"),
+     "9df19329d78104f82f0c34d984636efb92cd1240a39312df54a54458b3786aab"),
 ], ids=["smoke", "shifted-mom-erg-b"])
 def test_drift_scan_csv_is_pinned(smoke_config_text, tmp_path, changes, digest):
     path, out = smoke_config_text

@@ -11,7 +11,9 @@ from stablike import (
     DomainError, QuadratureError, StableParams, drift, sas_density, stable, tail_constant,
 )
 from stablike.errors import TableOverflowError
-from stablike.stable import DensityTable, _std_density, _tail_coefficients, sas_sample_n
+from stablike.stable import (
+    DensityTable, _head_coefficients, _std_density, _tail_coefficients, sas_sample_n,
+)
 
 
 def cauchy_pdf(y, gamma=1.0, delta=0.0):
@@ -137,6 +139,17 @@ def test_series_quadrature_handoff_is_smooth():
         assert abs(lo / hi - 1.0) < 1e-4
 
 
+@pytest.mark.parametrize("alpha", [0.12, 0.3, 0.5, 0.9, 0.99, 0.999999, 1.000001, 1.5, 1.9])
+def test_head_series_quadrature_handoff_is_smooth(alpha):
+    # the density switches from the Taylor series at 0 to the integral (or,
+    # next to alpha = 1, to the expansion about the Cauchy law) at z_1: the
+    # two doubles either side of it agree within their error estimates
+    reach = _head_coefficients(alpha)[1]
+    (lo, hi), (e_lo, e_hi) = _std_density(alpha, np.array([np.nextafter(reach, 0.0), reach]))
+    assert abs(lo - hi) <= e_lo + e_hi
+    assert abs(lo / hi - 1.0) < 1e-12
+
+
 def test_density_array_input_matches_scalar(rng):
     # bit for bit: no value may depend on the batch it was computed in
     for alpha in (0.5, 1.3, 1.9):
@@ -147,6 +160,7 @@ def test_density_array_input_matches_scalar(rng):
         for y, v in zip(ys, arr):
             assert v == sas_density(params, float(y))
         assert np.isnan(sas_density(params, np.array([np.nan, 0.5]))[0])
+        assert np.isnan(_std_density(alpha, np.nan)).all()
 
 
 @pytest.mark.parametrize("alpha", [0.45, 1.3])
@@ -177,12 +191,15 @@ def test_cut_memo_rows_match_a_fresh_table():
 
 
 # the rule of a fresh table, edges and every (cells, 15) array, pinned: a
-# change to the density engine must leave it bit for bit as it is
+# change to the density engine must leave it bit for bit as it is. Last
+# re-captured when the Taylor series at 0 took over z < z_1 from the
+# integral: the weights moved by at most 1.4e-13 relative (alpha = 0.99),
+# and the error bounds fell
 @pytest.mark.parametrize("alpha, digest", [
-    (0.5, "bd15ad87fb6b76abc7583efc44999d236130c59973bf16b6402edc840545d4b9"),
-    (0.9, "da47a93665898a07565b28c0354b73575289568ca60e1937720f7c38b36ad341"),
-    (1.5, "62ae83f8f3b63e1baf29884537346a3d08892545213ac7cd98a1ac71dff4621e"),
-])
+    (0.5, "e7e32ce89de0fd987a2b81bb39f166762311155ede263723116a0a29d7caa119"),
+    (0.9, "4dfa14a12fd7c1c6262b1404aa3ba002fa0e6c7444153223ef8b1cba26c6942b"),
+    (1.5, "340826f77ec84c7da824c641adee8093c7bb5853e61192d8b1f171dd2757abef"),
+], ids=["0.5", "0.9", "1.5"])
 def test_table_rule_is_pinned(alpha, digest):
     rule = DensityTable(alpha).rule(100.0)
     data = b"".join(np.ascontiguousarray(a).tobytes() for a in rule)
@@ -266,13 +283,14 @@ def test_sampler_location_scale_transport():
 @pytest.mark.parametrize("alpha", [0.5, 0.999, 1.5])
 def test_unconverged_knot_raises(monkeypatch, alpha):
     # a value whose last two tanh-sinh levels still differ by more than the
-    # tolerance at the level cap must raise, never be kept or dropped
+    # tolerance at the level cap must raise, never be kept or dropped; the
+    # probe z = 5 lies above every head reach z_1 (all under 2)
     monkeypatch.setattr(stable, "_TS_LEVELS", 1)
     with pytest.raises(QuadratureError, match="no convergence") as info:
         DensityTable(alpha)
     assert info.value.partial is not None and info.value.est_abs_error > 0.0
     with pytest.raises(QuadratureError, match="no convergence"):
-        sas_density(StableParams(alpha), np.array([0.0, 0.5, 40.0]))
+        sas_density(StableParams(alpha), np.array([0.0, 5.0, 40.0]))
 
 
 def _fourier_density(alpha, z):
@@ -311,6 +329,36 @@ def test_density_matches_mpmath_oracle(alpha):
         diff = abs(val - oracle(alpha, z))
         assert diff <= err
         assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 0.99, 1.5, 1.9])
+def test_head_series_matches_mpmath_oracle(alpha):
+    # inside the Taylor series' reach z_1 and either side of its end
+    oracle = _contour_density if alpha < 0.9 else _fourier_density
+    reach = _head_coefficients(alpha)[1]
+    for z in (0.3 * reach, 0.99 * reach, 1.01 * reach):
+        val, err = _std_density(alpha, z)
+        diff = abs(val - oracle(alpha, z))
+        assert diff <= err
+        assert diff <= 1e-13
+
+
+def test_table_sends_no_head_node_to_the_integral(monkeypatch):
+    # a deterministic cost guard: the nodes below z_1 are the integral's
+    # costliest, and a table build must pass it only the body nodes from
+    # z_1 up to the tail series' cut at z = 30
+    seen, zolotarev = [], stable._zolotarev
+
+    def counting(alpha, z):
+        seen.append(z.copy())
+        return zolotarev(alpha, z)
+
+    monkeypatch.setattr(stable, "_zolotarev", counting)
+    reach = _head_coefficients(0.9)[1]
+    nodes = DensityTable(0.9).rule(30.0)[1]
+    zs = np.concatenate(seen)
+    assert zs.min() >= reach and zs.max() <= 30.0
+    assert zs.size == np.count_nonzero((nodes >= reach) & (nodes <= 30.0))
 
 
 @pytest.mark.parametrize("alpha", [1.0 - 1e-9, 1.0 - 9e-6, 1.0 + 9e-6, 1.0 + 2e-5])
