@@ -6,9 +6,9 @@ delta(x) depend on the current position through finitely-many-valued
 profiles. This package evaluates the drift-criterion integrals that
 decide long-run behaviour, compares them against closed-form threshold
 constants, and corroborates the verdicts with Monte Carlo diagnostics.
-Only hyp2f1's Euler-integral route imports scipy (scipy.integrate, on
-first use); classify, the drift scans and the Monte Carlo code run on
-numpy alone.
+It runs on numpy and the standard library (PyYAML reads the CLI's
+configs); one tanh-sinh quadrature rule serves the stable densities and
+hyp2f1's Euler integral.
 """
 
 __version__ = "0.1.0"

@@ -243,18 +243,6 @@ def make_chain(alpha, gamma=1.0, delta=0.0, unchecked: bool = False) -> ChainSpe
     )
 
 
-def alpha_at(spec: ChainSpec, x: float) -> float:
-    return spec.alpha_profile(x)
-
-
-def gamma_at(spec: ChainSpec, x: float) -> float:
-    return spec.family.gamma_profile(x)
-
-
-def delta_at(spec: ChainSpec, x: float) -> float:
-    return spec.family.delta_profile(x)
-
-
 def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     """Single path of n_steps transitions from x0 with a derived stream.
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import ChainSpec, ProfileFn, alpha_at, gamma_at
+from .chain import ChainSpec, ProfileFn
 from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, default_x_grid, tail_scan
 from .errors import DomainError, QuadratureError, TableOverflowError
 from .stable import StableParams, tail_constant
@@ -282,8 +282,8 @@ def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
     c_of = functools.cache(lambda a, g: tail_constant(StableParams(a, g)))  # c(x), once per value
 
     def rate_at(x):
-        a = alpha_at(spec, x)
-        return a * abs(x) ** (a - 1.0) / c_of(a, gamma_at(spec, x))
+        a = spec.alpha_profile(x)
+        return a * abs(x) ** (a - 1.0) / c_of(a, spec.family.gamma_profile(x))
 
     for side in (1.0, -1.0):
         rate = np.array([rate_at(x) for x in (side * mags).tolist()])

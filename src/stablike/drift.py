@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSpec, alpha_at, delta_at, gamma_at
+from .chain import ChainSpec
 from .errors import DomainError
 from .stable import DensityTable, StableParams, tail_constant
 from .thresholds import r1, r2, t as t_threshold
@@ -274,9 +274,10 @@ class _Grid:
         self.outer = mags >= np.median(mags)
         self.mag_of = np.unique(mags[self.outer], return_inverse=True)[1]
         self.groups = {}
+        fam = spec.family
         for i, x in enumerate(self.xs.tolist()):
-            self.groups.setdefault((alpha_at(spec, x), gamma_at(spec, x), delta_at(spec, x)),
-                                   []).append(i)
+            key = (spec.alpha_profile(x), fam.gamma_profile(x), fam.delta_profile(x))
+            self.groups.setdefault(key, []).append(i)
         self.prefs = {moment: np.empty_like(self.xs) for moment in (False, True)}
         for (alpha, g, _), idx in self.groups.items():
             c = tail_constant(StableParams(alpha, g))

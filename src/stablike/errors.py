@@ -27,7 +27,7 @@ class ConvergenceError(StablikeError, RuntimeError):
 
 
 class QuadratureError(StablikeError, RuntimeError):
-    """Adaptive quadrature reported failure. Carries the partial estimate."""
+    """A quadrature rule did not converge. Carries the partial estimate."""
 
     def __init__(self, message, partial=None, est_abs_error=None):
         super().__init__(message)

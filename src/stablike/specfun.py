@@ -1,17 +1,21 @@
 """Real-argument special functions: Gamma, digamma, binomial, Gauss 2F1.
 
 Evaluators for the special functions of the stable densities and the
-drift kernels, on the standard library alone except hyp2f1's Euler
-integral, which imports scipy.integrate when it is first called.
-Everything here is pure and reentrant. The hypergeometric evaluator
-returns a value together with an estimated absolute error so
+drift kernels, on the standard library and numpy. The tanh-sinh levels
+here (Takahasi & Mori 1974) are the package's one quadrature rule: they
+sum hyp2f1's Euler integral and, in `stable`, Zolotarev's density
+integral. Everything here is pure and reentrant. The hypergeometric
+evaluator returns a value together with an estimated absolute error so
 downstream margins can be honest.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, QuadratureError
 
@@ -28,6 +32,12 @@ _BERNOULLI = (
 
 _SERIES_CAP = 10_000
 _HYP_TOL = 1e-9
+_TS_REACH = 3.5  # tanh-sinh abscissa cut: nodes past it weigh under 1e-20
+_EULER_LEVELS = 9  # step halvings before the Euler integral must converge
+_EULER_RTOL = 1e-15
+# rounding of the Gamma prefactor and the node powers, relative to the value;
+# the worst seen against 40-digit mpmath over 2000 random points was 6.7 eps
+_EULER_ROUNDING = 16 * 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -100,40 +110,52 @@ def _series(a: float, b: float, c: float, z: float) -> SpecFunResult:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _ts_level(level: int):
+    """Abscissae t >= 0 that tanh-sinh level `level` adds, as (q, w).
+
+    The step is 2^-level, and later levels add only its odd multiples. A t
+    names the two nodes q*L from either end of a length-L interval, with
+    q = (1 - tanh(pi/2 sinh t))/2 exact near the ends, each weighing w*L.
+    """
+    h = 0.5 ** level
+    t = h * np.arange(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2)
+    e = np.exp(-math.pi * np.sinh(t))
+    w = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+    return e / (1.0 + e), np.where(t == 0.0, 0.5 * w, w)  # t = 0 is one node, named twice
+
+
 def _euler_integral(a: float, b: float, c: float, z: float) -> SpecFunResult:
     # Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 t^(b-1)(1-t)^(c-b-1)(1-tz)^(-a) dt
-    # caller guarantees c > b > 0. Both endpoint powers go into QUADPACK's
-    # algebraic weight (QAWS), so the integrand left over is smooth; plain
-    # adaptive quadrature on the bare singularities loses up to ~2e-9.
-    pref = gamma(c) / (gamma(b) * gamma(c - b))
-    if z == 1.0:
-        # (1-tz)^(-a) merges into the (1-t) power and the integrand is 1
-        wvar = (b - 1.0, c - b - a - 1.0)
-
-        def f(t):
-            return 1.0
-    else:
-        wvar = (b - 1.0, c - b - 1.0)
-
-        def f(t):
-            return (1.0 - t * z) ** (-a)
-
-    from scipy import integrate
-
-    out = integrate.quad(f, 0.0, 1.0, weight="alg", wvar=wvar, epsabs=1e-14,
-                         epsrel=1e-13, limit=300, full_output=1)
-    val, err = pref * out[0], abs(pref) * out[1]
-    if len(out) > 3:
-        # QUADPACK flagged the result (ier > 0): its error estimate may be
-        # low, so the value cannot carry an honest bound
-        raise QuadratureError(
-            f"hyp2f1 Euler integral (a={a}, b={b}, c={c}, z={z}): {out[3]}",
-            partial=val,
-            est_abs_error=err,
-        )
-    # QUADPACK's estimate can sit a few ulps under the true error once the
-    # rule has converged; a relative floor of 4e-15 covers that
-    return SpecFunResult(val, err + 4e-15 * abs(val))
+    # for c > b > 0. t = s^(1/b) on [0, 1/2] and 1 - t = r^(1/(c-b)) on [1/2, 1]
+    # absorb both endpoint powers, so the tanh-sinh levels sum bounded
+    # integrands over s in [0, 2^-b] and r in [0, 2^-(c-b)]
+    d = c - b
+    ls, lr = 0.5 ** b, 0.5 ** d
+    # the nodes nearest t = 0 and t = 1 sit q_end*L inside their ends; the mass
+    # they miss is about the bounded integrand's end value times q_end*L
+    q_end = float(_ts_level(1)[0][-1])
+    cut = q_end * (ls / b + lr / d * (1.0 - z) ** -a)
+    pref = gamma(c) / (gamma(b) * gamma(d))
+    total = 0.0
+    for level in range(_EULER_LEVELS + 1):
+        q, w = _ts_level(level)
+        ends = np.stack([q, 1.0 - q])  # nodes from the t = 0 or 1 end, then from t = 1/2
+        t = (ls * ends) ** (1.0 / b)
+        u = (lr * ends) ** (1.0 / d)  # 1 - t on the right half
+        f = (ls / b * (1.0 - t) ** (d - 1.0) * (1.0 - t * z) ** -a
+             + lr / d * (1.0 - u) ** (b - 1.0) * (1.0 - z + u * z) ** -a)
+        new = float(f.sum(axis=0) @ w) + 0.5 * total
+        diff, total = abs(new - total), new
+        err = pref * (diff + cut + _EULER_ROUNDING * total)
+        if level and diff <= _EULER_RTOL * total:
+            return SpecFunResult(pref * total, err)
+    raise QuadratureError(
+        f"hyp2f1 Euler integral (a={a}, b={b}, c={c}, z={z}): no convergence in "
+        f"{_EULER_LEVELS} tanh-sinh levels",
+        partial=pref * total,
+        est_abs_error=err,
+    )
 
 
 def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
@@ -145,7 +167,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
     Euler integral for z > 1/2 when c > b > 0 (or c > a > 0, by argument
     symmetry). Any other z > 1/2 has no route and raises a domain error.
     Raises a convergence error when the estimated error exceeds 1e-9,
-    and a quadrature error when QUADPACK flags the Euler integral.
+    and a quadrature error when the tanh-sinh levels of the Euler
+    integral do not converge.
     """
     if _is_nonpos_int(c):
         raise DomainError(f"hyp2f1 undefined for nonpositive integer c = {c}")

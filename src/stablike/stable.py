@@ -14,10 +14,11 @@ serves every z of an array at once:
                 is 4e-15 at a = 0.12, 0.006 at 0.5, ~0.8 near 1, 1.6 at 1.5, 2 near 2
   z <= 30       Zolotarev's integral in Nolan's form, f(z) = alpha/(pi
                 |alpha-1| z) int_0^(pi/2) g e^(-g) dtheta with g monotone,
-                split at its peak g = 1 and summed by nested tanh-sinh
-                levels; within 1e-5 of alpha = 1, where alpha/(alpha-1)
-                amplifies the rounding of log g, the first-order expansion
-                about the Cauchy law
+                split at its peak g = 1 and summed by the nested tanh-sinh
+                levels of specfun._ts_level, which hyp2f1 shares; within
+                1e-5 of alpha = 1, where alpha/(alpha-1) amplifies the
+                rounding of log g, the first-order expansion about the
+                Cauchy law
   |z| > 30      power-tail series sum_k (-1)^(k+1) Gamma(k a + 1)/k!
                 * sin(k pi a / 2) z^(-k a - 1) / pi, convergent for a < 1
                 and asymptotic (min-term truncation) for a > 1; at z = 30
@@ -43,12 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, TableOverflowError
-from .specfun import gamma as gamma_fn
+from .specfun import _ts_level, gamma as gamma_fn
 
 _TAIL_Z = 30.0
 _HALF_PI = 0.5 * math.pi
 _EPS = 2.220446049250313e-16
-_TS_REACH = 3.5  # tanh-sinh abscissa cut: nodes past it weigh under 1e-20
 _TS_LEVELS = 9  # step halvings before a value must converge
 _TS_RTOL = 1e-13
 _BLOCK = 1 << 13  # float64 entries of one node temporary (64 KB): a block needs < 1 MB
@@ -160,21 +160,6 @@ def _head_coefficients(alpha: float):
         keep, reach = k, math.exp(log_r)
     return tuple((-1.0) ** k * gamma_fn((2 * k + 1) / alpha) / gamma_fn(2 * k + 1.0)
                  / (math.pi * alpha) for k in range(keep - 1, -1, -1)), reach
-
-
-@functools.lru_cache(maxsize=None)
-def _ts_level(level: int):
-    """Abscissae t >= 0 that tanh-sinh level `level` adds, as (q, w).
-
-    The step is 2^-level, and later levels add only its odd multiples. A t
-    names the two nodes q*L from either end of a length-L interval, with
-    q = (1 - tanh(pi/2 sinh t))/2 exact near the ends, each weighing w*L.
-    """
-    h = 0.5 ** level
-    t = h * np.arange(0 if level == 0 else 1, int(_TS_REACH / h) + 1, 1 if level == 0 else 2)
-    e = np.exp(-math.pi * np.sinh(t))
-    w = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
-    return e / (1.0 + e), np.where(t == 0.0, 0.5 * w, w)  # t = 0 is one node, named twice
 
 
 def _log_g(alpha: float, z, th, ph):

@@ -16,7 +16,6 @@ from stablike import (
     make_chain,
     simulate,
 )
-from stablike.chain import alpha_at, delta_at, gamma_at
 from stablike.stable import cms_transform
 
 
@@ -143,9 +142,9 @@ def test_profiles_reject_non_finite_positions(p, x):
 
 def test_make_chain_accepts_numbers():
     spec = make_chain(1.5, gamma=2.0, delta=-0.25)
-    assert alpha_at(spec, 3.0) == 1.5
-    assert gamma_at(spec, -3.0) == 2.0
-    assert delta_at(spec, 0.0) == -0.25
+    assert spec.alpha_profile(3.0) == 1.5
+    assert spec.family.gamma_profile(-3.0) == 2.0
+    assert spec.family.delta_profile(0.0) == -0.25
 
 
 def test_spec_validates_alpha_range():
@@ -177,7 +176,7 @@ def test_unchecked_skips_validation():
         ),
         unchecked=True,
     )
-    assert alpha_at(spec, 0.0) == 2.0
+    assert spec.alpha_profile(0.0) == 2.0
 
 
 def test_simulate_replay_and_shape(sas15):

@@ -247,20 +247,20 @@ def test_mc_diagnose_subcommand_csv(smoke_config_text):
     assert len(tv) == 2 + 2
 
 
-# runs in a fresh interpreter: no subcommand loads scipy, classify and
-# drift-scan included, and hyp2f1's Euler route still works after them
+# runs in a fresh interpreter: none of the five subcommands, classify,
+# hyp2f1's Euler route or a density table build loads a scipy module
 _COLD_START = """
 import json, sys
 import stablike, stablike.cli
-cfg, out = sys.argv[1], sys.argv[2]
-codes = [stablike.cli.main([sub, "--config", cfg])
-         for sub in ("thresholds", "simulate", "mc-diagnose", "drift-scan")]
-verdict = stablike.classify(stablike.make_chain(1.5)).verdict
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 from stablike.specfun import hyp2f1
 from stablike.stable import DensityTable
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [stablike.cli.main([sub, "--config", cfg])
+         for sub in ("thresholds", "classify", "simulate", "mc-diagnose", "drift-scan")]
+verdict = stablike.classify(stablike.make_chain(1.5)).verdict
 euler = hyp2f1(0.3, 0.7, 1.9, 0.8)
 table = DensityTable(1.5)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 with open(out, "w") as fh:
     json.dump({"codes": codes, "verdict": verdict, "loaded": loaded,
                "euler": [euler.value, euler.est_abs_error],
@@ -280,13 +280,12 @@ def test_cold_start_loads_no_scipy(smoke_config_text, tmp_path):
     proc = _python("-c", _COLD_START, str(cfg), str(result))
     assert proc.returncode == 0, proc.stderr
     got = json.loads(result.read_text())
-    assert got["codes"] == [0, 0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0, 0]
     assert got["verdict"] == "Recurrent"
     assert got["loaded"] == []
     assert {p.name for p in out.iterdir()} == {
-        "thresholds.csv", "trajectory.csv", "mc_stats.csv", "tv_convergence.csv",
-        "drift_scan.csv"}
-    # the Euler route of hyp2f1 loads scipy on first use; the rule is numpy's
+        "thresholds.csv", "classification.json", "trajectory.csv", "mc_stats.csv",
+        "tv_convergence.csv", "drift_scan.csv"}
     euler = stablike.hyp2f1(0.3, 0.7, 1.9, 0.8)
     assert got["euler"] == [euler.value, euler.est_abs_error]
     table = DensityTable(1.5)

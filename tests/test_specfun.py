@@ -182,3 +182,39 @@ def test_hyp2f1_pfaff_consistency(rng):
         w = z / (z - 1.0)
         mapped = (1.0 - z) ** (-a) * hyp2f1(a, c - b, c, w).value
         assert direct == pytest.approx(mapped, rel=5e-11, abs=5e-13)
+
+
+def test_euler_integral_matches_mpmath():
+    # the tanh-sinh route against 40-digit 2F1 over z in (1/2, 1) with b and
+    # c - b down to 0.05, where the endpoint powers t^(b-1), (1-t)^(c-b-1)
+    # are sharpest; every estimate must cover the oracle's distance
+    import mpmath as mp
+
+    from stablike.specfun import _euler_integral
+
+    rng = np.random.default_rng(22)
+    with mp.workdps(40):
+        for _ in range(200):
+            a = rng.uniform(-3.0, 3.0)
+            b = rng.uniform(0.05, 3.0)
+            c = b + rng.uniform(0.05, 3.0)
+            z = rng.uniform(0.5, 0.9999)
+            got = _euler_integral(a, b, c, z)
+            assert type(got.value) is float and type(got.est_abs_error) is float
+            diff = abs(got.value - float(mp.hyp2f1(a, b, c, z)))
+            assert diff <= got.est_abs_error, (a, b, c, z)
+            assert diff <= 4e-15 * abs(got.value), (a, b, c, z)
+
+
+def test_euler_integral_unconverged_levels_raise(monkeypatch):
+    # a level budget too small to converge must raise, never return the
+    # partial sum as a value
+    from stablike import QuadratureError, specfun
+
+    monkeypatch.setattr(specfun, "_EULER_LEVELS", 1)
+    with pytest.raises(QuadratureError, match="no convergence") as info:
+        specfun._euler_integral(-0.5, 1.3, 2.3, 0.8)
+    assert info.value.partial == pytest.approx(0.7246396372541376, rel=1e-2)
+    assert info.value.est_abs_error > 0.0
+    with pytest.raises(QuadratureError):
+        hyp2f1(-0.5, 1.3, 2.3, 0.8)
