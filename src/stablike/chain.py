@@ -19,9 +19,10 @@ chain is a plain random walk: ProfileFn.cell gives each value with a
 span [lo, hi) that provably keeps it, and a step looks a profile up
 again only once x has left that span. Every step thus uses exactly the
 values a lookup at x would give, in the same arithmetic, and a path is
-the same float for float however its lookups fall. A path that reaches
-|x| >= FREEZE stays at +-FREEZE, the same rule the Monte Carlo
-ensembles in `mc` apply.
+the same float for float however its lookups fall. A stay in one cell
+is a running sum, and simulate finishes a long one in numpy windows in
+the same operations and order. A path that reaches |x| >= FREEZE stays
+at +-FREEZE, the same rule the Monte Carlo ensembles in `mc` apply.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .stable import cms_transform
 
 FREEZE = 1e300  # overflow guard: transient low-index chains overflow doubles
 _STEP_BLOCK = 4096  # steps per block of simulate's random stream
+_HOLD = 256  # steps a stay in one cell takes one at a time before simulate sums the rest
+_ABOVE_FREEZE = math.nextafter(-FREEZE, 0.0)  # the least state a path keeps
 _KINDS = ("constant", "two_valued", "periodic", "piecewise", "custom")
 
 
@@ -260,6 +263,16 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     profile raises DomainError (custom gamma and delta are fine, looked
     up on every step), and so does a non-finite x0. Once |x| >= FREEZE
     or x is not finite, the path stays at +-FREEZE.
+
+    Inside the joint span of the three profiles the chain is a plain
+    random walk, so a long stay in one cell is a running sum. Short stays
+    run in a per-step loop; once a stay has lasted _HOLD steps without a
+    lookup, _finish_stay sums the rest of it in numpy windows up to the
+    block end, in the same operations and order, so the states are the
+    same floats. _HOLD trades the per-step loop's cost on a long stay
+    (some 0.2 us a step) against a window's fixed cost (some 10 us),
+    which is lost on a stay that ends soon after the window opens; a
+    chain whose stays are all short never opens one.
     """
     if n_steps < 1:
         raise DomainError("simulate requires n_steps >= 1")
@@ -271,32 +284,102 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     a_col = np.array(alphas)[:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = np.empty(n_steps)
+    buf = np.empty(2 * _STEP_BLOCK + 1)  # one window: [x, d, g*J, d, g*J, ...]
     x = float(x0)
     # nan spans hold no x, so the first step looks every profile up
     a_lo = a_hi = g_lo = g_hi = d_lo = d_hi = math.nan
     row = 0
+    last = 0  # the step of the last lookup, counted from the block's start
     for start in range(0, n_steps, _STEP_BLOCK):
         u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, _STEP_BLOCK)
         e = rng.standard_exponential(_STEP_BLOCK)
-        rows = cms_transform(a_col, u, e).tolist()
-        jumps = rows[row]
-        block = []
-        for j in range(min(_STEP_BLOCK, n_steps - start)):
-            if not a_lo <= x < a_hi:
-                a_lo, a_hi, a = a_fn.cell(x)
-                row = row_of[a]
+        table = cms_transform(a_col, u, e)
+        rows = None  # the table as Python floats, made once the per-step loop needs it
+        m = min(_STEP_BLOCK, n_steps - start)
+        block = []  # the per-step loop's states, from states[start + j - len(block)]
+        j = 0
+        while j < m:
+            if j - last > _HOLD:
+                lo = max(a_lo, g_lo, d_lo, _ABOVE_FREEZE)
+                hi = min(a_hi, g_hi, d_hi, FREEZE)
+                if lo <= x < hi:
+                    at = start + j
+                    states[at - len(block):at] = block
+                    block = []
+                    kept = _finish_stay(buf, states[at:start + m], x, d, g,
+                                        table[row, j:m], lo, hi, j - last - 1)
+                    if kept:
+                        x = float(states[at + kept - 1])
+                        j += kept
+                    if j == m:
+                        break
+            # up to the step at which the stay would reach _HOLD, one step at least
+            stop = last + _HOLD + 1
+            if stop > m:
+                stop = m
+            elif stop <= j:
+                stop = j + 1
+            if rows is None:
+                rows = table.tolist()
                 jumps = rows[row]
-            if not g_lo <= x < g_hi:
-                g_lo, g_hi, g = g_fn.cell(x)
-            if not d_lo <= x < d_hi:
-                d_lo, d_hi, d = d_fn.cell(x)
-            x_new = x + d + g * jumps[j]
-            if not -FREEZE < x_new < FREEZE:
-                # a nan jump (inf * 0 in the transform) keeps the old sign
-                states[start + j:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
-                states[start:start + j] = block
-                return Trajectory(float(x0), states, seed)
-            x = x_new
-            block.append(x)
-        states[start:start + len(block)] = block
+            for j in range(j, stop):
+                if not a_lo <= x < a_hi:
+                    a_lo, a_hi, a = a_fn.cell(x)
+                    row = row_of[a]
+                    jumps = rows[row]
+                    last = j
+                if not g_lo <= x < g_hi:
+                    g_lo, g_hi, g = g_fn.cell(x)
+                    last = j
+                if not d_lo <= x < d_hi:
+                    d_lo, d_hi, d = d_fn.cell(x)
+                    last = j
+                x_new = x + d + g * jumps[j]
+                if not -FREEZE < x_new < FREEZE:
+                    # a nan jump (inf * 0 in the transform) keeps the old sign
+                    at = start + j
+                    states[at:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
+                    states[at - len(block):at] = block
+                    return Trajectory(float(x0), states, seed)
+                x = x_new
+                block.append(x)
+            j = stop
+        states[start + m - len(block):start + m] = block
+        last -= _STEP_BLOCK
     return Trajectory(float(x0), states, seed)
+
+
+def _finish_stay(buf, out, x, d, g, jumps, lo, hi, held) -> int:
+    """States of a stay in one cell from x on; returns how many it wrote.
+
+    out and jumps are equal-length views: the states from the stay's next
+    step to the block end, and the jumps they take. buf holds
+    [x, d, g*J_0, d, g*J_1, ...]; summed left to right by np.add.accumulate
+    it holds at every other place exactly the per-step loop's
+    x + d + g * J. It is summed in windows: the stay has lasted held steps,
+    and each window takes as many more, so windows double, and each starts
+    from the last state of the one before. The first state outside
+    [lo, hi) ends the stay: one that left the cell is kept, one at
+    +-FREEZE or nan is left to the per-step loop (lo and hi are clipped to
+    the open span of FREEZE).
+    """
+    done, n = 0, len(out)
+    buf[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # inf jumps meet in the sums
+        while done < n:
+            w = min(held, n - done)
+            acc = buf[2 * done:2 * (done + w) + 1]
+            acc[1::2] = d
+            s = acc[2::2]
+            np.multiply(jumps[done:done + w], g, out=s)
+            np.add.accumulate(acc, out=acc)
+            if not (np.minimum.reduce(s) >= lo and np.maximum.reduce(s) < hi):  # nan fails
+                k = int(np.argmin((s >= lo) & (s < hi)))
+                if -FREEZE < s[k] < FREEZE:
+                    k += 1
+                done += k
+                break
+            done += w
+            held += w
+    out[:done] = buf[2:2 * done + 1:2]
+    return done

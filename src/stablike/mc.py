@@ -21,7 +21,10 @@ streams, which gives the interval statistics and TV start a's law, and
 start b on tv_convergence's stream for it.
 
 invariant_histogram reads one path of chain.simulate (block-drawn
-stream, enumerable alpha only); the ensembles also take a custom alpha.
+stream, enumerable alpha only), which steps short stays in a profile
+cell one at a time and sums the rest of a stay past chain._HOLD steps
+in numpy windows, float for float the same; the ensembles step every
+path on every step and also take a custom alpha.
 
 Heavy-tail guard: a path whose |state| reaches chain.FREEZE = 1e300 is
 frozen there, here and in simulate alike, and counted as non-returning;

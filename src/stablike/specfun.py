@@ -31,7 +31,7 @@ _BERNOULLI = (
 )
 
 _SERIES_CAP = 10_000
-_HYP_TOL = 1e-9
+_HYP_TOL = 1e-9  # of max(1, |value|): large values are judged relative
 _TS_REACH = 3.5  # tanh-sinh abscissa cut: nodes past it weigh under 1e-20
 _EULER_LEVELS = 9  # step halvings before the Euler integral must converge
 _EULER_RTOL = 1e-15
@@ -167,8 +167,9 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
     Euler integral for z > 1/2 when c > b > 0 (or c > a > 0, by argument
     symmetry). Any other z > 1/2 has no route and raises a domain error.
     Raises a convergence error when the estimated error exceeds 1e-9,
-    and a quadrature error when the tanh-sinh levels of the Euler
-    integral do not converge.
+    absolute up to |value| = 1 and relative to |value| above it, and a
+    quadrature error when the tanh-sinh levels of the Euler integral do
+    not converge.
     """
     if _is_nonpos_int(c):
         raise DomainError(f"hyp2f1 undefined for nonpositive integer c = {c}")
@@ -218,7 +219,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
             f"(a={a}, b={b}, c={c}, z={z})"
         )
 
-    if res.est_abs_error > _HYP_TOL:
+    if not (math.isfinite(res.value)
+            and res.est_abs_error <= _HYP_TOL * max(1.0, abs(res.value))):
         raise ConvergenceError(
             f"hyp2f1 estimated error {res.est_abs_error:.2e} above tolerance "
             f"(a={a}, b={b}, c={c}, z={z})",

@@ -249,6 +249,27 @@ def test_simulate_freezes_overflowing_paths(alpha):
     assert np.all(states[hit[0]:] == states[hit[0]])
 
 
+# gamma 1e-300 keeps every state an exact integer, so the window that finishes
+# the stay from 0 ends exactly on the breakpoint 300.0
+_ON_THE_BREAKPOINT = dict(alpha=ProfileFn.piecewise((300.0,), (1.5, 0.7)), gamma=1e-300)
+
+
+@pytest.mark.parametrize("spec, n_steps", [
+    (make_chain(**_ON_THE_BREAKPOINT, delta=1.0), 1000),
+    # the right-hand cell's delta shows which cell 300.0 took
+    (make_chain(**_ON_THE_BREAKPOINT, delta=ProfileFn.piecewise((300.0,), (1.0, -0.5))), 1000),
+    # a block edge and the run's end each cut a window
+    (make_chain(1.5), 2 * 4096 + 77),
+    (make_chain(ProfileFn.two_valued(0.9, 0.8)), 2 * 4096 + 77),
+], ids=["breakpoint", "breakpoint-right-cell", "constant", "two-valued"])
+def test_simulate_finishes_a_stay_as_the_per_step_loop(spec, n_steps):
+    states = simulate(spec, 0.0, n_steps, 3).states
+    assert states.tobytes() == _simulate_per_step(spec, 0.0, n_steps, 3).tobytes()
+    if spec.alpha_profile.kind == "piecewise":
+        assert states[299] == 300.0
+        assert states[300] == (299.5 if spec.family.delta_profile.kind == "piecewise" else 301.0)
+
+
 def test_simulate_needs_enumerable_alpha():
     spec = make_chain(ProfileFn.custom(lambda x: 1.5), unchecked=True)
     with pytest.raises(DomainError):

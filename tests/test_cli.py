@@ -219,6 +219,27 @@ def test_simulate_subcommand_csv(smoke_config_text):
     assert len(lines) == 2 + 2000
 
 
+# the trajectory CSV below its comment line, pinned for the smoke config and
+# for a 9000-step path (past two 4096-step blocks) that drifts away from 0
+@pytest.mark.parametrize("changes, digest", [
+    ({}, "ba047c3c48d35aa53fd5b0b66a558757e64923a2bf9df2d857a875840b66ec1c"),
+    ({"mc": {"n_steps": 9000},
+      "chain": {"delta": {"kind": "two_valued", "values": [-0.5, 0.5]}}},
+     "fa85d303599e16140d912c610edbff5e08c560924872f065564c3ef9063045ce"),
+], ids=["smoke", "outward-drift-9000"])
+def test_simulate_csv_is_pinned(smoke_config_text, tmp_path, changes, digest):
+    path, out = smoke_config_text
+    doc = yaml.safe_load(path.read_text())
+    for section, values in changes.items():
+        doc[section].update(values)
+    cfg = tmp_path / "simulate.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    comment, body = (out / "trajectory.csv").read_bytes().split(b"\n", 1)
+    assert comment.startswith(b"# stablike ")
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
 def test_simulate_subcommand_freezes_overflow(smoke_config_text, tmp_path):
     # index 0.01 overflows doubles within a few hundred steps; the path
     # must freeze at +-1e300 instead of crashing or writing inf/nan

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stablike import DomainError, digamma, gamma, hyp2f1, real_binom
+from stablike import ConvergenceError, DomainError, digamma, gamma, hyp2f1, real_binom
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -138,6 +138,36 @@ def test_hyp2f1_at_unit_argument_gauss_sum():
     assert r.value == pytest.approx(1.232300933987495, rel=1e-11)
     r = hyp2f1(-0.5, 1.0, 2.5, 1.0)
     assert r.value == pytest.approx(0.75, rel=1e-12)
+
+
+# large values near z = 1 from the corner grid a in {-3, -1, 0.5, 1.5, 3}, b and
+# c - b in {0.05, 0.5, 1.5, 3}, z in {0.9, 0.999, 0.9999, 0.999999}: each
+# estimate is under 1e-13 of its value, far above 1e-9 in absolute terms
+@pytest.mark.parametrize("a, b, c, z", [
+    (3.0, 0.5, 1.0, 0.999),  # 1.19e7, estimate 4.2e-8
+    (1.5, 0.05, 0.1, 0.999999),  # 2.4e8
+    (3.0, 0.05, 1.55, 0.999999),  # 2.0e7, estimate 2.0e-14 of it
+    (3.0, 1.5, 2.0, 0.9999),  # 7.5e9
+    (3.0, 3.0, 3.05, 0.999999),  # 5.0e17, estimate 1.9e3
+])
+def test_hyp2f1_accepts_large_values_by_their_relative_error(a, b, c, z):
+    import mpmath as mp
+
+    r = hyp2f1(a, b, c, z)
+    with mp.workdps(40):
+        want = float(mp.hyp2f1(a, b, c, z))
+    assert abs(r.value - want) <= r.est_abs_error <= 1e-9 * abs(r.value)
+    assert r.est_abs_error > 1e-9
+
+
+def test_hyp2f1_large_error_estimate_still_raises():
+    # the series at z = 1/2 cancels terms up to ~1e11 down to 0.527: its
+    # estimate 3.4e-4 is honest (the true error is 2.9e-6) and far above
+    # 1e-9 of the value, so the value is refused
+    with pytest.raises(ConvergenceError, match="above tolerance") as info:
+        hyp2f1(-20.5, 30.0, 1.5, 0.5)
+    assert info.value.partial == pytest.approx(0.52710857, rel=1e-4)
+    assert info.value.est_abs_error > 1e-5
 
 
 def test_hyp2f1_rejects_z_above_half_without_euler_route():
