@@ -25,7 +25,9 @@ One engine integrates a whole x grid in one call (_integrals): the x
 that share (alpha, gamma, shift) read one cumulative Gauss-Kronrod rule
 from 0 at their bounds (DensityTable), a few rows (_BLOCK node entries)
 at a time. A shifted density adds a pass over z < 0 folded onto u = -z,
-so a shift larger than delta*|x| needs no branch of its own.
+so a shift larger than delta*|x| needs no branch of its own. An
+unshifted group evaluates each |x| once, for x and -x; the kernels take
+the whole-cell nodes as one 1-d vector and work in arrays of their own.
 
 A tail scan is array-native: it keeps its (d, delta, x) arrays of
 left-hand sides, raw integrals and errors, and builds the DriftPoint of
@@ -208,7 +210,8 @@ def kernel_parts(kernel: DriftKernel, x: float):
     up to the factor 1/|1 - s| that the cancellation in E ~ s(s - 1)t^2/2
     itself costs. t is clipped an ulp inside (-1, 1), so a block of rows
     may evaluate a row past its integration range, which lies in |t| <=
-    delta < 1.
+    delta < 1. y broadcasts against x; the evaluator writes only into
+    arrays it makes, and the first moment's O is y itself, not a copy.
     """
     ax = abs(x)
     kind = kernel.kind
@@ -221,14 +224,30 @@ def kernel_parts(kernel: DriftKernel, x: float):
         s, flip = -kernel.beta, -1.0
 
     def eo(y):
-        t = np.clip(np.divide(y, den), -_T_MAX, _T_MAX)
-        u, a = 0.5 * np.log1p(-t * t), np.arctanh(t)
+        # in place, in arrays made here: t -> a -> sa -> O, u -> su -> E
+        t = np.divide(y, den, out=np.empty(np.broadcast(y, den).shape))
+        np.clip(t, -_T_MAX, _T_MAX, out=t)
+        u = np.negative(t, out=np.empty_like(t))
+        np.log1p(np.multiply(u, t, out=u), out=u)
+        u *= 0.5
+        a = np.arctanh(t, out=t)
         if s is None:
             return u, a
-        su, sa = s * u, s * a
-        h = np.sinh(0.5 * sa)
-        g = flip * np.exp(su)
-        return flip * np.expm1(su) + 2.0 * g * h * h, g * np.sinh(sa)
+        u *= s
+        a *= s
+        h = np.multiply(a, 0.5, out=np.empty_like(a))
+        np.sinh(h, out=h)
+        g = np.exp(u, out=np.empty_like(u))
+        g *= flip
+        np.expm1(u, out=u)  # E = flip expm1(su) + 2 g h h
+        u *= flip
+        np.sinh(a, out=a)  # O = g sinh(sa)
+        a *= g
+        g *= 2.0
+        g *= h
+        g *= h
+        u += g
+        return u, a
 
     return eo
 
@@ -289,8 +308,9 @@ class _Grid:
 def _cumulative(table: DensityTable, kern, v):
     """Integrals of kern(u) * density(u) over [0, v] and their errors.
 
-    v holds the bounds of a block of x rows, one row per x, and kern maps
-    u of shape (rows, n) to the rows' kernel values. One cumsum per row
+    v holds the bounds of a block of x rows, one row per x. kern maps the
+    whole cells' u, one 1-d vector for every row, and the cut cells' u,
+    (rows, n), to the rows' kernel values, (rows, n). One cumsum per row
     sums the whole rule cells below each bound; the cell that a bound
     cuts comes from the table's memo of cut cells. A row reads no cell
     past its own bounds, so its values depend neither on its block nor
@@ -302,7 +322,7 @@ def _cumulative(table: DensityTable, kern, v):
     ip = np.searchsorted(edges, v, side="right") - 1
     n, (rows, k), m = ip.max(), v.shape, nodes.shape[1]
     c_nodes, c_weights, c_diff, c_bound = table.cut(v.ravel())
-    g_full = kern(np.broadcast_to(nodes[:n].ravel(), (rows, m * n))).reshape(rows, n, m)
+    g_full = kern(nodes[:n].ravel()).reshape(rows, n, m)
     g_cut = kern(c_nodes.reshape(rows, m * k)).reshape(-1, m)
 
     def sums(w, d, b, g):
@@ -324,7 +344,9 @@ def _integrals(grid: _Grid, kernel: DriftKernel, deltas):
     over z >= 0 (side 1), or over z < 0 folded onto u = -z (side -1),
     reads _cumulative at its bounds +-(L -+ shift)/gamma clipped at 0:
     the integral is the upper read minus the lower one. A symmetric
-    group needs only the first pass, of twice the even kernel part.
+    group needs only the first pass, of twice the even kernel part, and
+    its rows at x and -x are one row, evaluated once per distinct |x|.
+    whole writes into the arrays of kernel_parts' evaluator.
     """
     xs = grid.xs
     for delta in deltas:
@@ -337,11 +359,15 @@ def _integrals(grid: _Grid, kernel: DriftKernel, deltas):
         if kernel.kind == "first_moment" and m == 0.0:
             # odd kernel against an even density: exactly zero
             continue
+        # an unshifted group's rows at x and -x are one row: one per |x|
+        keys = np.abs(xs[idx]) if m == 0.0 else xs[idx]
+        first, mirror = np.unique(keys, return_index=True, return_inverse=True)[1:]
+        todo = [idx[i] for i in first.tolist()]
         table = DensityTable.for_alpha(alpha)
-        edges = table.rule((L[idx].max() + abs(m)) / g)[0]
+        edges = table.rule((L[todo].max() + abs(m)) / g)[0]
         step = max(1, _BLOCK // (16 * len(edges)))
-        for b in range(0, len(idx), step):
-            rows = idx[b:b + step]
+        for b in range(0, len(todo), step):
+            rows = todo[b:b + step]
             x, Lr = xs[rows, None], L[rows]
             eo = kernel_parts(kernel, x)
             # the shifted kernels compose as g(sgn(x) * t), so their odd
@@ -351,7 +377,10 @@ def _integrals(grid: _Grid, kernel: DriftKernel, deltas):
 
             def whole(y):
                 ev, od = eo(y)
-                return 2.0 * ev if m == 0.0 else ev + sgn * od
+                if m == 0.0:  # never the first moment, whose od is y itself
+                    return np.multiply(ev, 2.0, out=ev)
+                od = sgn * od if kernel.kind == "first_moment" else np.multiply(od, sgn, out=od)
+                return np.add(od, ev, out=od)
 
             v = e = 0.0
             for side in (1.0,) if m == 0.0 else (1.0, -1.0):
@@ -359,6 +388,7 @@ def _integrals(grid: _Grid, kernel: DriftKernel, deltas):
                 cv, ce = _cumulative(table, lambda u: whole(side * g * u + m), ends)
                 v, e = v + cv[:, :k] - cv[:, k:], e + ce[:, :k] + ce[:, k:]
             val[rows], err[rows] = v, e
+        val[idx], err[idx] = val[todo][mirror], err[todo][mirror]
     return val, err
 
 

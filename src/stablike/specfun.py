@@ -129,22 +129,30 @@ def _euler_integral(a: float, b: float, c: float, z: float) -> SpecFunResult:
     # Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 t^(b-1)(1-t)^(c-b-1)(1-tz)^(-a) dt
     # for c > b > 0. t = s^(1/b) on [0, 1/2] and 1 - t = r^(1/(c-b)) on [1/2, 1]
     # absorb both endpoint powers, so the tanh-sinh levels sum bounded
-    # integrands over s in [0, 2^-b] and r in [0, 2^-(c-b)]
+    # integrands over s in [0, 2^-b] and r in [0, 2^-(c-b)]. Near z = 1 and
+    # for a > 0, (1 - tz)^(-a) = (z(rho + 1 - t))^(-a) peaks on the scale
+    # rho = (1 - z)/z in 1 - t: r then stops at rho^(c-b), and 1 - t in
+    # [rho, 1/2] is summed in log(1 - t), over which the integrand is smooth
     d = c - b
-    ls, lr = 0.5 ** b, 0.5 ** d
+    rho = min(0.5, (1.0 - z) / z) if a > 0.0 else 0.5
+    ls, lr, lv = 0.5 ** b, rho ** d, math.log(0.5 / rho)
     # the nodes nearest t = 0 and t = 1 sit q_end*L inside their ends; the mass
     # they miss is about the bounded integrand's end value times q_end*L
     q_end = float(_ts_level(1)[0][-1])
-    cut = q_end * (ls / b + lr / d * (1.0 - z) ** -a)
+    cut = q_end * (ls / b + lr / d * (1.0 - z) ** -a
+                   + lv * lr * (1.0 - rho) ** (b - 1.0) * (2.0 * (1.0 - z)) ** -a)
     pref = gamma(c) / (gamma(b) * gamma(d))
     total = 0.0
     for level in range(_EULER_LEVELS + 1):
         q, w = _ts_level(level)
         ends = np.stack([q, 1.0 - q])  # nodes from the t = 0 or 1 end, then from t = 1/2
         t = (ls * ends) ** (1.0 / b)
-        u = (lr * ends) ** (1.0 / d)  # 1 - t on the right half
+        u = (lr * ends) ** (1.0 / d)  # 1 - t in [0, rho]
         f = (ls / b * (1.0 - t) ** (d - 1.0) * (1.0 - t * z) ** -a
              + lr / d * (1.0 - u) ** (b - 1.0) * (1.0 - z + u * z) ** -a)
+        if lv:  # 1 - t = rho e^v, v in [0, lv]
+            u = rho * np.exp(lv * ends)
+            f += lv * u ** d * (1.0 - u) ** (b - 1.0) * (1.0 - z + u * z) ** -a
         new = float(f.sum(axis=0) @ w) + 0.5 * total
         diff, total = abs(new - total), new
         err = pref * (diff + cut + _EULER_ROUNDING * total)

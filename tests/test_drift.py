@@ -10,6 +10,7 @@ from scipy import integrate
 
 from stablike import (
     DomainError,
+    classify,
     DriftKernel,
     ProfileFn,
     make_chain,
@@ -372,3 +373,115 @@ def test_scan_rows_do_not_depend_on_the_grid(spec, monkeypatch):
             (val, err), = (v for v in integrals.values() if isinstance(v, tuple))
             assert np.array_equal(val, one[:, :, 0]), (cid, block)
             assert np.array_equal(err, one[:, :, 1]), (cid, block)
+
+
+_MIRROR_KERNELS = (DriftKernel.log_shift(), DriftKernel.power_beta(0.5),
+                   DriftKernel.bounded_beta(0.4))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_mirror_rows_are_exact(alpha, gamma):
+    # an unshifted group evaluates each |x| once for x and -x: the default
+    # grid, one-row grids and a lopsided grid must give the same rows
+    spec = make_chain(alpha, gamma=gamma)
+    x_grid = default_x_grid()
+    mags = x_grid[len(x_grid) // 2:]
+    lopsided = tuple(-mags[i] for i in (12, 8, 4, 0)) + tuple(mags[i] for i in (0, 2, 5, 8, 10, 12))
+    for kernel in _MIRROR_KERNELS:
+        full = drift._integrals(drift._Grid(spec, x_grid), kernel, DEFAULT_DELTA_GRID)
+        rows = {x: i for i, x in enumerate(x_grid)}
+        for x in x_grid:
+            one = drift._integrals(drift._Grid(spec, (x,)), kernel, DEFAULT_DELTA_GRID)
+            for got, want in zip(full, one):
+                assert np.array_equal(got[rows[x]], want[0]), (kernel, x)
+        part = drift._integrals(drift._Grid(spec, lopsided), kernel, DEFAULT_DELTA_GRID)
+        at = [rows[x] for x in lopsided]
+        for got, want in zip(part, full):
+            assert np.array_equal(got, want[at]), kernel
+
+
+def test_shifted_mirror_rows_still_differ():
+    # a shift breaks the x -> -x symmetry of the kernels whose odd part
+    # carries sgn(x): their rows at x and -x must stay apart
+    spec = make_chain(1.5, delta=0.5)
+    x_grid = default_x_grid()
+    n = len(x_grid)
+    for kernel in _MIRROR_KERNELS:
+        val = drift._integrals(drift._Grid(spec, x_grid), kernel, DEFAULT_DELTA_GRID)[0]
+        for i in range(n // 2):
+            assert not np.array_equal(val[i], val[n - 1 - i]), (kernel, x_grid[i])
+
+
+def _out_of_place_parts(kernel, x):
+    """The out-of-place form of kernel_parts' evaluator, kept as the oracle."""
+    ax = abs(x)
+    kind = kernel.kind
+    if kind == "first_moment":
+        return lambda y: (np.zeros_like(y), y)
+    s, den, flip = None, 1.0 + ax, 1.0
+    if kind == "power_beta":
+        s, den = kernel.beta, ax
+    elif kind == "bounded_beta":
+        s, flip = -kernel.beta, -1.0
+
+    def eo(y):
+        t = np.clip(np.divide(y, den), -drift._T_MAX, drift._T_MAX)
+        u, a = 0.5 * np.log1p(-t * t), np.arctanh(t)
+        if s is None:
+            return u, a
+        su, sa = s * u, s * a
+        h = np.sinh(0.5 * sa)
+        g = flip * np.exp(su)
+        return flip * np.expm1(su) + 2.0 * g * h * h, g * np.sinh(sa)
+
+    return eo
+
+
+@pytest.mark.parametrize("kernel", [
+    DriftKernel.log_shift(), DriftKernel.power_beta(0.01), DriftKernel.power_beta(0.5),
+    DriftKernel.power_beta(1.0), DriftKernel.bounded_beta(0.01), DriftKernel.bounded_beta(0.4),
+    DriftKernel.bounded_beta(0.99), DriftKernel.first_moment(),
+], ids=lambda k: f"{k.kind}-{k.beta}")
+def test_kernel_parts_in_place_is_safe(kernel):
+    # the evaluator works in arrays of its own: it takes floats, 0-d arrays,
+    # 1-d nodes against a (rows, 1) x, (rows, n) nodes and read-only views,
+    # never writes into its argument, and gives the out-of-place form's
+    # floats bit for bit
+    nodes = np.concatenate([np.linspace(-120.0, 120.0, 49), [1e-12, -3e-8, 99.99, 250.0, -1e4]])
+    xs = np.array([[-100.0], [100.0], [99.0], [3e4]])
+    cases = [(100.0, 37.5), (-250.0, np.array(-80.25)), (xs, nodes),
+             (xs, np.outer([1.0, 0.5, -1.0, 2.0], nodes)),
+             (xs, np.broadcast_to(nodes, (len(xs), len(nodes))))]
+    for x, y in cases:
+        before = np.copy(y)
+        got = kernel_parts(kernel, x)(y)
+        want = _out_of_place_parts(kernel, x)(y)
+        assert np.array_equal(np.asarray(y), before) and np.shape(y) == before.shape
+        for g, w in zip(got, want):
+            g, w = np.asarray(g), np.asarray(w)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (x, type(y))
+        if kernel.kind == "first_moment":
+            assert got[1] is y  # callers must not write into it
+        elif isinstance(y, np.ndarray):
+            assert not any(np.shares_memory(part, y) for part in got)
+
+
+def test_symmetric_groups_hand_each_magnitude_once(monkeypatch):
+    # structural guard, no timing: an unshifted chain's scans pass one row
+    # per |x| to _cumulative, a shifted one every x on both sides
+    seen = []
+    cumulative = drift._cumulative
+
+    def counted(table, kern, v):
+        seen.append(v.shape[0])
+        return cumulative(table, kern, v)
+
+    monkeypatch.setattr(drift, "_cumulative", counted)
+    rows = []
+    for spec in (make_chain(1.5), make_chain(0.5, delta=0.5)):
+        seen.clear()
+        classify(spec)
+        rows.append(sum(seen))
+    # 13 magnitudes x 5 kernels; 26 x, two sides, 6 kernels
+    assert rows == [65, 312]

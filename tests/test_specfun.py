@@ -160,6 +160,20 @@ def test_hyp2f1_accepts_large_values_by_their_relative_error(a, b, c, z):
     assert r.est_abs_error > 1e-9
 
 
+@pytest.mark.parametrize("z", [0.9999, 0.999999])
+@pytest.mark.parametrize("b", [0.05, 3.0])
+def test_euler_integral_splits_at_the_unit_argument_scale(b, z):
+    # (1 - tz)^(-3) turns on the scale (1 - z)/z in 1 - t, where the nodes
+    # at the t = 1 end once missed mass and the levels did not converge;
+    # the split there must answer within its own estimate of 40-digit mpmath
+    import mpmath as mp
+
+    r = hyp2f1(3.0, b, b + 3.0, z)
+    with mp.workdps(40):
+        want = float(mp.hyp2f1(3.0, b, b + 3.0, z))
+    assert abs(r.value - want) <= r.est_abs_error, (r, want)
+
+
 def test_hyp2f1_large_error_estimate_still_raises():
     # the series at z = 1/2 cancels terms up to ~1e11 down to 0.527: its
     # estimate 3.4e-4 is honest (the true error is 2.9e-6) and far above
