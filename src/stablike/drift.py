@@ -288,7 +288,7 @@ class _Grid:
     def __init__(self, spec: ChainSpec, x_grid):
         self.xs = np.asarray(x_grid, dtype=float)
         if (self.xs == 0.0).any():
-            raise DomainError("truncated_integral requires x != 0")
+            raise DomainError("x must be nonzero")
         mags = np.abs(self.xs)
         self.outer = mags >= np.median(mags)
         self.mag_of = np.unique(mags[self.outer], return_inverse=True)[1]

@@ -204,9 +204,9 @@ def _start(x0: float) -> float:
 
 
 def _hist_edges(bin_width: float) -> np.ndarray:
-    if not bin_width >= MIN_BIN_WIDTH:
-        raise DomainError(
-            f"bin_width must be >= {MIN_BIN_WIDTH:g} (at most 10^6 bins), got {bin_width}")
+    if not MIN_BIN_WIDTH <= bin_width < math.inf:
+        raise DomainError(f"bin_width must be >= {MIN_BIN_WIDTH:g} (at most 10^6 bins) "
+                          f"and finite, got {bin_width}")
     n_bins = max(1, int(math.ceil(2.0 * _HIST_HALF_RANGE / bin_width)))
     return -_HIST_HALF_RANGE + bin_width * np.arange(n_bins + 1)
 
@@ -239,9 +239,11 @@ def _intervals(intervals, n_steps: int, n_paths: int) -> tuple:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    bounds = np.array([(lo, hi) for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
+    if np.isnan(bounds).any():
+        raise DomainError("interval bounds must not be nan")
     # one row per interval; an empty one becomes (inf, -inf), which no state enters
-    bounds = np.array([(lo, hi) if lo < hi else (math.inf, -math.inf)
-                       for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
+    bounds[~(bounds[:, 0] < bounds[:, 1])] = (math.inf, -math.inf)
     burn = n_steps // 2
 
     def stats(partials):
@@ -258,9 +260,9 @@ def _intervals(intervals, n_steps: int, n_paths: int) -> tuple:
 
 def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
     """Checked tv_convergence arguments: (time points, edges, TV of two starts' partials)."""
-    tps = tuple(int(t) for t in time_points)
+    tps = tuple(int(t) if float(t).is_integer() else 0 for t in time_points)
     if not tps or any(t < 1 for t in tps):
-        raise DomainError("time_points must be positive step counts")
+        raise DomainError("time_points must be positive whole step counts")
     if any(t2 <= t1 for t1, t2 in zip(tps, tps[1:])):
         raise DomainError("time_points must be strictly increasing")
     if n_paths < 2:
@@ -290,8 +292,8 @@ def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
     radius_a field of that interval's TrajectoryStats. One ensemble is
     stepped and every interval reads its statistics off the same states,
     so each result equals a one-interval call with the same seed. An
-    empty interval (lo >= hi) gives (0, nan, 0); if every interval is
-    empty, nothing is stepped.
+    empty interval (lo >= hi) gives (0, nan, 0), and a nan bound is
+    refused; if every interval is empty, nothing is stepped.
     """
     x0 = _start(x0)
     bounds, stats = _intervals(intervals, n_steps, n_paths)
@@ -403,10 +405,10 @@ def invariant_histogram(
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
     if burn_in is None:
         burn_in = n_steps // 2
-    if not 0 <= burn_in < n_steps:
-        raise DomainError(f"burn_in must lie in [0, n_steps), got {burn_in}")
-    states = simulate(spec, x0, n_steps, seed).states[burn_in:]
+    if not (0 <= burn_in < n_steps and float(burn_in).is_integer()):
+        raise DomainError(f"burn_in must be a whole number in [0, n_steps), got {burn_in}")
     edges = _hist_edges(bin_width)
+    states = simulate(spec, x0, n_steps, seed).states[int(burn_in):]
     counts = _clipped_counts(states, edges)
     total = counts.sum()
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -6,7 +6,8 @@ here (Takahasi & Mori 1974) are the package's one quadrature rule: they
 sum hyp2f1's Euler integral and, in `stable`, Zolotarev's density
 integral. Everything here is pure and reentrant. The hypergeometric
 evaluator returns a value together with an estimated absolute error so
-downstream margins can be honest.
+downstream margins can be honest; terminating cases run the power
+series, and every route passes one finiteness-and-tolerance check.
 """
 
 from __future__ import annotations
@@ -169,15 +170,17 @@ def _euler_integral(a: float, b: float, c: float, z: float) -> SpecFunResult:
 def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
     """Gauss hypergeometric 2F1(a, b; c; z) for real z in [-1, 1].
 
-    Strategy: terminating polynomial when a or b is a nonpositive integer;
-    Gauss summation at z = 1 when c > a and c > b; power series for
-    |z| <= 1/2; Pfaff transform into the series region for z < -1/2;
-    Euler integral for z > 1/2 when c > b > 0 (or c > a > 0, by argument
-    symmetry). Any other z > 1/2 has no route and raises a domain error.
-    Raises a convergence error when the estimated error exceeds 1e-9,
-    absolute up to |value| = 1 and relative to |value| above it, and a
-    quadrature error when the tanh-sinh levels of the Euler integral do
-    not converge.
+    Strategy: power series when a or b is a nonpositive integer (any z;
+    the terms end at an exact zero) or |z| <= 1/2; Gauss summation at
+    z = 1 when c > a and c > b; Pfaff transform into the series region
+    for z < -1/2; Euler integral for z > 1/2 when c > b > 0 (or
+    c > a > 0, by argument symmetry). Any other z > 1/2 has no route and
+    raises a domain error. Every route's value then passes one check: a
+    convergence error is raised when the value is not finite (as when the
+    Gauss sum's Gammas overflow) or its estimated error exceeds 1e-9,
+    absolute up to |value| = 1 and relative to |value| above it. A
+    quadrature error is raised when the tanh-sinh levels of the Euler
+    integral do not converge.
     """
     if _is_nonpos_int(c):
         raise DomainError(f"hyp2f1 undefined for nonpositive integer c = {c}")
@@ -188,28 +191,14 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
             f"hyp2f1 divergent at z = 1 when c - a - b <= 0 (got {c - a - b})"
         )
 
-    if _is_nonpos_int(a) or _is_nonpos_int(b):
-        # finite polynomial; exact up to roundoff
-        if _is_nonpos_int(b) and not _is_nonpos_int(a):
-            a, b = b, a
-        n_terms = int(-a)
-        term = 1.0
-        total = 1.0
-        scale = 1.0
-        for n in range(n_terms):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-            total += term
-            scale = max(scale, abs(total))
-        return SpecFunResult(total, 1e-16 * scale * (n_terms + 1))
-
-    if z == 1.0 and c - a > 0.0 and c - b > 0.0:
-        # Gauss summation at the right endpoint; the quadrature route
-        # degrades badly when c - a - b is tiny, this stays exact
-        val = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
-        return SpecFunResult(val, 4e-15 * abs(val))
-
-    if abs(z) <= 0.5:
+    if _is_nonpos_int(a) or _is_nonpos_int(b) or abs(z) <= 0.5:
+        # a terminating series ends at its exact zero term, or earlier with its tail
         res = _series(a, b, c, z)
+    elif z == 1.0 and c - a > 0.0 and c - b > 0.0:
+        # Gauss summation at the right endpoint, exact where the Euler route
+        # degrades (tiny c - a - b); the ratio is positive, so 0 means overflow
+        val = gamma(c) * gamma(c - a - b) / (gamma(c - a) * gamma(c - b))
+        res = SpecFunResult(val, 4e-15 * val if val else math.inf)
     elif z < 0.0:
         # Pfaff: 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)),
         # and z/(z-1) lands in (0, 1/2] for z in [-1, -1/2); this beats
@@ -227,12 +216,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> SpecFunResult:
             f"(a={a}, b={b}, c={c}, z={z})"
         )
 
-    if not (math.isfinite(res.value)
-            and res.est_abs_error <= _HYP_TOL * max(1.0, abs(res.value))):
-        raise ConvergenceError(
-            f"hyp2f1 estimated error {res.est_abs_error:.2e} above tolerance "
-            f"(a={a}, b={b}, c={c}, z={z})",
-            partial=res.value,
-            est_abs_error=res.est_abs_error,
-        )
-    return res
+    finite = math.isfinite(res.value)
+    if finite and res.est_abs_error <= _HYP_TOL * max(1.0, abs(res.value)):
+        return res
+    why = (f"estimated error {res.est_abs_error:.2e} above tolerance" if finite
+           else f"value {res.value} is not finite")
+    raise ConvergenceError(f"hyp2f1 {why} (a={a}, b={b}, c={c}, z={z})",
+                           partial=res.value, est_abs_error=res.est_abs_error)

@@ -147,7 +147,7 @@ def test_occupation_scales_with_set_size(sas15):
     assert large.occupation_fraction > small.occupation_fraction
 
 
-@pytest.mark.parametrize("bin_width", [0.0, 1e-300, 5e-324, math.nan])
+@pytest.mark.parametrize("bin_width", [0.0, 1e-300, 5e-324, math.nan, math.inf])
 def test_bin_count_is_bounded(sas15, bin_width):
     # more than 10^6 bins over the fixed range is refused before any draw
     message = "bin_width must be >= 0.001"
@@ -374,6 +374,49 @@ def test_non_finite_start_is_refused_before_any_draw(monkeypatch, bad):
     for call in calls:
         with pytest.raises(DomainError, match=message):
             call()
+
+
+def test_nan_bounds_and_fractional_counts_are_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew for a refused argument")
+
+    monkeypatch.setattr(mc, "_ensemble", no_draws)
+    monkeypatch.setattr(mc, "simulate", no_draws)
+    spec, nan = make_chain(1.5), math.nan
+    calls = {
+        "interval bounds must not be nan": [
+            lambda: occupation(spec, 0.0, (nan, 1.0), 1000, 4, 1),
+            lambda: occupation(spec, 0.0, (-1.0, nan), 1000, 4, 1),
+            lambda: interval_stats(spec, 0.0, [(-1.0, 1.0, 1.0), (nan, nan, 0.0)], 100, 4, 1),
+            lambda: mc.diagnose(spec, 0.0, 3.0, [(nan, 1.0, 0.0)], 100, (5,), 4, 0.5, 1),
+        ],
+        "time_points must be positive whole step counts": [
+            lambda: tv_convergence(spec, 3.0, -3.0, [2.5, 3.7], 4, 0.5, 1),
+            lambda: tv_convergence(spec, 3.0, -3.0, [2, nan], 4, 0.5, 1),
+            lambda: tv_convergence(spec, 3.0, -3.0, [2, math.inf], 4, 0.5, 1),
+            lambda: mc.diagnose(spec, 0.0, 3.0, [mc._ball(1.0)], 100, (5.5,), 4, 0.5, 1),
+        ],
+        "burn_in must be a whole number": [
+            lambda: invariant_histogram(spec, 0.0, 10, 2.5, 0.5, 1),
+            lambda: invariant_histogram(spec, 0.0, 10, nan, 0.5, 1),
+        ],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(DomainError, match=message):
+                call()
+
+
+def test_integral_float_counts_and_infinite_bounds_are_accepted(sas15):
+    # 2.0 is the step count 2; an infinite bound is a half-line or the whole line
+    want = invariant_histogram(sas15, 0.0, 50, 2, 0.5, 1)
+    got = invariant_histogram(sas15, 0.0, 50, 2.0, 0.5, 1)
+    assert np.array_equal(got.values, want.values)
+    tv = tv_convergence(sas15, 3.0, -3.0, [2.0, 3.0], 20, 0.5, 1)
+    assert tv == tv_convergence(sas15, 3.0, -3.0, (2, 3), 20, 0.5, 1)
+    assert all(type(t) is int for t in tv.time_points)
+    whole = occupation(sas15, 0.0, (-math.inf, math.inf), 1000, 4, 1)
+    assert whole.occupation_fraction == 1.0
 
 
 def test_diagnose_stream_layout(ergodic_spec, monkeypatch):

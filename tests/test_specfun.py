@@ -262,3 +262,43 @@ def test_euler_integral_unconverged_levels_raise(monkeypatch):
     assert info.value.est_abs_error > 0.0
     with pytest.raises(QuadratureError):
         hyp2f1(-0.5, 1.3, 2.3, 0.8)
+
+
+@pytest.mark.parametrize("a, b, c, z, message", [
+    # terminating series whose terms cancel by far more than 1e9 of the sum
+    (-25.0, 20.0, 0.5, 1.0, "above tolerance"),  # mpmath: 5.2e-6
+    (-30.0, 25.0, 1.2, 0.9, "above tolerance"),  # -6.5e-5
+    (-60.0, 50.0, 0.7, 1.0, "above tolerance"),  # 4.9e-13
+    # Gauss sums: Gamma(171.5) Gamma(6) overflows (2.2e-7); Gamma(200) does (1.00126)
+    (-160.5, 5.0, 11.0, 1.0, "above tolerance"),
+    (0.5, 0.5, 200.0, 1.0, "value nan is not finite"),
+])
+def test_hyp2f1_refuses_values_past_their_estimate(a, b, c, z, message):
+    with pytest.raises(ConvergenceError, match=message):
+        hyp2f1(a, b, c, z)
+
+
+def test_hyp2f1_terminating_cases_answer_within_their_estimates():
+    # a or b a nonpositive integer takes the series for every z in [-1, 1]: each
+    # call either raises or returns a value within tolerance and within its own
+    # estimate of 60-digit mpmath; cancellation makes about a fifth of them raise
+    import mpmath as mp
+
+    from stablike.specfun import _HYP_TOL
+
+    rng = np.random.default_rng(25)
+    answered = 0
+    with mp.workdps(60):
+        for _ in range(600):
+            n, other = -float(rng.integers(1, 60)), rng.uniform(-40.0, 40.0)
+            a, b = (n, other) if rng.random() < 0.5 else (other, n)
+            c, z = rng.uniform(0.1, 10.0), rng.uniform(-1.0, 1.0)
+            try:
+                r = hyp2f1(a, b, c, z)
+            except ConvergenceError:
+                continue
+            answered += 1
+            assert r.est_abs_error <= _HYP_TOL * max(1.0, abs(r.value)), (a, b, c, z)
+            want = float(mp.hyp2f1(a, b, c, z))
+            assert abs(r.value - want) <= r.est_abs_error, (a, b, c, z, r, want)
+    assert answered >= 400
