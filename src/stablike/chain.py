@@ -233,6 +233,13 @@ class Trajectory:
     seed: int
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int if it is a whole number >= least (2.0 is 2); DomainError otherwise."""
+    if not (value >= least and float(value).is_integer()):
+        raise DomainError(f"{name} must be >= {least} and whole, got {value}")
+    return int(value)
+
+
 def make_chain(alpha, gamma=1.0, delta=0.0, unchecked: bool = False) -> ChainSpec:
     """ChainSpec from profiles or bare numbers (numbers become constants)."""
 
@@ -261,7 +268,8 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     every step uses the values a lookup at x would give, and the states
     do not depend on how often the lookups run. A custom alpha
     profile raises DomainError (custom gamma and delta are fine, looked
-    up on every step), and so does a non-finite x0. Once |x| >= FREEZE
+    up on every step), and so do a non-finite x0 and an n_steps that is
+    not a whole number >= 1 (2.0 is 2). Once |x| >= FREEZE
     or x is not finite, the path stays at +-FREEZE.
 
     Inside the joint span of the three profiles the chain is a plain
@@ -274,8 +282,7 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     which is lost on a stay that ends soon after the window opens; a
     chain whose stays are all short never opens one.
     """
-    if n_steps < 1:
-        raise DomainError("simulate requires n_steps >= 1")
+    n_steps = _count("n_steps", n_steps, 1)
     a_fn = spec.alpha_profile
     g_fn = spec.family.gamma_profile
     d_fn = spec.family.delta_profile

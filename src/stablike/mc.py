@@ -4,14 +4,34 @@ These routines corroborate classifier output empirically; they never
 replace it. The return, occupation and total-variation diagnostics
 run the chain as a vectorized ensemble: paths are grouped into
 fixed-size blocks, each block draws from its own stream spawned off
-the master seed and steps to its end in one task (_ensemble) on a pool
-of one thread per CPU the process may run on, and every step consumes
-one uniform angle and one exponential per path in a fixed order. Blocks
-return integer partial statistics, added in block order. That makes
-every statistic bit-reproducible for identical (spec, args, seed) on
-any number of threads, and makes return events for a given seed a
-prefix-stable function of n_steps (longer runs extend, never rewrite,
-history).
+the master seed, and every step consumes one uniform angle and one
+exponential per path in a fixed order.
+
+A call steps its blocks in W worker processes, one per CPU the process
+may run on (_run). Worker 0 is the caller and the others are forked
+children; worker w steps lanes [n*w//W, n*(w+1)//W) of every n-path
+block, drawing the block's full exponentials each step (their count of
+64-bit draws varies) and skipping the other lanes' angles, so every path
+sees the same draws for any W. Once every job of the call has 2W blocks
+or more, the workers deal whole blocks round instead, which repeats no
+draws. Each worker hands back integer partial statistics (counts and
+sums of step numbers), and the caller adds them in block and worker
+order. That makes every statistic bit-reproducible for identical (spec,
+args, seed) on any number of workers, and makes return events for a
+given seed a prefix-stable function of n_steps (longer runs extend,
+never rewrite, history).
+
+Processes, unlike threads, step in parallel: a step is some twenty short
+numpy calls, and between them a thread holds the GIL, so a second thread
+made a call slower. A call whose widest block has fewer than
+_MIN_LANES paths a worker takes fewer workers. A call stays in the caller alone (W = 1) when it has
+fewer than _FORK_FLOOR path-steps, where a fork costs more than it
+saves; when a profile is custom, because that is the caller's own code,
+whose side effects belong to the caller's process and which may not
+survive a fork; when other Python threads are alive, as a fork copies
+none of them, whatever locks they hold; and where os.fork is missing.
+Counts (n_steps, n_paths, time points, burn-in) must be whole numbers;
+an integral float such as 2.0 is the count 2.
 
 One reader (_read) takes every statistic off a block's states: each
 interval's return and occupation counts on every step, and the clipped
@@ -44,16 +64,27 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FREEZE, ChainSpec, simulate
+from .chain import FREEZE, ChainSpec, _count, simulate
 from .errors import DomainError
 from .stable import DensityGrid, cms_transform
 
 _BLOCK = 8192
+# When a call forks (_workers). On a 2-CPU Linux VM (Python 3.11, numpy 2.4), a fork,
+# its pipe and its wait cost 3.1-3.5 ms, and a step of an n-path block costs some 30 us
+# plus 50-60 ns a path, of which a worker saves under half: it repeats the block's
+# draws, and two processes each step 12-15% slower than one alone. Measured there,
+# W = 2 against the caller alone: 8192 paths x 32 steps ran 0.89-0.91x the time and 1000
+# x 64 steps 1.34-1.42x; at 3e6 path-steps, 200-800-path blocks ran 0.91-1.11x and
+# 1200-2000-path blocks 0.79-0.90x.
+_FORK_FLOOR = 1 << 19  # path-steps of a call
+_MIN_LANES = 512  # lanes of the widest block per worker
 _HIST_HALF_RANGE = 500.0
 MIN_BIN_WIDTH = 1e-3  # at most 10^6 bins over the histogram range
 _HALF_PI = math.pi / 2.0
@@ -101,22 +132,31 @@ def _at(profile, x: np.ndarray, neg):
 
 
 def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
-              stream: np.random.SeedSequence):
-    """Yield the states of one block of n_paths paths from x0 after each of n_steps steps.
+              stream: np.random.SeedSequence, lanes: slice = slice(None)):
+    """Yield the states of the lanes of a block of n_paths paths from x0 after each step.
 
-    Each step draws every path's angle, then every exponential; |state| >= FREEZE stays.
+    Each of the n_steps steps draws every path's angle, then every exponential, and
+    steps the paths of lanes, a contiguous slice of range(n_paths); |state| >= FREEZE
+    stays. An angle is one 64-bit draw, so the angles of the other lanes are skipped.
     """
     rng = np.random.default_rng(stream)
     a_fn, g_fn, d_fn = spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile
     signed = "two_valued" in (a_fn.kind, g_fn.kind, d_fn.kind)
+    lo, hi, _ = lanes.indices(n_paths)
+    m = hi - lo
     # a constant alpha stays one array: a float exponent takes numpy's scalar power
     # paths (cos(u) ** -1 at alpha = 1), which round otherwise than an array's
-    alpha = np.full(n_paths, float(a_fn.values[0])) if a_fn.kind == "constant" else None
-    x = np.full(n_paths, float(x0))
-    frozen = np.zeros(n_paths, dtype=bool)
+    alpha = np.full(m, float(a_fn.values[0])) if a_fn.kind == "constant" else None
+    x = np.full(m, float(x0))
+    frozen = np.zeros(m, dtype=bool)
     for _ in range(n_steps):
-        u = rng.uniform(-_HALF_PI, _HALF_PI, n_paths)
-        e = rng.standard_exponential(n_paths)
+        if m == n_paths:
+            u = rng.uniform(-_HALF_PI, _HALF_PI, m)
+        else:
+            rng.bit_generator.advance(lo)
+            u = rng.uniform(-_HALF_PI, _HALF_PI, m)
+            rng.bit_generator.advance(n_paths - hi)
+        e = rng.standard_exponential(n_paths)[lo:hi]
         neg = x < 0 if signed else None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # x + delta + gamma * J in place: products and sums of two commute bit for bit
@@ -133,8 +173,8 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
 
 
 def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tuple,
-          edges, n: int, stream: np.random.SeedSequence) -> tuple:
-    """One block's partial statistics, off one ensemble of n paths from x0.
+          edges, n: int, stream: np.random.SeedSequence, lanes: slice) -> tuple:
+    """The partial statistics of the lanes of one block, an ensemble of n paths from x0.
 
     For each (lo, hi) row of bounds, over steps 1 to n_steps: the paths that entered
     [lo, hi] after first leaving it, the sum of their first-entry steps, and the
@@ -144,11 +184,12 @@ def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tup
     """
     lo, hi = bounds[:, :1], bounds[:, 1:]
     burn = n_steps // 2
-    left = np.repeat(~((lo <= x0) & (x0 <= hi)), n, axis=1)
+    left = np.repeat(~((lo <= x0) & (x0 <= hi)), len(range(n)[lanes]), axis=1)
     returned = np.zeros_like(left)
     sums = np.zeros((len(bounds), 3), dtype=np.int64)
     laws, marks = [], set(tps)
-    for t, x in enumerate(_ensemble(spec, x0, n, max((n_steps, *tps)), stream), start=1):
+    steps = max((n_steps, *tps))
+    for t, x in enumerate(_ensemble(spec, x0, n, steps, stream, lanes), start=1):
         if t <= n_steps:
             inside = (x >= lo) & (x <= hi)
             hit = left & ~returned & inside
@@ -165,36 +206,109 @@ def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tup
 
 
 def _blocks(read, n_paths: int, root: np.random.SeedSequence) -> list:
-    """A task read(n, stream) per block of n <= _BLOCK paths, streams spawned off root."""
+    """(n, task read(n, stream, lanes)) per block of n <= _BLOCK paths, streams off root."""
     sizes = [min(_BLOCK, n_paths - lo) for lo in range(0, n_paths, _BLOCK)]
-    return [functools.partial(read, n, child) for n, child in zip(sizes, root.spawn(len(sizes)))]
+    return [(n, functools.partial(read, n, child))
+            for n, child in zip(sizes, root.spawn(len(sizes)))]
 
 
-# made on first use, one thread per CPU the process may run on; numpy releases the
-# GIL while a block steps
-_pool = functools.cache(lambda: ThreadPoolExecutor(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()))
-os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has none of its threads
+def _workers(spec: ChainSpec, jobs) -> int:
+    """How many processes step the _run jobs: one per usable CPU, or fewer.
 
-
-def _run(*jobs) -> list:
-    """Each job's task results, in block order; a job is (n_steps, tasks of _blocks).
-
-    Longest job first. If a task raises, the tasks not yet started are cancelled, the
-    running ones finish, and the first exception in job and block order is raised.
+    At most one per _MIN_LANES paths of the widest block, and 1, the caller alone, for
+    fewer than _FORK_FLOOR path-steps, a custom profile, other live threads or no fork.
     """
-    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
-    futures = {i: [_pool().submit(task) for task in jobs[i][1]] for i in order}
-    flat = [f for i in range(len(jobs)) for f in futures[i]]
+    kinds = (spec.alpha_profile.kind, spec.family.gamma_profile.kind,
+             spec.family.delta_profile.kind)
+    sizes = [(n_steps, n) for n_steps, blocks in jobs for n, _ in blocks]
+    if (sum(n_steps * n for n_steps, n in sizes) < _FORK_FLOOR or "custom" in kinds
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, max(n for _, n in sizes) // _MIN_LANES))
+
+
+def _child(work, w: int, fd: int):
+    """Worker w of a forked child: pickle work(w) into fd, then exit, whatever happens."""
     try:
-        wait(flat, return_when=FIRST_EXCEPTION)
+        done, (i, exc) = work(w)
+        try:
+            payload = pickle.dumps((done, (i, exc)))
+        except Exception:  # an exception that does not pickle goes back as its type and text
+            exc = ChildProcessError(f"{type(exc).__name__}: {exc}")
+            payload = pickle.dumps((done, (i, exc)))
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
     finally:
-        for f in flat:
-            f.cancel()  # only a block not yet started
-    wait(flat)
-    # nothing is cancelled unless a block failed, and then result() raises first
-    partials = iter([f.result() for f in flat if not f.cancelled()])
-    return [[next(partials) for _ in tasks] for _, tasks in jobs]
+        os._exit(0)  # never back into the caller's stack
+
+
+def _run(spec: ChainSpec, *jobs) -> list:
+    """Each job's partials, one per block in block order; a job is (n_steps, _blocks(...)).
+
+    W = _workers(spec, jobs) workers step the blocks: worker 0 in the caller, the others
+    in forked children, which pickle their partials back through a pipe. Worker w steps
+    lanes [n*w//W, n*(w+1)//W) of every n-path block; once every job has 2W blocks or
+    more, it steps whole blocks instead, those whose index in (job, block) order is w
+    mod W, and repeats no block's draws. Each worker goes in job and block order up to
+    its first failure. Once every worker is done, the first failure in (job, block,
+    worker) order is raised: the caller's own exception object, or an unpickled copy of
+    a child's; a child that exits without a result raises ChildProcessError before
+    them. Otherwise each block's partials are added in worker order, exactly, as they
+    are counts. No child outlives the call: if the caller is interrupted, they are
+    killed and reaped.
+    """
+    blocks = [block for _, job_blocks in jobs for block in job_blocks]
+    n_workers = _workers(spec, jobs)
+    deal = all(len(job_blocks) >= 2 * n_workers for _, job_blocks in jobs)
+
+    def work(w):
+        """Worker w's (block index, partials) in order, and (index, exception) of its
+        first failure or (None, None)."""
+        done = []
+        for i, (n, task) in enumerate(blocks):
+            if deal and i % n_workers != w:
+                continue
+            lanes = (slice(None) if deal
+                     else slice(n * w // n_workers, n * (w + 1) // n_workers))
+            try:
+                done.append((i, task(lanes)))
+            except Exception as exc:
+                return done, (i, exc)
+        return done, (None, None)
+
+    children, pipes = {}, {}
+    try:
+        for w in range(1, n_workers):
+            r, fd = os.pipe()
+            pipes[w] = open(r, "rb")
+            try:
+                children[w] = os.fork() or _child(work, w, fd)  # _child never returns
+            finally:
+                os.close(fd)
+        results = [work(0)]
+        for w in range(1, n_workers):
+            payload = pipes[w].read()
+            os.waitpid(children[w], 0)
+            del children[w]
+            lost = ([], (-1, ChildProcessError(f"Monte Carlo worker {w} exited early")))
+            results.append(pickle.loads(payload) if payload else lost)
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [(i, w, exc) for w, (_, (i, exc)) in enumerate(results) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    parts = [[] for _ in blocks]
+    for done, _ in results:  # in worker order
+        for i, partial in done:
+            parts[i].append(partial)
+    partials = iter([tuple(map(sum, zip(*p))) for p in parts])  # (sums, counts) a block
+    return [[next(partials) for _ in job_blocks] for _, job_blocks in jobs]
 
 
 def _start(x0: float) -> float:
@@ -234,11 +348,8 @@ def _compact(compact_c: tuple, n_steps: int) -> tuple:
 
 
 def _intervals(intervals, n_steps: int, n_paths: int) -> tuple:
-    """Checked interval_stats arguments: (bounds, stats of the block partials)."""
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    if n_steps < 2:
-        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    """Checked interval_stats arguments: (bounds, n_steps, n_paths, stats of the partials)."""
+    n_paths, n_steps = _count("n_paths", n_paths, 1), _count("n_steps", n_steps, 2)
     bounds = np.array([(lo, hi) for lo, hi, _ in intervals], dtype=float).reshape(-1, 2)
     if np.isnan(bounds).any():
         raise DomainError("interval bounds must not be nan")
@@ -255,18 +366,17 @@ def _intervals(intervals, n_steps: int, n_paths: int) -> tuple:
             for (n_ret, rt_sum, occ_sum), (_, _, label) in zip(sums.tolist(), intervals)
         )
 
-    return bounds, stats
+    return bounds, n_steps, n_paths, stats
 
 
 def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
-    """Checked tv_convergence arguments: (time points, edges, TV of two starts' partials)."""
+    """Checked tv_convergence arguments: (time points, n_paths, edges, TV of two starts)."""
     tps = tuple(int(t) if float(t).is_integer() else 0 for t in time_points)
     if not tps or any(t < 1 for t in tps):
         raise DomainError("time_points must be positive whole step counts")
     if any(t2 <= t1 for t1, t2 in zip(tps, tps[1:])):
         raise DomainError("time_points must be strictly increasing")
-    if n_paths < 2:
-        raise DomainError(f"n_paths must be >= 2, got {n_paths}")
+    n_paths = _count("n_paths", n_paths, 2)
     edges = _hist_edges(bin_width)
 
     def tv(partials_a, partials_b):
@@ -275,7 +385,7 @@ def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
         tv_values = tuple(float(0.5 * np.abs(a - b).sum()) for a, b in zip(law_a, law_b))
         return TvEstimate(tps, tv_values, float(bin_width), n_paths)
 
-    return tps, edges, tv
+    return tps, n_paths, edges, tv
 
 
 def _law(spec: ChainSpec, x0: float, tps: tuple, edges, n_paths: int, root) -> tuple:
@@ -296,11 +406,11 @@ def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
     refused; if every interval is empty, nothing is stepped.
     """
     x0 = _start(x0)
-    bounds, stats = _intervals(intervals, n_steps, n_paths)
+    bounds, n_steps, n_paths, stats = _intervals(intervals, n_steps, n_paths)
     read = functools.partial(_read, spec, x0, bounds, n_steps, (), None)
     blocks = (_blocks(read, n_paths, np.random.SeedSequence(seed))
               if np.any(bounds[:, 0] < bounds[:, 1]) else [])
-    return stats(_run((n_steps, blocks))[0])
+    return stats(_run(spec, (n_steps, blocks))[0])
 
 
 def return_stats(
@@ -356,13 +466,15 @@ def tv_convergence(
     distance between the empirical bin laws. Bins are fixed on
     [-500, 500] with out-of-range mass folded into the end bins, so the
     estimate is a lower bound on the true TV. diagnose reads start a
-    off its interval sweep instead and keeps start b's stream.
+    off its interval sweep instead and keeps start b's stream. Each
+    worker process of the call steps its lane slice of both starts'
+    blocks, so the values are the same for any number of workers.
     """
     starts = _start(x0_a), _start(x0_b)
-    tps, edges, tv = _tv(time_points, n_paths, bin_width)
+    tps, n_paths, edges, tv = _tv(time_points, n_paths, bin_width)
     roots = np.random.SeedSequence(seed).spawn(2)
-    return tv(*_run(*(_law(spec, x0, tps, edges, n_paths, root)
-                      for x0, root in zip(starts, roots))))
+    return tv(*_run(spec, *(_law(spec, x0, tps, edges, n_paths, root)
+                            for x0, root in zip(starts, roots))))
 
 
 def diagnose(spec: ChainSpec, x0: float, x0_b: float, intervals, n_steps: int,
@@ -372,13 +484,17 @@ def diagnose(spec: ChainSpec, x0: float, x0_b: float, intervals, n_steps: int,
     After every check, one sweep from x0 on interval_stats' streams steps to the later
     of n_steps and the last time point and gives both the interval statistics, bit for
     bit, and start a's law; start b steps on tv_convergence's stream for it. The TV
-    values differ from tv_convergence's only in start a's sampling noise.
+    values differ from tv_convergence's only in start a's sampling noise. Each worker
+    process steps its lane slice of the sweep's blocks and then of start b's, so the
+    sweep's longer run keeps every worker busy, and the results are the same for any
+    number of workers.
     """
     x0, x0_b = _start(x0), _start(x0_b)
-    bounds, stats = _intervals(intervals, n_steps, n_paths)
-    tps, edges, tv = _tv(time_points, n_paths, bin_width)
+    bounds, n_steps, n_paths, stats = _intervals(intervals, n_steps, n_paths)
+    tps, n_paths, edges, tv = _tv(time_points, n_paths, bin_width)
     sweep = functools.partial(_read, spec, x0, bounds, n_steps, tps, edges)
     partials, partials_b = _run(
+        spec,
         (max(n_steps, tps[-1]), _blocks(sweep, n_paths, np.random.SeedSequence(seed))),
         _law(spec, x0_b, tps, edges, n_paths, np.random.SeedSequence(seed).spawn(2)[1]),
     )
@@ -401,8 +517,7 @@ def invariant_histogram(
     error field carries the 1/sqrt(n) statistical scale, not a
     quadrature bound.
     """
-    if n_steps < 2:
-        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    n_steps = _count("n_steps", n_steps, 2)
     if burn_in is None:
         burn_in = n_steps // 2
     if not (0 <= burn_in < n_steps and float(burn_in).is_integer()):

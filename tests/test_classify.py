@@ -227,10 +227,10 @@ def test_classify_keeps_nothing_between_calls(monkeypatch):
     assert counts[0]["integrals"] > 0 and counts[0]["cell"] > 0
 
 
-# Ergodic verdicts that cannot hold (ROADMAP item 1): a symmetric chain with
+# Ergodic verdicts that cannot hold (ROADMAP item 2): a symmetric chain with
 # delta = 0 has no finite invariant law, and a bounded drift cannot hold a
 # chain whose every alpha is below 1
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: sound |x| -> inf limits")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a per-regime |x| trend test")
 @pytest.mark.parametrize("spec, wrong", [
     (make_chain(ProfileFn.periodic(2.0, (1.239, 1.46)), gamma=2.54), ("Ergodic",)),
     (make_chain(ProfileFn.periodic(1.0, (0.897, 0.868)), gamma=0.58,

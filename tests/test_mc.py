@@ -4,7 +4,8 @@ import dataclasses
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stablike import (
     return_stats,
     tv_convergence,
 )
+from stablike.chain import simulate
 from stablike.stable import cms_transform
 
 
@@ -268,29 +270,6 @@ def test_failing_block_raises_its_exception():
     assert return_stats(make_chain(1.5), 5.0, 2.0, 50, 300, seed=3) == before
 
 
-def test_failing_block_cancels_the_blocks_not_started(monkeypatch):
-    # two workers, eight blocks: the first block to step fails at once; the
-    # blocks still queued when the failure is seen never start, and every
-    # other started block finishes before the call raises
-    started, finished = [], []
-    ensemble = mc._ensemble
-
-    def counted(*args):
-        started.append(args)
-        yield from ensemble(*args)
-        finished.append(args)
-
-    monkeypatch.setattr(mc, "_ensemble", counted)
-    spec, boom = _failing_chain()
-    with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(mc, "_pool", lambda: pool)
-        with pytest.raises(DomainError) as exc:
-            interval_stats(spec, 0.0, [(-1.0, 1.0, 1.0)], 100, 8 * 8192, seed=1)
-    assert exc.value is boom
-    assert len(finished) == len(started) - 1
-    assert len(started) < 8
-
-
 def test_nan_steps_freeze_like_simulate():
     # at alpha ~ 0.002 the CMS map gives inf * 0 = nan in a share of draws;
     # such a path freezes at +-FREEZE with its previous sign, as in simulate
@@ -444,13 +423,211 @@ def test_diagnose_stream_layout(ergodic_spec, monkeypatch):
     assert (tv.time_points, tv.n_paths, tv.bin_width) == (tps, n_paths, width)
 
 
-def test_pool_has_one_thread_per_usable_cpu(monkeypatch):
-    # pinned to one CPU of four, the pool starts one thread; without affinity, four
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    pinned = mc._pool.__wrapped__()
-    monkeypatch.delattr(os, "sched_getaffinity")
-    unknown = mc._pool.__wrapped__()
-    assert (pinned._max_workers, unknown._max_workers) == (1, 4)
-    pinned.shutdown()
-    unknown.shutdown()
+def _cpus(monkeypatch, n):
+    """Pretend the process may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _forks(monkeypatch):
+    """The list of forks made from now on, in the calling process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_one_worker_per_usable_cpu(monkeypatch):
+    def jobs(n_paths, n_steps):
+        return [(n_steps, mc._blocks(lambda *args: None, n_paths, np.random.SeedSequence(0)))]
+
+    spec, big = make_chain(1.5), jobs(3 * 8192, 100)
+    _cpus(monkeypatch, 4)
+    assert mc._workers(spec, big) == 4
+    # a worker needs _MIN_LANES paths of the widest block
+    assert mc._workers(spec, jobs(3 * mc._MIN_LANES + 1, 1000)) == 3
+    custom = make_chain(ProfileFn.custom(lambda x: 1.5), unchecked=True)
+    assert mc._workers(custom, big) == 1
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert mc._workers(spec, big) == 1
+    finally:
+        done.set()
+        thread.join()
+    forks = _forks(monkeypatch)
+    want = return_stats(spec, 5.0, 2.0, 100, 3 * 8192, seed=3)
+    assert len(forks) == 3
+    # pinned to one CPU, the caller steps alone
+    _cpus(monkeypatch, 1)
+    assert mc._workers(spec, big) == 1
+    assert return_stats(spec, 5.0, 2.0, 100, 3 * 8192, seed=3) == want
+    assert len(forks) == 3 and _no_children()
+
+
+def test_a_call_below_the_floor_never_forks(monkeypatch):
+    _cpus(monkeypatch, 4)
+    forks = _forks(monkeypatch)
+    spec, steps = make_chain(1.5), mc._FORK_FLOOR // 8192
+    interval_stats(spec, 0.0, [mc._ball(1.0)], steps - 1, 8192, seed=1)
+    tv_convergence(spec, 0.0, 1.0, (steps // 2 - 1,), 8192, 0.5, seed=1)
+    # above the floor, but too few paths for a second worker
+    interval_stats(spec, 0.0, [mc._ball(1.0)], steps * 2, 2 * mc._MIN_LANES - 1, seed=1)
+    assert forks == []
+    interval_stats(spec, 0.0, [mc._ball(1.0)], steps, 8192, seed=1)
+    assert len(forks) == 3 and _no_children()
+
+
+def _steps_with_failures(monkeypatch, n_workers, failures):
+    """Fail the lanes from k0 of the block whose stream has spawn key k, for (k, k0) in failures.
+
+    Every call forks n_workers - 1 children; the exceptions the caller raised, by key.
+    """
+    _cpus(monkeypatch, n_workers)
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+    read, raised = mc._read, {}
+
+    def failing(*args):
+        n, stream, lanes = args[-3:]
+        piece = (stream.spawn_key, lanes.indices(n)[0])
+        if piece in failures:
+            raised[stream.spawn_key] = DomainError(f"block {piece[0]} lanes from {piece[1]}")
+            raise raised[stream.spawn_key]
+        return read(*args)
+
+    monkeypatch.setattr(mc, "_read", failing)
+    return raised
+
+
+# three 8192-path blocks on three workers: lanes from 0 (the caller), 2730 and 5461
+@pytest.mark.parametrize("failures, first", [
+    ({((1,), 2730), ((0,), 5461)}, ((0,), 5461)),  # the first block, though a later worker
+    ({((0,), 5461), ((0,), 2730)}, ((0,), 2730)),
+    ({((1,), 0), ((0,), 5461)}, ((0,), 5461)),  # the caller fails on a later block
+])
+def test_a_failing_child_raises_its_exception_in_the_caller(monkeypatch, failures, first):
+    _steps_with_failures(monkeypatch, 3, failures)
+    with pytest.raises(DomainError) as exc:
+        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 3 * 8192, seed=1)
+    assert str(exc.value) == f"block {first[0]} lanes from {first[1]}"
+    assert _no_children()
+
+
+def test_the_first_failure_is_taken_in_job_block_worker_order(monkeypatch):
+    _steps_with_failures(monkeypatch, 3, {((1, 0), 2730), ((0, 2), 5461)})
+    with pytest.raises(DomainError, match=r"^block \(0, 2\) lanes from 5461$"):
+        tv_convergence(make_chain(1.5), 0.0, 1.0, (2,), 3 * 8192, 0.5, seed=1)
+    assert _no_children()
+    # four blocks a job on two workers: worker 1 steps whole blocks 1 and 3 of each
+    monkeypatch.setattr(mc, "_BLOCK", 2048)
+    _steps_with_failures(monkeypatch, 2, {((0, 3), 0), ((1, 0), 0), ((1, 1), 0)})
+    with pytest.raises(DomainError, match=r"^block \(0, 3\) lanes from 0$"):
+        tv_convergence(make_chain(1.5), 0.0, 1.0, (2,), 4 * 2048, 0.5, seed=1)
+    assert _no_children()
+
+
+@pytest.mark.parametrize("block", [8192, 2048], ids=["lanes", "whole-blocks"])
+def test_the_callers_own_exception_is_raised_as_is(monkeypatch, block):
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    raised = _steps_with_failures(monkeypatch, 2, {((0,), 0), ((1,), 0), ((1,), 4096)})
+    with pytest.raises(DomainError) as exc:
+        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 2 * 8192, seed=1)
+    assert exc.value is raised[(0,)]
+    assert _no_children()
+
+
+def test_an_interrupted_caller_leaves_no_worker(monkeypatch):
+    # the children would sleep for a minute; the interrupt kills them at once
+    _cpus(monkeypatch, 3)
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+
+    def interrupted(*args):
+        if args[-1].start == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(mc, "_read", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 8192, seed=1)
+    assert time.monotonic() - start < 30.0
+    assert _no_children()
+
+
+BIT_IDENTITY_CHAINS = [
+    make_chain(ProfileFn.two_valued(1.5, 1.8), delta=ProfileFn.two_valued(0.5, -0.5)),
+    make_chain(1.5),
+    make_chain(ProfileFn.periodic(3.0, (1.2, 0.7, 1.0)), delta=0.2),
+]
+
+
+@pytest.mark.parametrize("block", [8192, 2048], ids=["lanes", "whole-blocks"])
+@pytest.mark.parametrize("spec", BIT_IDENTITY_CHAINS, ids=["two-valued", "constant",
+                                                           "periodic"])
+def test_statistics_are_bit_identical_for_any_worker_count(monkeypatch, spec, block):
+    # 3 blocks a job, the last 37 paths short of full, step in lane slices; 9 blocks
+    # a job are dealt whole; every call forks W - 1 workers
+    n_paths, n_steps, tps = 2 * 8192 + 37, 12, (3, 8, 15)
+    intervals = [mc._ball(10.0), (-20.0, 30.0, 25.0)]
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+    forks = _forks(monkeypatch)
+    results = []
+    for n_workers in (1, 2, 3):
+        _cpus(monkeypatch, n_workers)
+        del forks[:]
+        results.append((
+            interval_stats(spec, 3.0, intervals, n_steps, n_paths, seed=7),
+            tv_convergence(spec, -20.0, 20.0, tps, n_paths, 0.5, seed=7),
+            mc.diagnose(spec, 3.0, -20.0, intervals, n_steps, tps, n_paths, 0.5, seed=7),
+        ))
+        assert len(forks) == 3 * (n_workers - 1)
+    want_stats, want_tv, (want_diag_stats, want_diag_tv) = results[0]
+    for got_stats, got_tv, (got_diag_stats, got_diag_tv) in results[1:]:
+        for got, want in zip(got_stats + got_diag_stats, want_stats + want_diag_stats):
+            _same_stats(got, want)
+        assert (got_tv, got_diag_tv) == (want_tv, want_diag_tv)
+    assert _no_children()
+
+
+def test_fractional_and_nan_counts_are_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew for a refused count")
+
+    monkeypatch.setattr(mc, "_ensemble", no_draws)
+    monkeypatch.setattr(mc, "simulate", no_draws)
+    spec, nan = make_chain(1.5), math.nan
+    calls = {
+        "n_steps must be >= 2 and whole": [
+            lambda: return_stats(spec, 0.0, 1.0, 100.5, 4, 1),
+            lambda: invariant_histogram(spec, 0.0, 10.5, None, 0.5, 1),
+            lambda: interval_stats(spec, 0.0, [mc._ball(1.0)], nan, 4, 1),
+            lambda: occupation(spec, 0.0, (-1.0, 1.0), 1000.5, 4, 1),
+            lambda: mc.diagnose(spec, 0.0, 3.0, [mc._ball(1.0)], nan, (5,), 4, 0.5, 1),
+        ],
+        "n_paths must be >= 1 and whole": [
+            lambda: return_stats(spec, 0.0, 1.0, 100, 4.5, 1),
+            lambda: interval_stats(spec, 0.0, [mc._ball(1.0)], 100, nan, 1),
+        ],
+        "n_paths must be >= 2 and whole": [
+            lambda: tv_convergence(spec, 0.0, 1.0, (2,), 4.5, 0.5, 1),
+            lambda: tv_convergence(spec, 0.0, 1.0, (2,), nan, 0.5, 1),
+        ],
+    }
+    for message, group in calls.items():
+        for call in group:
+            with pytest.raises(DomainError, match=message):
+                call()
+    for bad in (10.5, nan, math.inf):
+        with pytest.raises(DomainError, match="n_steps must be >= 1 and whole"):
+            simulate(spec, 0.0, bad, 1)
+    # a whole float is its count
+    monkeypatch.undo()
+    assert return_stats(spec, 0.0, 1.0, 100.0, 4.0, 1) == return_stats(spec, 0.0, 1.0, 100,
+                                                                      4, 1)
+    assert np.array_equal(simulate(spec, 0.0, 3.0, 1).states, simulate(spec, 0.0, 3, 1).states)
