@@ -7,29 +7,30 @@ fixed-size blocks, each block draws from its own stream spawned off
 the master seed, and every step consumes one uniform angle and one
 exponential per path in a fixed order.
 
-A call steps its blocks in W worker processes, one per CPU the process
+A call steps its jobs in W worker processes, one per CPU the process
 may run on (_run). Worker 0 is the caller and the others are forked
-children; worker w steps lanes [n*w//W, n*(w+1)//W) of every n-path
-block, drawing the block's full exponentials each step (their count of
-64-bit draws varies) and skipping the other lanes' angles, so every path
-sees the same draws for any W. Once every job of the call has 2W blocks
-or more, the workers deal whole blocks round instead, which repeats no
-draws. Each worker hands back integer partial statistics (counts and
-sums of step numbers), and the caller adds them in block and worker
-order. That makes every statistic bit-reproducible for identical (spec,
-args, seed) on any number of workers, and makes return events for a
-given seed a prefix-stable function of n_steps (longer runs extend,
-never rewrite, history).
+children. Worker w steps paths [N*w//W, N*(w+1)//W) of each job's N
+paths, block by block: the blocks inside that share whole, and the
+blocks at its two ends in lane slices, so at most W - 1 blocks of a job
+are cut. A slice draws its block's full exponentials each step (their
+count of 64-bit draws varies) and skips the other lanes' angles, so
+every path sees the same draws for any W. Each worker hands back
+integer partial statistics (counts and sums of step numbers), which the
+caller adds, exactly in any order. That makes every statistic
+bit-reproducible for identical (spec, args, seed) on any number of
+workers, and makes return events for a given seed a prefix-stable
+function of n_steps (longer runs extend, never rewrite, history).
 
 Processes, unlike threads, step in parallel: a step is some twenty short
 numpy calls, and between them a thread holds the GIL, so a second thread
-made a call slower. A call whose widest block has fewer than
-_MIN_LANES paths a worker takes fewer workers. A call stays in the caller alone (W = 1) when it has
-fewer than _FORK_FLOOR path-steps, where a fork costs more than it
-saves; when a profile is custom, because that is the caller's own code,
-whose side effects belong to the caller's process and which may not
-survive a fork; when other Python threads are alive, as a fork copies
-none of them, whatever locks they hold; and where os.fork is missing.
+made a call slower. A call whose largest job has fewer than _MIN_LANES
+paths a worker takes fewer workers. A call stays in the caller alone
+(W = 1) when it has fewer than _FORK_FLOOR path-steps, where a fork
+costs more than it saves; when a profile is custom, because that is the
+caller's own code, whose side effects belong to the caller's process and
+which may not survive a fork; when other Python threads are alive, as a
+fork copies none of them, whatever locks they hold; and where os.fork is
+missing.
 Counts (n_steps, n_paths, time points, burn-in) must be whole numbers;
 an integral float such as 2.0 is the count 2.
 
@@ -84,7 +85,7 @@ _BLOCK = 8192
 # x 64 steps 1.34-1.42x; at 3e6 path-steps, 200-800-path blocks ran 0.91-1.11x and
 # 1200-2000-path blocks 0.79-0.90x.
 _FORK_FLOOR = 1 << 19  # path-steps of a call
-_MIN_LANES = 512  # lanes of the widest block per worker
+_MIN_LANES = 512  # paths of the largest job per worker
 _HIST_HALF_RANGE = 500.0
 MIN_BIN_WIDTH = 1e-3  # at most 10^6 bins over the histogram range
 _HALF_PI = math.pi / 2.0
@@ -205,28 +206,20 @@ def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tup
     return sums, np.array(laws)
 
 
-def _blocks(read, n_paths: int, root: np.random.SeedSequence) -> list:
-    """(n, task read(n, stream, lanes)) per block of n <= _BLOCK paths, streams off root."""
-    sizes = [min(_BLOCK, n_paths - lo) for lo in range(0, n_paths, _BLOCK)]
-    return [(n, functools.partial(read, n, child))
-            for n, child in zip(sizes, root.spawn(len(sizes)))]
-
-
 def _workers(spec: ChainSpec, jobs) -> int:
     """How many processes step the _run jobs: one per usable CPU, or fewer.
 
-    At most one per _MIN_LANES paths of the widest block, and 1, the caller alone, for
+    At most one per _MIN_LANES paths of the largest job, and 1, the caller alone, for
     fewer than _FORK_FLOOR path-steps, a custom profile, other live threads or no fork.
     """
     kinds = (spec.alpha_profile.kind, spec.family.gamma_profile.kind,
              spec.family.delta_profile.kind)
-    sizes = [(n_steps, n) for n_steps, blocks in jobs for n, _ in blocks]
-    if (sum(n_steps * n for n_steps, n in sizes) < _FORK_FLOOR or "custom" in kinds
+    if (sum(n_steps * n for n_steps, _, n, _ in jobs) < _FORK_FLOOR or "custom" in kinds
             or not hasattr(os, "fork") or threading.active_count() > 1):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(cpus, max(n for _, n in sizes) // _MIN_LANES))
+    return max(1, min(cpus, max(n for _, _, n, _ in jobs) // _MIN_LANES))
 
 
 def _child(work, w: int, fd: int):
@@ -245,37 +238,37 @@ def _child(work, w: int, fd: int):
 
 
 def _run(spec: ChainSpec, *jobs) -> list:
-    """Each job's partials, one per block in block order; a job is (n_steps, _blocks(...)).
+    """Each job's partials, a list in no set order; a job is (n_steps, read, n_paths, root).
 
-    W = _workers(spec, jobs) workers step the blocks: worker 0 in the caller, the others
-    in forked children, which pickle their partials back through a pipe. Worker w steps
-    lanes [n*w//W, n*(w+1)//W) of every n-path block; once every job has 2W blocks or
-    more, it steps whole blocks instead, those whose index in (job, block) order is w
-    mod W, and repeats no block's draws. Each worker goes in job and block order up to
-    its first failure. Once every worker is done, the first failure in (job, block,
-    worker) order is raised: the caller's own exception object, or an unpickled copy of
-    a child's; a child that exits without a result raises ChildProcessError before
-    them. Otherwise each block's partials are added in worker order, exactly, as they
-    are counts. No child outlives the call: if the caller is interrupted, they are
-    killed and reaped.
+    A job's paths are blocks of _BLOCK paths (the last one short) on streams spawned off
+    root, and read(n, stream, lanes) gives the partials of the lanes of an n-path block.
+    W = _workers(spec, jobs) workers step the jobs: worker 0 in the caller, the others in
+    forked children, which pickle their partials back through a pipe. Worker w steps
+    paths [N*w//W, N*(w+1)//W) of each N-path job, in job and block order up to its first
+    failure: the blocks inside that share whole, the blocks at its ends in lane slices.
+    Once every worker is done, the first failure in (job, block, worker) order is raised:
+    the caller's own exception object, or an unpickled copy of a child's; a child that
+    exits without a result raises ChildProcessError before them. The partials are
+    counts, so they add exactly in any order. No child outlives the call: if the caller
+    is interrupted, they are killed and reaped.
     """
-    blocks = [block for _, job_blocks in jobs for block in job_blocks]
+    jobs = [(n_steps, read, n_paths, root.spawn(-(-n_paths // _BLOCK)))  # before any fork
+            for n_steps, read, n_paths, root in jobs]
     n_workers = _workers(spec, jobs)
-    deal = all(len(job_blocks) >= 2 * n_workers for _, job_blocks in jobs)
 
     def work(w):
-        """Worker w's (block index, partials) in order, and (index, exception) of its
+        """Worker w's (job index, partials) in order, and ((job, block), exception) of its
         first failure or (None, None)."""
         done = []
-        for i, (n, task) in enumerate(blocks):
-            if deal and i % n_workers != w:
-                continue
-            lanes = (slice(None) if deal
-                     else slice(n * w // n_workers, n * (w + 1) // n_workers))
-            try:
-                done.append((i, task(lanes)))
-            except Exception as exc:
-                return done, (i, exc)
+        for j, (_, read, n_paths, streams) in enumerate(jobs):
+            lo, hi = n_paths * w // n_workers, n_paths * (w + 1) // n_workers
+            for b in range(lo // _BLOCK, -(-hi // _BLOCK)):  # the blocks that [lo, hi) meets
+                first, n = b * _BLOCK, min(_BLOCK, n_paths - b * _BLOCK)
+                lanes = slice(max(lo - first, 0), min(hi - first, n))
+                try:
+                    done.append((j, read(n, streams[b], lanes)))
+                except Exception as exc:
+                    return done, ((j, b), exc)
         return done, (None, None)
 
     children, pipes = {}, {}
@@ -292,7 +285,7 @@ def _run(spec: ChainSpec, *jobs) -> list:
             payload = pipes[w].read()
             os.waitpid(children[w], 0)
             del children[w]
-            lost = ([], (-1, ChildProcessError(f"Monte Carlo worker {w} exited early")))
+            lost = ([], ((-1, -1), ChildProcessError(f"Monte Carlo worker {w} exited early")))
             results.append(pickle.loads(payload) if payload else lost)
     finally:
         for pipe in pipes.values():
@@ -303,12 +296,7 @@ def _run(spec: ChainSpec, *jobs) -> list:
     failures = [(i, w, exc) for w, (_, (i, exc)) in enumerate(results) if exc is not None]
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
-    parts = [[] for _ in blocks]
-    for done, _ in results:  # in worker order
-        for i, partial in done:
-            parts[i].append(partial)
-    partials = iter([tuple(map(sum, zip(*p))) for p in parts])  # (sums, counts) a block
-    return [[next(partials) for _ in job_blocks] for _, job_blocks in jobs]
+    return [[p for done, _ in results for i, p in done if i == j] for j in range(len(jobs))]
 
 
 def _start(x0: float) -> float:
@@ -389,9 +377,9 @@ def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
 
 
 def _law(spec: ChainSpec, x0: float, tps: tuple, edges, n_paths: int, root) -> tuple:
-    """The _run job of one TV start: its clipped counts at the time points, per block."""
+    """The _run job of one TV start: its clipped counts at the time points."""
     read = functools.partial(_read, spec, x0, np.empty((0, 2)), 0, tps, edges)
-    return tps[-1], _blocks(read, n_paths, root)
+    return tps[-1], read, n_paths, root
 
 
 def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
@@ -408,9 +396,8 @@ def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
     x0 = _start(x0)
     bounds, n_steps, n_paths, stats = _intervals(intervals, n_steps, n_paths)
     read = functools.partial(_read, spec, x0, bounds, n_steps, (), None)
-    blocks = (_blocks(read, n_paths, np.random.SeedSequence(seed))
-              if np.any(bounds[:, 0] < bounds[:, 1]) else [])
-    return stats(_run(spec, (n_steps, blocks))[0])
+    n_stepped = n_paths if np.any(bounds[:, 0] < bounds[:, 1]) else 0
+    return stats(_run(spec, (n_steps, read, n_stepped, np.random.SeedSequence(seed)))[0])
 
 
 def return_stats(
@@ -467,8 +454,8 @@ def tv_convergence(
     [-500, 500] with out-of-range mass folded into the end bins, so the
     estimate is a lower bound on the true TV. diagnose reads start a
     off its interval sweep instead and keeps start b's stream. Each
-    worker process of the call steps its lane slice of both starts'
-    blocks, so the values are the same for any number of workers.
+    worker process of the call steps its share of both starts' paths,
+    so the values are the same for any number of workers.
     """
     starts = _start(x0_a), _start(x0_b)
     tps, n_paths, edges, tv = _tv(time_points, n_paths, bin_width)
@@ -485,9 +472,9 @@ def diagnose(spec: ChainSpec, x0: float, x0_b: float, intervals, n_steps: int,
     of n_steps and the last time point and gives both the interval statistics, bit for
     bit, and start a's law; start b steps on tv_convergence's stream for it. The TV
     values differ from tv_convergence's only in start a's sampling noise. Each worker
-    process steps its lane slice of the sweep's blocks and then of start b's, so the
-    sweep's longer run keeps every worker busy, and the results are the same for any
-    number of workers.
+    process steps its share of the sweep's paths and then of start b's, so the sweep's
+    longer run keeps every worker busy, and the results are the same for any number of
+    workers.
     """
     x0, x0_b = _start(x0), _start(x0_b)
     bounds, n_steps, n_paths, stats = _intervals(intervals, n_steps, n_paths)
@@ -495,7 +482,7 @@ def diagnose(spec: ChainSpec, x0: float, x0_b: float, intervals, n_steps: int,
     sweep = functools.partial(_read, spec, x0, bounds, n_steps, tps, edges)
     partials, partials_b = _run(
         spec,
-        (max(n_steps, tps[-1]), _blocks(sweep, n_paths, np.random.SeedSequence(seed))),
+        (max(n_steps, tps[-1]), sweep, n_paths, np.random.SeedSequence(seed)),
         _law(spec, x0_b, tps, edges, n_paths, np.random.SeedSequence(seed).spawn(2)[1]),
     )
     return stats(partials), tv(partials, partials_b)

@@ -1,5 +1,6 @@
 """Shared fixtures for the stablike test suite."""
 
+import os
 import sys
 
 import numpy as np
@@ -23,6 +24,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_outlives_a_test():
+    # every process a test forks or starts (a Monte Carlo worker, a CLI run) is
+    # reaped before the test ends
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

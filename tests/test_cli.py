@@ -406,7 +406,8 @@ def test_mc_diagnose_checks_before_any_draw(smoke_config_text, tmp_path, monkeyp
 
 
 def test_mc_diagnose_failing_block_exits_one(smoke_config_text, monkeypatch, capsys):
-    # the first alpha evaluation raises, so one block fails; the others run on
+    # the first alpha evaluation raises: the first block fails and stops its worker, and
+    # nothing is written
     path, out = smoke_config_text
     calls = itertools.count()
 

@@ -266,7 +266,7 @@ def test_failing_block_raises_its_exception():
     with pytest.raises(DomainError) as exc:
         tv_convergence(spec, -5.0, 5.0, (5, 10), 3 * 8192, bin_width=1.0, seed=1)
     assert exc.value is boom
-    # the pool still runs the next call
+    # a failed call leaves the next one as it was
     assert return_stats(make_chain(1.5), 5.0, 2.0, 50, 300, seed=3) == before
 
 
@@ -443,12 +443,12 @@ def _no_children():
 
 def test_one_worker_per_usable_cpu(monkeypatch):
     def jobs(n_paths, n_steps):
-        return [(n_steps, mc._blocks(lambda *args: None, n_paths, np.random.SeedSequence(0)))]
+        return [(n_steps, None, n_paths, None)]
 
     spec, big = make_chain(1.5), jobs(3 * 8192, 100)
     _cpus(monkeypatch, 4)
     assert mc._workers(spec, big) == 4
-    # a worker needs _MIN_LANES paths of the widest block
+    # a worker needs _MIN_LANES paths of the largest job
     assert mc._workers(spec, jobs(3 * mc._MIN_LANES + 1, 1000)) == 3
     custom = make_chain(ProfileFn.custom(lambda x: 1.5), unchecked=True)
     assert mc._workers(custom, big) == 1
@@ -484,7 +484,7 @@ def test_a_call_below_the_floor_never_forks(monkeypatch):
 
 
 def _steps_with_failures(monkeypatch, n_workers, failures):
-    """Fail the lanes from k0 of the block whose stream has spawn key k, for (k, k0) in failures.
+    """Fail the piece from lane k0 of the block on the stream of spawn key k, (k, k0) in failures.
 
     Every call forks n_workers - 1 children; the exceptions the caller raised, by key.
     """
@@ -504,39 +504,46 @@ def _steps_with_failures(monkeypatch, n_workers, failures):
     return raised
 
 
-# three 8192-path blocks on three workers: lanes from 0 (the caller), 2730 and 5461
+# 2 * 8192 + 37 paths, three blocks, on three workers: the pieces (block, first lane) are
+# (0, 0) for the caller, (0, 5473) and (1, 0) for worker 1, (1, 2755) and (2, 0) for worker 2
 @pytest.mark.parametrize("failures, first", [
-    ({((1,), 2730), ((0,), 5461)}, ((0,), 5461)),  # the first block, though a later worker
-    ({((0,), 5461), ((0,), 2730)}, ((0,), 2730)),
-    ({((1,), 0), ((0,), 5461)}, ((0,), 5461)),  # the caller fails on a later block
+    ({((1,), 2755), ((0,), 5473)}, ((0,), 5473)),  # each child fails on its first piece
+    ({((1,), 2755), ((1,), 0)}, ((1,), 0)),  # two workers in one block, worker 1 in its second
+    ({((2,), 0), ((1,), 0)}, ((1,), 0)),  # each child fails on its second piece
+    ({((1,), 2755), ((2,), 0)}, ((1,), 2755)),  # a worker stops at its first failure
 ])
 def test_a_failing_child_raises_its_exception_in_the_caller(monkeypatch, failures, first):
     _steps_with_failures(monkeypatch, 3, failures)
     with pytest.raises(DomainError) as exc:
-        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 3 * 8192, seed=1)
+        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 2 * 8192 + 37, seed=1)
     assert str(exc.value) == f"block {first[0]} lanes from {first[1]}"
     assert _no_children()
 
 
 def test_the_first_failure_is_taken_in_job_block_worker_order(monkeypatch):
-    _steps_with_failures(monkeypatch, 3, {((1, 0), 2730), ((0, 2), 5461)})
-    with pytest.raises(DomainError, match=r"^block \(0, 2\) lanes from 5461$"):
-        tv_convergence(make_chain(1.5), 0.0, 1.0, (2,), 3 * 8192, 0.5, seed=1)
+    # the pieces above, in both jobs: the caller fails in job 1, worker 2 on its second piece
+    _steps_with_failures(monkeypatch, 3, {((1, 0), 0), ((0, 2), 0)})
+    with pytest.raises(DomainError, match=r"^block \(0, 2\) lanes from 0$"):
+        tv_convergence(make_chain(1.5), 0.0, 1.0, (2,), 2 * 8192 + 37, 0.5, seed=1)
     assert _no_children()
-    # four blocks a job on two workers: worker 1 steps whole blocks 1 and 3 of each
+    # nine blocks a job on two workers: the caller steps blocks 0-3 whole and lanes from 0
+    # of block 4; worker 1 the rest of block 4 from lane 18, then blocks 5-8 whole
+    monkeypatch.undo()  # the failures above are not failures here
     monkeypatch.setattr(mc, "_BLOCK", 2048)
-    _steps_with_failures(monkeypatch, 2, {((0, 3), 0), ((1, 0), 0), ((1, 1), 0)})
-    with pytest.raises(DomainError, match=r"^block \(0, 3\) lanes from 0$"):
-        tv_convergence(make_chain(1.5), 0.0, 1.0, (2,), 4 * 2048, 0.5, seed=1)
+    _steps_with_failures(monkeypatch, 2, {((0, 6), 0), ((1, 2), 0)})
+    with pytest.raises(DomainError, match=r"^block \(0, 6\) lanes from 0$"):
+        tv_convergence(make_chain(1.5), 0.0, 1.0, (2,), 8 * 2048 + 37, 0.5, seed=1)
     assert _no_children()
 
 
+# three 8192-path blocks or nine 2048-path blocks: the child fails on the block that it
+# shares with the caller
 @pytest.mark.parametrize("block", [8192, 2048], ids=["lanes", "whole-blocks"])
 def test_the_callers_own_exception_is_raised_as_is(monkeypatch, block):
     monkeypatch.setattr(mc, "_BLOCK", block)
-    raised = _steps_with_failures(monkeypatch, 2, {((0,), 0), ((1,), 0), ((1,), 4096)})
+    raised = _steps_with_failures(monkeypatch, 2, {((0,), 0), ((1,), 18), ((4,), 18)})
     with pytest.raises(DomainError) as exc:
-        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 2 * 8192, seed=1)
+        interval_stats(make_chain(1.5), 0.0, [mc._ball(1.0)], 2, 2 * 8192 + 37, seed=1)
     assert exc.value is raised[(0,)]
     assert _no_children()
 
@@ -570,8 +577,9 @@ BIT_IDENTITY_CHAINS = [
 @pytest.mark.parametrize("spec", BIT_IDENTITY_CHAINS, ids=["two-valued", "constant",
                                                            "periodic"])
 def test_statistics_are_bit_identical_for_any_worker_count(monkeypatch, spec, block):
-    # 3 blocks a job, the last 37 paths short of full, step in lane slices; 9 blocks
-    # a job are dealt whole; every call forks W - 1 workers
+    # 3 blocks a job, the last 37 paths short of full, so the shares end inside blocks, or
+    # 9 blocks a job, most of them inside a share and stepped whole; every call forks
+    # W - 1 workers
     n_paths, n_steps, tps = 2 * 8192 + 37, 12, (3, 8, 15)
     intervals = [mc._ball(10.0), (-20.0, 30.0, 25.0)]
     monkeypatch.setattr(mc, "_BLOCK", block)
@@ -592,6 +600,29 @@ def test_statistics_are_bit_identical_for_any_worker_count(monkeypatch, spec, bl
         for got, want in zip(got_stats + got_diag_stats, want_stats + want_diag_stats):
             _same_stats(got, want)
         assert (got_tv, got_diag_tv) == (want_tv, want_diag_tv)
+    assert _no_children()
+
+
+def test_the_workers_shares_tile_every_job(monkeypatch):
+    # each piece's partial is its (block, first lane, end lane, block size), so the
+    # children's pieces come back through their pipes
+    def read(n, stream, lanes):
+        return (stream.spawn_key[-1], *lanes.indices(n)[:2], n)
+
+    monkeypatch.setattr(mc, "_BLOCK", 2048)
+    monkeypatch.setattr(mc, "_FORK_FLOOR", 0)
+    sizes = (2048, 2 * 2048 + 37, 8 * 2048 + 37)  # jobs of 1, 3 and 9 blocks
+    forks = _forks(monkeypatch)
+    for n_workers in (1, 2, 3):
+        _cpus(monkeypatch, n_workers)
+        del forks[:]
+        jobs = [(1, read, n, np.random.SeedSequence(0)) for n in sizes]
+        for n_paths, pieces in zip(sizes, mc._run(make_chain(1.5), *jobs)):
+            paths = [b * 2048 + p for b, lo, hi, _ in pieces for p in range(lo, hi)]
+            assert sorted(paths) == list(range(n_paths))
+            cut = {b for b, lo, hi, n in pieces if (lo, hi) != (0, n)}
+            assert len(cut) <= n_workers - 1
+        assert len(forks) == n_workers - 1
     assert _no_children()
 
 
