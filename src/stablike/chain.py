@@ -142,19 +142,20 @@ class ProfileFn:
         return x, x, float(self.fn(x))
 
     def at(self, x) -> np.ndarray:
-        """Vectorized lookup over an array of positions.
+        """Vectorized lookup over an array of positions; the ensembles step through it.
 
-        A periodic or piecewise profile rejects a non-finite position with
-        DomainError; constant and two-valued ones take any position. A
-        custom fn is called once on the whole array, and once per position
-        only if that call returns no float array of x's shape or raises
-        anything but a StablikeError.
+        A two-valued profile gathers its values by the x < 0 mask, bit for
+        bit as np.where(x < 0, left, right). A periodic or piecewise profile
+        rejects a non-finite position with DomainError; constant and
+        two-valued ones take any position. A custom fn is called once on the
+        whole array, and once per position only if that call returns no
+        float array of x's shape or raises anything but a StablikeError.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.full_like(x, self.values[0])
-        if self.kind == "two_valued":
-            return np.where(x < 0, self.values[0], self.values[1])
+        if self.kind == "two_valued":  # np.asarray: a 0-d x gives a 0-d array, not a scalar
+            return np.asarray(np.take(self.values[::-1], (x < 0).view(np.uint8)))
         if self.kind != "custom" and not np.isfinite(x).all():
             raise DomainError("profile positions must be finite")
         if self.kind == "periodic":

@@ -5,7 +5,9 @@ replace it. The return, occupation and total-variation diagnostics
 run the chain as a vectorized ensemble: paths are grouped into
 fixed-size blocks, each block draws from its own stream spawned off
 the master seed, and every step consumes one uniform angle and one
-exponential per path in a fixed order.
+exponential per path in a fixed order. A step reads each profile that is
+not constant at the states through ProfileFn.at, the one array lookup of
+a profile; a constant is read once a block.
 
 A call steps its jobs in W worker processes, one per CPU the process
 may run on (_run). Worker 0 is the caller and the others are forked
@@ -119,19 +121,6 @@ class TvEstimate:
     n_paths: int
 
 
-def _at(profile, x: np.ndarray, neg):
-    """The profile's values at the states x, as ProfileFn.at gives them bit for bit.
-
-    A constant is a float. A two-valued profile indexes its values by neg, the step's one
-    x < 0 mask; a gather, unlike np.where, does not branch on each of its random bits.
-    """
-    if profile.kind == "constant":
-        return profile.values[0]
-    if profile.kind == "two_valued":
-        return np.take(profile.values[::-1], neg.view(np.uint8))
-    return profile.at(x)
-
-
 def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
               stream: np.random.SeedSequence, lanes: slice = slice(None)):
     """Yield the states of the lanes of a block of n_paths paths from x0 after each step.
@@ -139,15 +128,18 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
     Each of the n_steps steps draws every path's angle, then every exponential, and
     steps the paths of lanes, a contiguous slice of range(n_paths); |state| >= FREEZE
     stays. An angle is one 64-bit draw, so the angles of the other lanes are skipped.
+    A step reads alpha, gamma and delta at the states through ProfileFn.at, apart from
+    a constant profile, which is read once a block.
     """
     rng = np.random.default_rng(stream)
     a_fn, g_fn, d_fn = spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile
-    signed = "two_valued" in (a_fn.kind, g_fn.kind, d_fn.kind)
     lo, hi, _ = lanes.indices(n_paths)
     m = hi - lo
-    # a constant alpha stays one array: a float exponent takes numpy's scalar power
-    # paths (cos(u) ** -1 at alpha = 1), which round otherwise than an array's
+    # a constant is read once: alpha as one array, since a float exponent takes numpy's
+    # scalar power paths (cos(u) ** -1 at alpha = 1), which round otherwise than an
+    # array's; gamma and delta as floats
     alpha = np.full(m, float(a_fn.values[0])) if a_fn.kind == "constant" else None
+    gamma, delta = (f.values[0] if f.kind == "constant" else None for f in (g_fn, d_fn))
     x = np.full(m, float(x0))
     frozen = np.zeros(m, dtype=bool)
     for _ in range(n_steps):
@@ -158,12 +150,11 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
             u = rng.uniform(-_HALF_PI, _HALF_PI, m)
             rng.bit_generator.advance(n_paths - hi)
         e = rng.standard_exponential(n_paths)[lo:hi]
-        neg = x < 0 if signed else None
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # x + delta + gamma * J in place: products and sums of two commute bit for bit
-            xn = cms_transform(_at(a_fn, x, neg) if alpha is None else alpha, u, e)
-            xn *= _at(g_fn, x, neg)
-            xn += x + _at(d_fn, x, neg)
+            xn = cms_transform(a_fn.at(x) if alpha is None else alpha, u, e)
+            xn *= g_fn.at(x) if gamma is None else gamma
+            xn += x + (d_fn.at(x) if delta is None else delta)
         np.clip(xn, -FREEZE, FREEZE, out=xn)
         nan = np.isnan(xn)  # a nan jump (inf * 0 in the transform) keeps the old sign
         if nan.any():

@@ -16,6 +16,7 @@ from stablike import (
     make_chain,
     simulate,
 )
+from stablike.chain import FREEZE
 from stablike.stable import cms_transform
 
 
@@ -32,6 +33,19 @@ def test_two_valued_profile_splits_at_origin():
     assert p(-50.0) == 1.2
     assert p(0.0) == 1.0  # x >= 0 takes the right value
     assert p(50.0) == 1.0
+
+
+@pytest.mark.parametrize("left, right", [(1.2, 1.0), (-0.0, 0.0), (math.nan, -math.inf)])
+def test_two_valued_lookup_is_np_where_bit_for_bit(left, right):
+    # the gather ProfileFn.at uses equals np.where(x < 0, left, right) on every float:
+    # nan and -0.0 take the right value, and the values' own bits come through
+    p = ProfileFn.two_valued(left, right)
+    special = [math.nan, -0.0, 0.0, FREEZE, -FREEZE, math.inf, -math.inf]
+    x = np.concatenate([special, default_rng(3).standard_cauchy(1001) * 1e3])
+    for pos in (x, x.reshape(-1, 7), x[1]):
+        got, want = p.at(pos), np.where(np.asarray(pos) < 0, left, right)
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_periodic_profile_wraps():
@@ -165,6 +179,19 @@ def test_spec_validates_gamma_positive():
         make_chain(1.5, gamma=0.0)
     with pytest.raises(DomainError):
         make_chain(1.5, gamma=math.inf)
+
+
+@pytest.mark.parametrize("role", ["alpha", "gamma", "delta"])
+def test_spec_refuses_a_custom_profile_without_the_unchecked_flag(role):
+    with pytest.raises(DomainError, match="custom profiles require the unchecked=True"):
+        make_chain(**{"alpha": 1.5, role: ProfileFn.custom(lambda x: 1.0)})
+
+
+@pytest.mark.parametrize("delta", [math.inf, ProfileFn.two_valued(0.5, math.inf)],
+                         ids=["constant", "two-valued"])
+def test_spec_refuses_a_non_finite_delta(delta):
+    with pytest.raises(DomainError, match="delta profile value inf must be finite"):
+        make_chain(1.5, delta=delta)
 
 
 def test_unchecked_skips_validation():

@@ -21,7 +21,7 @@ from stablike import (
     r1,
 )
 from stablike import drift
-from stablike.classify import ScanSettings
+from stablike.classify import ScanSettings, _beta_ladders
 from stablike.drift import CONDITIONS, TailScanReport, default_x_grid
 from stablike.errors import QuadratureError, TableOverflowError
 from stablike.stable import DensityTable
@@ -97,6 +97,48 @@ def test_two_valued_low_sum_transient():
         )
     )
     assert res.verdict == "Transient"
+
+
+def test_two_valued_sum_in_the_exemption_band_is_inconclusive():
+    # 0.98 + 1.05 is within 0.1 of the critical sum 2: no dichotomy verdict
+    res = classify(make_chain(ProfileFn.two_valued(0.98, 1.05)))
+    assert (res.verdict, res.conditions_used) == ("Inconclusive", ())
+    assert any(c.startswith("index sum within 0.1 of the critical value 2: ")
+               for c in res.caveats)
+
+
+def test_piecewise_alpha_takes_each_threshold_at_its_limit_alpha():
+    # alpha is 0.6 left of -5 and 1.7 from 5 on; the inner 1.9 is no limit.
+    # Recurrence and ergodicity displays take the threshold at the least
+    # limit alpha, transience displays at the greatest; no verdict is pinned
+    spec = make_chain(ProfileFn.piecewise((-5.0, 5.0), (0.6, 1.9, 1.7)))
+    assert drift.threshold_for(spec, "log_rec", None) == (r1(0.6), 0.0)
+    assert drift.threshold_for(spec, "mom_trans", None) == (r1(1.7), 0.0)
+    assert _beta_ladders(spec, ScanSettings())["rec"] == pytest.approx((0.55, 0.01))
+    res = classify(spec)
+    assert {rep.condition_id for rep in res.reports} == set(CONDITIONS)
+    for rep in res.reports:
+        cond = CONDITIONS[rep.condition_id]
+        limit = 1.7 if cond.conclusion == "trans" else 0.6
+        assert rep.threshold == cond.threshold(limit, rep.beta)[0], rep.condition_id
+
+
+def test_custom_gamma_is_classified_under_both_caveats():
+    # an unchecked chain is not certified, and its first-moment displays are
+    # not scanned: jump-tail uniformity needs enumerable profiles
+    res = classify(make_chain(1.5, gamma=ProfileFn.custom(lambda x: 1.0), unchecked=True))
+    assert (res.verdict, res.conditions_used) == ("Recurrent", ("log_rec", "pow_rec"))
+    assert "model envelope assumptions assumed, not certified" in res.caveats
+    assert ("first-moment displays skipped: jump-tail uniformity not certifiable for "
+            "custom profiles") in res.caveats
+    assert all(CONDITIONS[rep.condition_id].kernel != "first_moment" for rep in res.reports)
+
+
+def test_custom_alpha_is_refused():
+    spec = make_chain(ProfileFn.custom(lambda x: 1.5), unchecked=True)
+    with pytest.raises(DomainError, match="classification needs an alpha profile with an "
+                                          "enumerable value set"):
+        classify(spec)
 
 
 def test_inward_drift_chain_ergodic(ergodic_spec):

@@ -285,17 +285,24 @@ def test_nan_steps_freeze_like_simulate():
     assert all(0.0 <= v <= 1.0 for v in tv.tv_values)
 
 
+def _lookup(profile, x):
+    """The profile at the states x; a two-valued one by np.where, not by ProfileFn.at."""
+    if profile.kind == "two_valued":
+        return np.where(x < 0, *profile.values)
+    return profile.at(x)
+
+
 def _reference_ensemble(spec, x0, n_paths, n_steps, stream):
-    """The ensemble step as ProfileFn.at and cms_transform give it, one expression a step."""
+    """The ensemble step as _lookup and cms_transform give it, one expression a step."""
     rng = np.random.default_rng(stream)
     x = np.full(n_paths, float(x0))
     frozen = np.zeros(n_paths, dtype=bool)
     for _ in range(n_steps):
         u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n_paths)
         e = rng.standard_exponential(n_paths)
-        a = spec.alpha_profile.at(x)
-        g = spec.family.gamma_profile.at(x)
-        d = spec.family.delta_profile.at(x)
+        a = _lookup(spec.alpha_profile, x)
+        g = _lookup(spec.family.gamma_profile, x)
+        d = _lookup(spec.family.delta_profile, x)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             xn = x + d + g * cms_transform(a, u, e)
         np.clip(xn, -mc.FREEZE, mc.FREEZE, out=xn)
@@ -331,6 +338,34 @@ def test_ensemble_steps_bit_identically_to_the_reference(spec, n_steps):
     for t, (a, b) in enumerate(itertools.zip_longest(got, want), start=1):
         assert np.array_equal(a, b), f"step {t}"
     assert t == n_steps
+
+
+@pytest.mark.parametrize("spec", [
+    make_chain(ProfileFn.two_valued(1.5, 1.8), delta=ProfileFn.two_valued(0.5, -0.5)),
+    make_chain(1.3, gamma=ProfileFn.two_valued(2.0, 0.5), delta=0.7),
+    make_chain(ProfileFn.periodic(3.0, (1.2, 0.7, 1.0)), gamma=ProfileFn.two_valued(1.0, 2.0)),
+    make_chain(1.0),
+], ids=["alpha-delta", "gamma", "periodic-alpha", "constant"])
+@pytest.mark.parametrize("lanes", [slice(None), slice(100, 700)], ids=["block", "lanes"])
+def test_a_step_reads_each_non_constant_profile_once_through_at(monkeypatch, spec, lanes):
+    # ProfileFn.at is the ensemble's one array lookup: once a step for each profile
+    # that is not constant, and never for a constant one, which is read once a block
+    calls = []
+    at = ProfileFn.at
+
+    def counting(self, x):
+        calls.append(self)
+        return at(self, x)
+
+    monkeypatch.setattr(ProfileFn, "at", counting)
+    profiles = (spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile)
+    n_steps = 0
+    for n_steps, _ in enumerate(mc._ensemble(spec, 3.0, 1000, 7, np.random.SeedSequence(2),
+                                             lanes), start=1):
+        assert len(calls) == n_steps * sum(p.kind != "constant" for p in profiles)
+    assert n_steps == 7
+    for p in profiles:
+        assert sum(c is p for c in calls) == (0 if p.kind == "constant" else 7)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -174,6 +174,26 @@ def test_euler_integral_splits_at_the_unit_argument_scale(b, z):
     assert abs(r.value - want) <= r.est_abs_error, (r, want)
 
 
+@pytest.mark.parametrize("a, b, c, z", [
+    (0.7, 3.2, 2.5, 0.8), (1.5, -0.3, 2.0, 0.9), (0.4, 2.5, 1.2, 0.95)])
+def test_hyp2f1_swaps_a_and_b_into_the_euler_integral(monkeypatch, a, b, c, z):
+    # c > b > 0 fails and c > a > 0 holds: 2F1 is symmetric in a and b, so
+    # the Euler integral runs with a in b's place, and answers within its
+    # own estimate of 40-digit mpmath
+    import mpmath as mp
+
+    from stablike import specfun
+
+    calls, euler = [], specfun._euler_integral
+    monkeypatch.setattr(specfun, "_euler_integral",
+                        lambda *args: calls.append(args) or euler(*args))
+    r = hyp2f1(a, b, c, z)
+    assert calls == [(b, a, c, z)]
+    with mp.workdps(40):
+        want = float(mp.hyp2f1(a, b, c, z))
+    assert abs(r.value - want) <= r.est_abs_error, (r, want)
+
+
 def test_hyp2f1_large_error_estimate_still_raises():
     # the series at z = 1/2 cancels terms up to ~1e11 down to 0.527: its
     # estimate 3.4e-4 is honest (the true error is 2.9e-6) and far above
