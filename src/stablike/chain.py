@@ -144,28 +144,29 @@ class ProfileFn:
     def at(self, x) -> np.ndarray:
         """Vectorized lookup over an array of positions; the ensembles step through it.
 
-        A two-valued profile gathers its values by the x < 0 mask, bit for
-        bit as np.where(x < 0, left, right). A periodic or piecewise profile
-        rejects a non-finite position with DomainError; constant and
-        two-valued ones take any position. A custom fn is called once on the
-        whole array, and once per position only if that call returns no
-        float array of x's shape or raises anything but a StablikeError.
+        The result is a float array of x's shape, 0-d for a 0-d x. A two-valued
+        profile is np.where(x < 0, left, right) bit for bit, taken without
+        np.where's branch, which mispredicts on states of mixed sign. A periodic
+        or piecewise profile rejects a non-finite position with DomainError;
+        constant and two-valued ones take any position. A custom fn is called
+        once on the whole array, and once per position only if that call returns
+        no float array of x's shape or raises anything but a StablikeError.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
             return np.full_like(x, self.values[0])
-        if self.kind == "two_valued":  # np.asarray: a 0-d x gives a 0-d array, not a scalar
-            return np.asarray(np.take(self.values[::-1], (x < 0).view(np.uint8)))
+        if self.kind == "two_valued":
+            return np.take(self.values, ~(x < 0))[...]  # [...]: a 0-d x gives a 0-d array
         if self.kind != "custom" and not np.isfinite(x).all():
             raise DomainError("profile positions must be finite")
         if self.kind == "periodic":
             cell_w = self.period / len(self.values)
             idx = np.floor((x % self.period) / cell_w).astype(int)
             idx = np.minimum(idx, len(self.values) - 1)
-            return np.asarray(self.values)[idx]
+            return np.asarray(self.values)[idx, ...]  # a 0-d idx gives a 0-d array
         if self.kind == "piecewise":
             idx = np.searchsorted(self.breakpoints, x, side="right")
-            return np.asarray(self.values)[idx]
+            return np.asarray(self.values)[idx, ...]
         try:
             v = self.fn(x)
         except StablikeError:

@@ -144,7 +144,8 @@ class ScanConfig:
         _floats, decreasing, "expected strictly decreasing values")))
     betas: tuple | None = _key(None, _optional(_betas))
     condition: str = _key("mom_rec", _checked(
-        _same, lambda v: v in CONDITIONS, f"{{!r}} not one of {tuple(CONDITIONS)}"))
+        _same, lambda v: isinstance(v, str) and v in CONDITIONS,
+        f"{{!r}} not one of {tuple(CONDITIONS)}"))
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,8 @@ class McConfig:
     radius: float = _key(10.0, _float)
     compact: tuple = _key((-50.0, 50.0), _interval)
     time_points: tuple = _key((100, 1000, 10000), _checked(
-        _same, lambda v: isinstance(v, list) and v and all(
-            isinstance(t, int) and t > 0 for t in v) and decreasing(v[::-1]),
+        lambda v: [_int(t) for t in v] if isinstance(v, list) else v,
+        lambda v: isinstance(v, list) and all(t > 0 for t in v) and decreasing(v[::-1]),
         "expected strictly increasing positive integers"))
     bin_width: float = _key(5.0, _checked(
         _checked(_finite, lambda v: v > 0, "must be > 0"), lambda v: v >= MIN_BIN_WIDTH,

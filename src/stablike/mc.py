@@ -14,11 +14,12 @@ may run on (_run). Worker 0 is the caller and the others are forked
 children. Worker w steps paths [N*w//W, N*(w+1)//W) of each job's N
 paths, block by block: the blocks inside that share whole, and the
 blocks at its two ends in lane slices, so at most W - 1 blocks of a job
-are cut. A slice draws its block's full exponentials each step (their
-count of 64-bit draws varies) and skips the other lanes' angles, so
-every path sees the same draws for any W. Each worker hands back
-integer partial statistics (counts and sums of step numbers), which the
-caller adds, exactly in any order. That makes every statistic
+are cut. Whole or cut, a block steps on one draw sequence: each step
+skips the other lanes' angles and draws the block's full exponentials
+(their count of 64-bit draws varies), so every path sees the same draws
+for any W, and a whole block is the slice of all its lanes. Each worker
+hands back integer partial statistics (counts and sums of step numbers),
+which the caller adds, exactly in any order. That makes every statistic
 bit-reproducible for identical (spec, args, seed) on any number of
 workers, and makes return events for a given seed a prefix-stable
 function of n_steps (longer runs extend, never rewrite, history).
@@ -125,11 +126,10 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
               stream: np.random.SeedSequence, lanes: slice = slice(None)):
     """Yield the states of the lanes of a block of n_paths paths from x0 after each step.
 
-    Each of the n_steps steps draws every path's angle, then every exponential, and
-    steps the paths of lanes, a contiguous slice of range(n_paths); |state| >= FREEZE
-    stays. An angle is one 64-bit draw, so the angles of the other lanes are skipped.
-    A step reads alpha, gamma and delta at the states through ProfileFn.at, apart from
-    a constant profile, which is read once a block.
+    A step moves the paths of lanes, a slice [lo, hi) of range(n_paths), on one draw
+    sequence: skip lo angles (one 64-bit draw each), draw the slice's, skip n_paths - hi,
+    draw all n_paths exponentials and keep the slice's; |state| >= FREEZE stays. It reads
+    alpha, gamma and delta through ProfileFn.at, apart from a constant, read once a block.
     """
     rng = np.random.default_rng(stream)
     a_fn, g_fn, d_fn = spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile
@@ -143,12 +143,9 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
     x = np.full(m, float(x0))
     frozen = np.zeros(m, dtype=bool)
     for _ in range(n_steps):
-        if m == n_paths:
-            u = rng.uniform(-_HALF_PI, _HALF_PI, m)
-        else:
-            rng.bit_generator.advance(lo)
-            u = rng.uniform(-_HALF_PI, _HALF_PI, m)
-            rng.bit_generator.advance(n_paths - hi)
+        rng.bit_generator.advance(lo)
+        u = rng.uniform(-_HALF_PI, _HALF_PI, m)
+        rng.bit_generator.advance(n_paths - hi)
         e = rng.standard_exponential(n_paths)[lo:hi]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # x + delta + gamma * J in place: products and sums of two commute bit for bit
@@ -164,15 +161,15 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
         yield x
 
 
-def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tuple,
-          edges, n: int, stream: np.random.SeedSequence, lanes: slice) -> tuple:
+def _read(spec: ChainSpec, x0: float, steps: int, bounds: np.ndarray, n_steps: int,
+          tps: tuple, edges, n: int, stream: np.random.SeedSequence, lanes: slice) -> tuple:
     """The partial statistics of the lanes of one block, an ensemble of n paths from x0.
 
-    For each (lo, hi) row of bounds, over steps 1 to n_steps: the paths that entered
-    [lo, hi] after first leaving it, the sum of their first-entry steps, and the
-    path-steps inside after the burn-in n_steps // 2; as a (rows, 3) int64 array. For
-    each time point of tps: the clipped counts on edges, as one row of the second array.
-    The ensemble steps to the later of n_steps and the last time point.
+    The ensemble takes steps steps. For each (lo, hi) row of bounds, over steps 1 to
+    n_steps: the paths that entered [lo, hi] after first leaving it, the sum of their
+    first-entry steps, and the path-steps inside after the burn-in n_steps // 2; as a
+    (rows, 3) int64 array. For each time point of tps: the clipped counts on edges, as
+    one row of the second array.
     """
     lo, hi = bounds[:, :1], bounds[:, 1:]
     burn = n_steps // 2
@@ -180,7 +177,6 @@ def _read(spec: ChainSpec, x0: float, bounds: np.ndarray, n_steps: int, tps: tup
     returned = np.zeros_like(left)
     sums = np.zeros((len(bounds), 3), dtype=np.int64)
     laws, marks = [], set(tps)
-    steps = max((n_steps, *tps))
     for t, x in enumerate(_ensemble(spec, x0, n, steps, stream, lanes), start=1):
         if t <= n_steps:
             inside = (x >= lo) & (x <= hi)
@@ -305,12 +301,8 @@ def _hist_edges(bin_width: float) -> np.ndarray:
 
 
 def _clipped_counts(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Histogram with out-of-range mass folded into the end bins."""
-    counts, _ = np.histogram(x, bins=edges)
-    counts = counts.astype(float)
-    counts[0] += np.count_nonzero(x < edges[0])
-    counts[-1] += np.count_nonzero(x > edges[-1])  # the last bin is closed
-    return counts
+    """Histogram counts, as floats, with out-of-range mass folded into the end bins."""
+    return np.histogram(np.clip(x, edges[0], edges[-1]), edges)[0].astype(float)
 
 
 def _ball(radius_a: float) -> tuple:
@@ -367,10 +359,14 @@ def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
     return tps, n_paths, edges, tv
 
 
-def _law(spec: ChainSpec, x0: float, tps: tuple, edges, n_paths: int, root) -> tuple:
-    """The _run job of one TV start: its clipped counts at the time points."""
-    read = functools.partial(_read, spec, x0, np.empty((0, 2)), 0, tps, edges)
-    return tps[-1], read, n_paths, root
+def _job(spec: ChainSpec, x0: float, root, n_paths: int, bounds=np.empty((0, 2)),
+         n_steps: int = 0, tps: tuple = (), edges=None) -> tuple:
+    """The _run job that _read reads: n_paths paths from x0, on root's streams, to the
+    later of n_steps and the last time point. No bounds, no interval statistics; no
+    time points, no counts."""
+    steps = max((n_steps, *tps))
+    read = functools.partial(_read, spec, x0, steps, bounds, n_steps, tps, edges)
+    return steps, read, n_paths, root
 
 
 def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
@@ -386,9 +382,9 @@ def interval_stats(spec: ChainSpec, x0: float, intervals, n_steps: int,
     """
     x0 = _start(x0)
     bounds, n_steps, n_paths, stats = _intervals(intervals, n_steps, n_paths)
-    read = functools.partial(_read, spec, x0, bounds, n_steps, (), None)
     n_stepped = n_paths if np.any(bounds[:, 0] < bounds[:, 1]) else 0
-    return stats(_run(spec, (n_steps, read, n_stepped, np.random.SeedSequence(seed)))[0])
+    job = _job(spec, x0, np.random.SeedSequence(seed), n_stepped, bounds, n_steps)
+    return stats(_run(spec, job)[0])
 
 
 def return_stats(
@@ -451,7 +447,7 @@ def tv_convergence(
     starts = _start(x0_a), _start(x0_b)
     tps, n_paths, edges, tv = _tv(time_points, n_paths, bin_width)
     roots = np.random.SeedSequence(seed).spawn(2)
-    return tv(*_run(spec, *(_law(spec, x0, tps, edges, n_paths, root)
+    return tv(*_run(spec, *(_job(spec, x0, root, n_paths, tps=tps, edges=edges)
                             for x0, root in zip(starts, roots))))
 
 
@@ -470,11 +466,11 @@ def diagnose(spec: ChainSpec, x0: float, x0_b: float, intervals, n_steps: int,
     x0, x0_b = _start(x0), _start(x0_b)
     bounds, n_steps, n_paths, stats = _intervals(intervals, n_steps, n_paths)
     tps, n_paths, edges, tv = _tv(time_points, n_paths, bin_width)
-    sweep = functools.partial(_read, spec, x0, bounds, n_steps, tps, edges)
     partials, partials_b = _run(
         spec,
-        (max(n_steps, tps[-1]), sweep, n_paths, np.random.SeedSequence(seed)),
-        _law(spec, x0_b, tps, edges, n_paths, np.random.SeedSequence(seed).spawn(2)[1]),
+        _job(spec, x0, np.random.SeedSequence(seed), n_paths, bounds, n_steps, tps, edges),
+        _job(spec, x0_b, np.random.SeedSequence(seed).spawn(2)[1], n_paths, tps=tps,
+             edges=edges),
     )
     return stats(partials), tv(partials, partials_b)
 

@@ -48,6 +48,24 @@ def test_two_valued_lookup_is_np_where_bit_for_bit(left, right):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("p", [
+    ProfileFn.constant(1.5),
+    ProfileFn.two_valued(1.2, 1.0),
+    ProfileFn.periodic(2.0, (1.1, 1.9)),
+    ProfileFn.piecewise((-1.0, 1.0), (0.5, 1.0, 1.5)),
+    ProfileFn.custom(lambda x: 1.0 + 0.5 * np.sign(x)),
+    ProfileFn.custom(lambda x: 1.5 if x < 0 else 1.2),  # a scalar-only fn
+], ids=["constant", "two_valued", "periodic", "piecewise", "custom", "custom-scalar"])
+def test_lookup_is_a_float_array_of_the_positions_shape(p):
+    # a 0-d position gives a 0-d array, not a numpy scalar, for every kind
+    x = np.array([-3.5, -1.0, -0.2, 0.0, 0.7, 1.0, 2.5, 9.0])
+    for pos in (0.7, x[2], np.asarray(-1.0), x, x.reshape(2, 4), x.reshape(2, 2, 2)):
+        got = p.at(pos)
+        assert type(got) is np.ndarray and got.dtype == float
+        assert got.shape == np.shape(pos)
+        assert got.ravel().tolist() == [p(v) for v in np.ravel(pos)]
+
+
 def test_periodic_profile_wraps():
     p = ProfileFn.periodic(2.0, [1.1, 1.9])
     assert p(0.1) == 1.1

@@ -500,6 +500,14 @@ FIELD_PROBLEMS = [
     ("scan.condition", "nope", ["scan.condition: 'nope' not one of ('log_rec', 'pow_rec', "
                                 "'log_erg', 'pow_erg', 'mom_rec', 'mom_erg', 'mom_erg_b', "
                                 "'bnd_trans', 'mom_trans')"]),
+    # a list or a mapping is no condition name (and no key of CONDITIONS)
+    ("scan.condition", ["log_rec"], ["scan.condition: ['log_rec'] not one of ('log_rec', "
+                                     "'pow_rec', 'log_erg', 'pow_erg', 'mom_rec', "
+                                     "'mom_erg', 'mom_erg_b', 'bnd_trans', 'mom_trans')"]),
+    ("scan.condition", {"log_rec": 1}, ["scan.condition: {'log_rec': 1} not one of "
+                                        "('log_rec', 'pow_rec', 'log_erg', 'pow_erg', "
+                                        "'mom_rec', 'mom_erg', 'mom_erg_b', 'bnd_trans', "
+                                        "'mom_trans')"]),
     ("thresholds.kinds", ["r9"], ["thresholds.kinds: expected a subset of [r1, r2, t]"]),
     ("thresholds.alphas", [], ["thresholds.alphas: expected a non-empty list of numbers"]),
     ("thresholds.alphas", [0.5, 2.0], ["thresholds.alphas: values must lie in (0, 2)"]),
@@ -518,6 +526,7 @@ FIELD_PROBLEMS = [
     ("mc.compact", [1.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.compact", [5.0, -5.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.time_points", [5, 5], ["mc.time_points: expected strictly increasing positive integers"]),
+    ("mc.time_points", [True, 2], ["mc.time_points: wrong type bool"]),
     ("mc.bin_width", 0, ["mc.bin_width: must be > 0"]),
     ("mc.bin_width", math.inf, ["mc.bin_width: must be finite"]),
     ("mc.bin_width", 1e-300, ["mc.bin_width: must be >= 0.001 (at most 10^6 bins)"]),
