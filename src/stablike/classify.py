@@ -23,6 +23,16 @@ smallest limiting alpha for recurrence and ergodicity (r2), below 1
 for transience (t). A display that needs beta and has none left is
 not scanned, and a caveat names it.
 
+One scan step: classify, classify_null and f_ergodic_check each reach
+the scans through one _scan call. It checks the alpha profile, cuts the
+ladders, names the displays it cannot scan, runs the jobs through
+_run_scans (one raw-integral set per kernel, shared by the scans of the
+call) and returns every report, the best-margin report of each
+condition and those that fire. Apart from a custom weight's pointwise
+check, nothing here looks a profile up or computes a tail constant: the
+scans and the small-index check read the regimes of their x grids, and
+the regimes' c(alpha, gamma), from drift._Grid.
+
 Extra evidence channels:
   - null-chain check (rung 4): reversed-inequality versions of the
     log/power recurrence displays, thresholds taken at the largest
@@ -39,16 +49,14 @@ Extra evidence channels:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chain import ChainSpec, ProfileFn
-from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, default_x_grid, tail_scan
+from .drift import CONDITIONS, DEFAULT_DELTA_GRID, TailScanReport, _Grid, default_x_grid, tail_scan
 from .errors import DomainError, QuadratureError, TableOverflowError
-from .stable import StableParams, tail_constant
 # r1 and r2 are unused here; perfbench's tracer wraps them by name
 from .thresholds import r1, r2
 
@@ -154,22 +162,6 @@ def _beta_ladders(spec: ChainSpec, settings: ScanSettings) -> dict:
     return {"rec": rec, "erg": rec, "trans": tuple(b for b in trans if b < 1.0)}
 
 
-def _jobs(conclusions, moments, ladders, weight=None) -> list:
-    """Scan jobs (condition id, beta, d-weight) of the displays with these conclusions.
-
-    Jobs run kernel by kernel, then in the order of conclusions; first-moment
-    displays only if moments. A display that needs beta runs once per beta
-    of its conclusion's ladder.
-    """
-    conds = sorted(
-        ((cid, c) for cid, c in CONDITIONS.items()
-         if c.conclusion in conclusions and (moments or c.kernel != "first_moment")),
-        key=lambda item: (_KERNELS.index(item[1].kernel), conclusions.index(item[1].conclusion)),
-    )
-    return [(cid, b, weight) for cid, c in conds
-            for b in (ladders[c.conclusion] if c.needs_beta else (None,))]
-
-
 def _fired(report: TailScanReport) -> bool:
     return report.margin > 0.0 and report.margin >= 2.0 * report.scan_error
 
@@ -194,13 +186,38 @@ def _run_scans(spec: ChainSpec, settings: ScanSettings, jobs: list, caveats: lis
     return reports
 
 
-def _best_per_condition(reports) -> dict:
+def _scan(spec: ChainSpec, settings: ScanSettings, conclusions, moments, caveats: list,
+          weight=None):
+    """The one way from a verdict function to the scans: (reports, best, fired).
+
+    Checks the alpha profile and cuts the beta ladders to their
+    thresholds' domains. The displays with these conclusions are scanned,
+    first-moment ones only if moments; one that needs beta and has none
+    left is not, and one caveat names every such display. The jobs (id,
+    beta, d-weight) run through _run_scans kernel by kernel, then in the
+    order of conclusions, once per beta of the ladder for a display that
+    needs beta. best is the largest-margin report of each condition, in
+    the order of their first reports, and fired those of best that fire.
+    """
+    _require_builtin_alpha(spec)
+    ladders = _beta_ladders(spec, settings)
+    displays = [(cid, c) for cid, c in CONDITIONS.items()
+                if c.conclusion in conclusions and (moments or c.kernel != "first_moment")]
+    unscanned = [cid for cid, c in displays if c.needs_beta and not ladders[c.conclusion]]
+    if unscanned:
+        caveats.append(
+            f"{', '.join(unscanned)}: not scanned, no beta of the ladder is admissible "
+            + BETA_DOMAINS)
+    displays.sort(key=lambda item: (_KERNELS.index(item[1].kernel),
+                                    conclusions.index(item[1].conclusion)))
+    jobs = [(cid, b, weight) for cid, c in displays
+            for b in (ladders[c.conclusion] if c.needs_beta else (None,))]
+    reports = _run_scans(spec, settings, jobs, caveats)
     best: dict = {}
     for rep in reports:
-        cur = best.get(rep.condition_id)
-        if cur is None or rep.margin > cur.margin:
+        if rep.condition_id not in best or rep.margin > best[rep.condition_id].margin:
             best[rep.condition_id] = rep
-    return best
+    return reports, best, {cid: rep for cid, rep in best.items() if _fired(rep)}
 
 
 def _null_evidence(spec: ChainSpec, base_reports: dict) -> Evidence:
@@ -249,13 +266,10 @@ def classify_null(spec: ChainSpec, settings: ScanSettings | None = None) -> Evid
     Positive evidence only annotates a Recurrent verdict; it never
     produces one.
     """
-    settings = settings or ScanSettings()
-    _require_builtin_alpha(spec)
-    skipped: list = []
-    reports = _run_scans(spec, settings, _jobs(("rec",), False, _beta_ladders(spec, settings)),
-                         skipped)
-    ev = _null_evidence(spec, _best_per_condition(reports))
-    return replace(ev, caveats=ev.caveats + tuple(skipped), reports=tuple(reports))
+    caveats: list = []
+    reports, best, _ = _scan(spec, settings or ScanSettings(), ("rec",), False, caveats)
+    ev = _null_evidence(spec, best)
+    return replace(ev, caveats=ev.caveats + tuple(caveats), reports=tuple(reports))
 
 
 def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
@@ -266,7 +280,8 @@ def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
     discretized as: per-decade maxima of the rate are non-increasing on
     each half-line and the final decade sits below 1e-6. Pointwise
     evaluation is cheap, so the horizon extends far beyond the integral
-    scans' grid.
+    scans' grid. alpha(x) and c(x) come from drift._Grid, one grid per
+    half-line.
     """
     _require_builtin_alpha(spec)
     a_sup = max(spec.alpha_profile.value_set())
@@ -277,17 +292,15 @@ def classify_transient_smallalpha(spec: ChainSpec) -> Evidence:
     lo, hi = 1e2, _DECAY_HORIZON
     n = int(8 * math.log10(hi / lo))
     mags = np.geomspace(lo, hi, n)
+    decade = np.floor(np.log10(mags)).astype(int)
     holds = True
     last_max = 0.0
-    c_of = functools.cache(lambda a, g: tail_constant(StableParams(a, g)))  # c(x), once per value
-
-    def rate_at(x):
-        a = spec.alpha_profile(x)
-        return a * abs(x) ** (a - 1.0) / c_of(a, spec.family.gamma_profile(x))
-
     for side in (1.0, -1.0):
-        rate = np.array([rate_at(x) for x in (side * mags).tolist()])
-        decade = np.floor(np.log10(mags)).astype(int)
+        grid = _Grid(spec, side * mags)
+        rate = np.empty_like(mags)
+        for key, idx in grid.groups.items():
+            a, c = key[0], grid.c[key]
+            rate[idx] = [a * abs(x) ** (a - 1.0) / c for x in grid.xs[idx].tolist()]
         maxima = [rate[decade == dec].max() for dec in np.unique(decade)]
         if any(m2 > m1 * (1.0 + 1e-12) for m1, m2 in zip(maxima, maxima[1:])):
             holds = False
@@ -319,36 +332,23 @@ def f_ergodic_check(
     ergodicity displays.
     """
     settings = settings or ScanSettings()
-    _require_builtin_alpha(spec)
     if g_profile.kind == "custom":
-        if min(float(g_profile(x)) for x in settings.x_grid) < 1.0:
-            raise DomainError("weight profile must satisfy g(x) >= 1")
-        caveat_g = ("weight bound g >= 1 checked pointwise on the scan grid only",)
-    else:
-        if min(g_profile.value_set()) < 1.0:
-            raise DomainError("weight profile must satisfy g(x) >= 1")
-        caveat_g = ()
-    jobs = _jobs(("erg",), False, _beta_ladders(spec, settings), weight=g_profile)
-    skipped: list = []
-    reports = [
-        replace(rep, condition_id=rep.condition_id + "_w")
-        for rep in _run_scans(spec, settings, jobs, skipped)
-    ]
-    best = _best_per_condition(reports)
-    fired = {cid: rep for cid, rep in best.items() if _fired(rep)}
-    margins = {cid: rep.margin for cid, rep in best.items()}
-    if g_profile.kind == "custom":
+        g_min = min(float(g_profile(x)) for x in settings.x_grid)
+        caveats = ["weight bound g >= 1 checked pointwise on the scan grid only"]
         weight_class = "custom weight (pointwise-checked)"
     else:
+        g_min = min(g_profile.value_set())
+        caveats = []
         vals = ", ".join(f"{v:g}" for v in g_profile.value_set())
         weight_class = f"{g_profile.kind} weight with values {{{vals}}}"
-    caveats = caveat_g + tuple(skipped)
-    if fired:
-        detail = f"weighted drift certified for {weight_class}"
-    else:
-        detail = f"no weighted display certified for {weight_class}"
-        caveats += ("weight grows faster than the certified drift margin",)
-    return Evidence(bool(fired), detail, margins, caveats, tuple(reports))
+    if g_min < 1.0:
+        raise DomainError("weight profile must satisfy g(x) >= 1")
+    reports, best, fired = _scan(spec, settings, ("erg",), False, caveats, weight=g_profile)
+    detail = (f"weighted drift certified for {weight_class}" if fired
+              else f"no weighted display certified for {weight_class}")
+    return Evidence(bool(fired), detail, {cid + "_w": rep.margin for cid, rep in best.items()},
+                    tuple(caveats),
+                    tuple(replace(rep, condition_id=rep.condition_id + "_w") for rep in reports))
 
 
 def _two_valued_gap(spec: ChainSpec, caveats: list) -> float | None:
@@ -383,30 +383,15 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
     recurrent). Conflicting directions or near-boundary margins come
     back Inconclusive with the numbers attached.
     """
-    settings = settings or ScanSettings()
-    _require_builtin_alpha(spec)
     caveats: list = []
     if spec.unchecked:
-        caveats.append("model envelope assumptions assumed, not certified")
-    ladders = _beta_ladders(spec, settings)
-    unscanned = [cid for cid, c in CONDITIONS.items()
-                 if c.needs_beta and not ladders[c.conclusion]]
-    if unscanned:
-        caveats.append(
-            f"{', '.join(unscanned)}: not scanned, no beta of the ladder is admissible "
-            + BETA_DOMAINS)
-    # first-moment shortcuts need the scale floor and index ceiling that
-    # only enumerable profiles guarantee
-    moments_ok = not spec.unchecked
-    if not moments_ok:
-        caveats.append(
-            "first-moment displays skipped: jump-tail uniformity not "
-            "certifiable for custom profiles"
-        )
-    reports = _run_scans(spec, settings, _jobs(("rec", "trans", "erg"), moments_ok, ladders),
-                         caveats)
-    best = _best_per_condition(reports)
-    fired = {cid: rep for cid, rep in best.items() if _fired(rep)}
+        # first-moment shortcuts need the scale floor and index ceiling that
+        # only enumerable profiles guarantee
+        caveats += ["model envelope assumptions assumed, not certified",
+                    "first-moment displays skipped: jump-tail uniformity not "
+                    "certifiable for custom profiles"]
+    _, best, fired = _scan(spec, settings or ScanSettings(), ("rec", "trans", "erg"),
+                           not spec.unchecked, caveats)
     for rep in best.values():
         if rep.trend_flag == "diverging":
             grid_margin = (
@@ -420,11 +405,12 @@ def classify(spec: ChainSpec, settings: ScanSettings | None = None) -> Classific
                     "per-magnitude values keep moving toward the threshold; "
                     "not certified"
                 )
-        elif rep.trend_flag != "ok":
+        elif rep.trend_flag == "extrapolated":
             caveats.append(
-                f"{rep.condition_id}: {rep.trend_flag} truncation trend, "
-                "margin error widened"
-            )
+                f"{rep.condition_id}: extrapolated truncation trend, margin error widened")
+        elif rep.trend_flag == "non-monotone":
+            caveats.append(f"{rep.condition_id}: non-monotone truncation trend "
+                           "over the smallest delta levels")
 
     evidence = {cid: rep.margin for cid, rep in fired.items()}
     rec_fired, erg_fired, trans_fired = (

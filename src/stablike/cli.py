@@ -130,16 +130,17 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    # x_decades and d_ladder obey tail_scan's grid rules, checked here to name the key
+    # x_decades and both ladders obey tail_scan's grid rules, checked here to name the key
     x_decades: tuple = _key((2.0, 5.0), _checked(_checked(
         _interval, lambda v: _DECADES[0] <= v[0] and v[1] <= _DECADES[1],
         f"bounds must lie in [{_DECADES[0]}, {_DECADES[1]}]"),
         lambda v: spans_three_decades((10.0 ** v[0], 10.0 ** v[1])),
         "must span at least 3 decades"))
     x_per_side: int = _key(13, _checked(_int, lambda v: v >= 2, "must be an integer >= 2"))
-    delta_ladder: tuple = _key(DEFAULT_DELTA_GRID, _checked(
+    delta_ladder: tuple = _key(DEFAULT_DELTA_GRID, _checked(_checked(
         _floats, lambda v: decreasing(v) and all(0.0 < d < 1.0 for d in v),
-        "expected strictly decreasing values in (0, 1)"))
+        "expected strictly decreasing values in (0, 1)"),
+        lambda v: len(v) >= 2, "expected at least two levels"))
     d_ladder: tuple | None = _key(None, _optional(_checked(
         _floats, decreasing, "expected strictly decreasing values")))
     betas: tuple | None = _key(None, _optional(_betas))
@@ -165,7 +166,7 @@ class McConfig:
     n_steps: int = _key(10000, _positive_int)
     x0: float = _key(50.0, _finite)
     x0_b: float = _key(-50.0, _finite)
-    radius: float = _key(10.0, _float)
+    radius: float = _key(10.0, _checked(_float, lambda v: v > 0, "must be > 0"))  # inf allowed
     compact: tuple = _key((-50.0, 50.0), _interval)
     time_points: tuple = _key((100, 1000, 10000), _checked(
         lambda v: [_int(t) for t in v] if isinstance(v, list) else v,

@@ -33,10 +33,10 @@ A tail scan is array-native: it keeps its (d, delta, x) arrays of
 left-hand sides, raw integrals and errors, and builds the DriftPoint of
 each (x, delta, d) only when report.points is first read (the
 drift-scan CSV and tests read it; classify does not). The per-x data of
-one (spec, x grid), the (alpha, gamma, shift) grouping and the display
-prefactors |x|^(a+p)/c(x), is looked up once (_Grid) and shared by the
-scans of one classification beside their raw-integral sets; nothing is
-kept from one classification to the next.
+one (spec, x grid), the (alpha, gamma, shift) regimes with their tail
+constants and the display prefactors |x|^(a+p)/c(x), is looked up once
+(_Grid) and shared by the scans of one classification beside their
+raw-integral sets; nothing is kept from one classification to the next.
 
 CONDITIONS declares each display once. Its kernel fixes the prefactor
 (|x|^(a-1)/c times sgn(x) for the first moment, |x|^a/c otherwise) and
@@ -276,33 +276,36 @@ def truncated_integral_with_error(
 
 
 class _Grid:
-    """The per-x data of one (spec, x grid) that every scan over it reads.
+    """The one map from an x grid to regimes and tail constants.
 
-    groups maps each (alpha, gamma, shift) to the indices of the x that
-    share it; prefs[moment] holds the display prefactor |x|^(alpha + p)/c
-    per x, with p = -1 for the first-moment displays and 0 otherwise.
-    outer masks the outer half of the grid by |x|, and mag_of numbers
-    each outer x by its rank among the distinct outer magnitudes.
+    Each profile is read once per grid, through ProfileFn.at. groups maps
+    each regime, the (alpha, gamma, shift) triple, to the indices of the
+    x in it, and c to its tail constant c(alpha, gamma); prefs[moment]
+    holds the display prefactor |x|^(alpha + p)/c per x, with p = -1 for
+    the first-moment displays and 0 otherwise. outer masks the outer half
+    of the grid by |x|, and mag_of numbers each outer x by its rank among
+    the distinct outer magnitudes. Every scan over one (spec, x grid) and
+    classify's small-index check read their regimes here.
     """
 
     def __init__(self, spec: ChainSpec, x_grid):
         self.xs = np.asarray(x_grid, dtype=float)
-        if (self.xs == 0.0).any():
-            raise DomainError("x must be nonzero")
+        if not (np.isfinite(self.xs) & (self.xs != 0.0)).all():
+            raise DomainError("x must be finite and nonzero")
         mags = np.abs(self.xs)
         self.outer = mags >= np.median(mags)
         self.mag_of = np.unique(mags[self.outer], return_inverse=True)[1]
-        self.groups = {}
         fam = spec.family
-        for i, x in enumerate(self.xs.tolist()):
-            key = (spec.alpha_profile(x), fam.gamma_profile(x), fam.delta_profile(x))
+        profiles = (spec.alpha_profile, fam.gamma_profile, fam.delta_profile)
+        self.groups = {}
+        for i, key in enumerate(zip(*(p.at(self.xs).tolist() for p in profiles))):
             self.groups.setdefault(key, []).append(i)
+        self.c = {key: tail_constant(StableParams(*key[:2])) for key in self.groups}
         self.prefs = {moment: np.empty_like(self.xs) for moment in (False, True)}
-        for (alpha, g, _), idx in self.groups.items():
-            c = tail_constant(StableParams(alpha, g))
+        for key, idx in self.groups.items():
             for moment, pref in self.prefs.items():
-                power = alpha - 1.0 if moment else alpha
-                pref[idx] = [abs(x) ** power / c for x in self.xs[idx].tolist()]
+                power = key[0] - 1.0 if moment else key[0]
+                pref[idx] = [abs(x) ** power / self.c[key] for x in self.xs[idx].tolist()]
 
 
 def _cumulative(table: DensityTable, kern, v):
@@ -491,10 +494,16 @@ def tail_scan(
     scan error combines the worst quadrature error at that level,
     Richardson-style extrapolation gaps across the two smallest delta
     (and d) levels and across the outermost |x| magnitudes, and the
-    threshold's own error estimate. When the per-magnitude aggregate
-    is still moving toward the threshold side at the grid edge with
-    non-decaying increments, the limiting value is not bracketed by
-    any finite grid (trend_flag "diverging") and the margin is -inf.
+    threshold's own error estimate. The delta -> 0 gap needs two delta
+    levels, so a delta_grid of fewer is refused: with one, the gap would
+    read 0 and a display could fire on a single truncation. When the
+    per-magnitude aggregate is still moving toward the threshold side at
+    the grid edge with non-decaying increments, the limiting value is
+    not bracketed by any finite grid (trend_flag "diverging") and the
+    margin is -inf. Otherwise trend_flag is "extrapolated" whenever the
+    |x| extrapolation widened the error, else "non-monotone" when the
+    aggregate turns over the three smallest delta levels, which widens
+    nothing.
 
     d_weight, if given, is a position-dependent multiplier on the
     d-term (the weighted-ergodicity displays use the target weight
@@ -516,8 +525,8 @@ def tail_scan(
     if not spans_three_decades(mags):
         raise DomainError("x_grid must span at least 3 decades of |x|")
     delta_grid = tuple(delta_grid)
-    if not decreasing(delta_grid):
-        raise DomainError("delta_grid must be non-empty and strictly decreasing")
+    if len(delta_grid) < 2 or not decreasing(delta_grid):
+        raise DomainError("delta_grid must hold at least two strictly decreasing levels")
     if d_grid is None:
         d_grid = DEFAULT_D_GRID if cond.d_term else (0.0,)
     d_grid = tuple(d_grid)
@@ -546,8 +555,6 @@ def tail_scan(
 
     # Richardson-style linear extrapolation gaps toward delta -> 0, d -> 0
     def delta_gap_of(levels):
-        if len(delta_grid) < 2:
-            return 0.0
         v1, v2 = levels[-1][-2], levels[-1][-1]
         extrap = v2 + (v2 - v1) * delta_grid[-1] / (delta_grid[-2] - delta_grid[-1])
         return abs(v2 - extrap)
@@ -589,8 +596,7 @@ def tail_scan(
                 step = d2 * ratio / (1.0 - ratio)
                 cert = per_mag[-1] + step
                 x_gap = abs(step) + noise
-                if trend == "ok":
-                    trend = "extrapolated"
+                trend = "extrapolated"  # the label that says the error was widened
 
     thr, thr_err = threshold_for(spec, condition_id, beta)
     if trend == "diverging":

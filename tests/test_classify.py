@@ -5,6 +5,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,10 +22,10 @@ from stablike import (
     r1,
 )
 from stablike import drift
-from stablike.classify import ScanSettings, _beta_ladders
+from stablike.classify import BETA_DOMAINS, ScanSettings, _beta_ladders
 from stablike.drift import CONDITIONS, TailScanReport, default_x_grid
 from stablike.errors import QuadratureError, TableOverflowError
-from stablike.stable import DensityTable
+from stablike.stable import DensityTable, StableParams, tail_constant
 
 
 def test_symmetric_walk_recurrent_above_one():
@@ -175,11 +176,92 @@ def test_smallalpha_shortcut_domain():
         classify_transient_smallalpha(make_chain(1.5))
 
 
+def test_smallalpha_rate_is_alpha_times_the_power_over_the_tail_constant():
+    # the rate of every horizon point, alpha |x|^(alpha - 1) / c(alpha, gamma)
+    # in Python floats, read here without drift._Grid
+    spec = make_chain(ProfileFn.periodic(1.3, (0.4, 0.9)), gamma=ProfileFn.two_valued(0.5, 2.0),
+                      delta=ProfileFn.two_valued(0.3, -0.3))
+    mags = np.geomspace(1e2, 1e16, 112)
+    decade = np.floor(np.log10(mags))
+    last = []
+    for side in (1.0, -1.0):
+        rate = []
+        for x in (side * mags).tolist():
+            a, g = spec.alpha_profile(x), spec.family.gamma_profile(x)
+            rate.append(a * abs(x) ** (a - 1.0) / tail_constant(StableParams(a, g)))
+        last.append(float(np.array(rate)[decade == decade.max()].max()))
+    ev = classify_transient_smallalpha(spec)
+    assert ev.margins == {"idx_decay": 1e-6 - max(last)}
+
+
 def test_f_ergodic_constant_weight_reduces_to_classify(ergodic_spec):
     ev = f_ergodic_check(ergodic_spec, ProfileFn.constant(1.0))
     assert ev.holds
     base = classify(ergodic_spec)
     assert ev.margins["pow_erg_w"] == pytest.approx(base.margins["pow_erg"], rel=1e-9)
+
+
+def test_f_ergodic_claims_nothing_about_the_weight_when_nothing_fired():
+    # with g = 1 and pow_erg outside its beta domain nothing is certified,
+    # and detail says so; no caveat blames the weight
+    ev = f_ergodic_check(make_chain(0.9), ProfileFn.constant(1.0), ScanSettings(betas=(0.95,)))
+    assert not ev.holds
+    assert ev.detail == "no weighted display certified for constant weight with values {1}"
+    assert ev.caveats == (
+        "pow_erg: not scanned, no beta of the ladder is admissible "
+        + BETA_DOMAINS,)
+
+
+def test_classify_null_names_the_displays_it_could_not_scan():
+    ev = classify_null(make_chain(0.9), ScanSettings(betas=(0.95,)))
+    assert "pow_rec: not scanned, no beta of the ladder is admissible " \
+        + BETA_DOMAINS in ev.caveats
+    assert {r.condition_id for r in ev.reports} == {"log_rec"}
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec: classify(spec),
+    lambda spec: classify_null(spec),
+    lambda spec: f_ergodic_check(spec, ProfileFn.two_valued(1.0, 2.0)),
+], ids=["classify", "classify_null", "f_ergodic_check"])
+def test_each_verdict_function_scans_through_one_scan_step(monkeypatch, run):
+    calls = []
+    module = sys.modules["stablike.classify"]
+    scan = module._scan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_scan", counted)
+    run(make_chain(1.5, delta=ProfileFn.two_valued(0.2, -0.2)))
+    assert len(calls) == 1
+
+
+def test_non_monotone_trend_claims_no_widened_error():
+    # pow_erg's aggregate turns over the smallest delta levels, but its |x|
+    # trend needs no extrapolation: nothing widened its error
+    res = classify(make_chain(0.882, gamma=0.684, delta=ProfileFn.two_valued(-0.059, 1.0)))
+    pow_erg = next(r for r in res.reports if r.condition_id == "pow_erg")
+    assert pow_erg.trend_flag == "non-monotone"
+    assert [c for c in res.caveats if c.startswith("pow_erg:")] == [
+        "pow_erg: non-monotone truncation trend over the smallest delta levels"]
+    for rep in res.reports:
+        if rep.trend_flag == "extrapolated":
+            assert (f"{rep.condition_id}: extrapolated truncation trend, margin error widened"
+                    in res.caveats)
+
+
+@pytest.mark.parametrize("spec, deltas", [
+    # every alpha below 1: the default ladder gives Inconclusive, one level Recurrent
+    (make_chain(0.97, gamma=ProfileFn.custom(lambda x: 1.0), unchecked=True), (0.5,)),
+    # acceptance 3's log_rec margin 0.0495, which fired on one level
+    (make_chain(1.0), (0.05,)),
+], ids=["custom-gamma-0.97", "cauchy"])
+def test_one_delta_level_is_refused(spec, deltas):
+    # one level leaves no delta -> 0 gap, so a display would fire unsoundly
+    with pytest.raises(DomainError, match="delta_grid must hold at least two"):
+        classify(spec, ScanSettings(delta_grid=deltas))
 
 
 def test_f_ergodic_growing_weight(ergodic_spec):
@@ -248,7 +330,8 @@ def test_classify_builds_no_drift_point(ergodic_spec, monkeypatch):
 
 def test_classify_keeps_nothing_between_calls(monkeypatch):
     # the per-x data and raw integrals are shared within one classification
-    # only: a repeated call does the same integrals and profile lookups
+    # only: a repeated call does the same integrals and profile lookups, which
+    # drift._Grid makes through ProfileFn.at
     calls = {"integrals": 0, "cell": 0, "at": 0}
 
     def counted(name, fn):
@@ -266,7 +349,7 @@ def test_classify_keeps_nothing_between_calls(monkeypatch):
         classify(make_chain(1.5))
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["integrals"] > 0 and counts[0]["cell"] > 0
+    assert counts[0]["integrals"] > 0 and counts[0]["at"] > 0
 
 
 # Ergodic verdicts that cannot hold (ROADMAP item 2): a symmetric chain with

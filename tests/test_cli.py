@@ -383,9 +383,8 @@ def test_mc_diagnose_one_interval_sweep(smoke_config_text, monkeypatch):
 
 @pytest.mark.parametrize(
     "change, message",
-    [({"n_steps": 500}, "n_steps >= 1000"), ({"radius": 0.0}, "radius_a must be > 0"),
-     ({"n_paths": 1}, "n_paths must be >= 2")],
-    ids=["n_steps", "radius", "n_paths"],
+    [({"n_steps": 500}, "n_steps >= 1000"), ({"n_paths": 1}, "n_paths must be >= 2")],
+    ids=["n_steps", "n_paths"],
 )
 def test_mc_diagnose_checks_before_any_draw(smoke_config_text, tmp_path, monkeypatch,
                                             capsys, change, message):
@@ -494,6 +493,8 @@ FIELD_PROBLEMS = [
     ("scan.x_per_side", 0, ["scan.x_per_side: must be an integer >= 2"]),
     ("scan.delta_ladder", [0.1, 0.5],
      ["scan.delta_ladder: expected strictly decreasing values in (0, 1)"]),
+    # one level leaves tail_scan no delta -> 0 gap
+    ("scan.delta_ladder", [0.5], ["scan.delta_ladder: expected at least two levels"]),
     ("scan.d_ladder", "x", ["scan.d_ladder: expected a non-empty list of numbers"]),
     ("scan.d_ladder", [0.001, 0.1], ["scan.d_ladder: expected strictly decreasing values"]),
     ("scan.betas", [1.5], ["scan.betas: values must lie in (0, 1]"]),
@@ -523,6 +524,8 @@ FIELD_PROBLEMS = [
     ("mc.x0_b", True, ["mc.x0_b: wrong type bool"]),
     ("mc.x0_b", -math.inf, ["mc.x0_b: must be finite"]),
     ("mc.radius", [1], ["mc.radius: wrong type list"]),
+    ("mc.radius", 0, ["mc.radius: must be > 0"]),
+    ("mc.radius", math.nan, ["mc.radius: must be > 0"]),
     ("mc.compact", [1.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.compact", [5.0, -5.0], ["mc.compact: expected [lo, hi] with lo < hi"]),
     ("mc.time_points", [5, 5], ["mc.time_points: expected strictly increasing positive integers"]),
@@ -535,6 +538,12 @@ FIELD_PROBLEMS = [
     ("output.json", "yes", ["output.json: expected a boolean"]),
     ("output.csv", 1, ["output.csv: expected a boolean"]),
 ]
+
+
+def test_an_infinite_radius_is_the_whole_line(smoke_config_text, tmp_path):
+    doc = _smoke_doc(smoke_config_text)
+    doc["mc"]["radius"] = math.inf
+    assert _load_doc(doc, tmp_path).mc.radius == math.inf
 
 
 @pytest.mark.parametrize("key, value, problems", FIELD_PROBLEMS,

@@ -208,10 +208,12 @@ def test_points_are_built_on_first_read(spec, cid, beta):
 
 @pytest.mark.parametrize("grids, name", [
     ({"delta_grid": ()}, "delta_grid"),
+    ({"delta_grid": (0.5,)}, "delta_grid"),
     ({"d_grid": ()}, "d_grid"),
     ({"delta_grid": (0.5, 0.1, 0.2)}, "delta_grid"),
     ({"x_grid": (-1e2, 1e2, 5e4)}, "x_grid"),
-], ids=["empty-delta", "empty-d", "non-decreasing-delta", "short-x"])
+    ({"x_grid": (-1e2, 1e2, math.inf)}, "x must be finite"),
+], ids=["empty-delta", "one-delta", "empty-d", "non-decreasing-delta", "short-x", "infinite-x"])
 def test_tail_scan_rejects_bad_grids(grids, name):
     with pytest.raises(DomainError, match=name):
         tail_scan(make_chain(1.5), condition_id="log_erg", **grids)

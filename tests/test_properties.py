@@ -11,8 +11,10 @@ example first and searches only once they all pass, so such a
 property's search runs again once its item is mended.
 """
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stablike import ProfileFn, classify, make_chain
@@ -23,7 +25,7 @@ def _levels(lo, hi):
     return st.integers(round(lo * 1000), round(hi * 1000)).map(lambda k: k / 1000)
 
 
-def _profiles(values):
+def _profiles(values, periods=_levels(0.5, 4.0)):
     """An enumerable profile, of any of the four kinds, whose values values draws."""
     def piecewise(vals):
         cuts = st.lists(st.integers(-20, 20), min_size=len(vals) - 1,
@@ -33,14 +35,17 @@ def _profiles(values):
     return st.one_of(
         values.map(ProfileFn.constant),
         st.builds(ProfileFn.two_valued, values, values),
-        st.builds(ProfileFn.periodic, _levels(0.5, 4.0),
-                  st.lists(values, min_size=1, max_size=3)),
+        st.builds(ProfileFn.periodic, periods, st.lists(values, min_size=1, max_size=3)),
         st.lists(values, min_size=2, max_size=4).flatmap(piecewise),
     )
 
 
 _GAMMAS = _profiles(_levels(0.2, 3.0))
 _ZERO = ProfileFn.constant(0.0)
+# periods whose cells of 1, 2 or 3 per period put no edge on an |x| of the default
+# grid, where the half-open cells of a profile and of its mirror image differ
+_OFF_GRID = st.sampled_from((1.3, 2.9, 7.7))
+_RECURRENT = ("Recurrent", "NullCandidate", "Ergodic")
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a per-regime |x| trend test")
@@ -104,3 +109,91 @@ def test_index_above_one_without_drift_is_never_transient(alpha, gamma):
     classify's last rung applies.
     """
     assert classify(make_chain(alpha, gamma, _ZERO)).verdict != "Transient"
+
+
+@settings(max_examples=80)
+@given(alpha=st.builds(ProfileFn.two_valued, _levels(0.3, 1.95), _levels(0.3, 1.95)),
+       gamma=_GAMMAS)
+def test_two_valued_index_sum_is_never_contradicted(alpha, gamma):
+    """Two-valued alpha, delta = 0, index sum off [1.9, 2.1]: the sum's side decides.
+
+    A symmetric chain whose index takes one value per half-line is
+    recurrent iff the two indices sum to at least 2 (Sandric, J. Theor.
+    Probab. 2014), the exact dichotomy of classify's last rung, which
+    withholds it within 0.1 of the critical sum. So above 2 the verdict
+    is never Transient, and below 2 never Recurrent, NullCandidate or
+    Ergodic.
+    """
+    total = sum(alpha.values)
+    assume(abs(total - 2.0) > 0.1)
+    verdict = classify(make_chain(alpha, gamma, _ZERO)).verdict
+    if total > 2.0:
+        assert verdict != "Transient"
+    else:
+        assert verdict not in _RECURRENT
+
+
+def _mirrored(p: ProfileFn) -> ProfileFn:
+    """x -> p(-x), off the cell edges."""
+    if p.kind == "two_valued":
+        return ProfileFn.two_valued(*p.values[::-1])
+    if p.kind == "periodic":
+        return ProfileFn.periodic(p.period, p.values[::-1])
+    if p.kind == "piecewise":
+        return ProfileFn.piecewise([-b for b in p.breakpoints[::-1]], p.values[::-1])
+    return p
+
+
+def _map_values(p: ProfileFn, f) -> ProfileFn:
+    return replace(p, values=tuple(f(v) for v in p.values))
+
+
+@settings(max_examples=100)
+@given(alpha=_profiles(_levels(0.3, 1.95), _OFF_GRID),
+       gamma=_profiles(_levels(0.2, 3.0), _OFF_GRID),
+       delta=st.one_of(st.just(_ZERO), _profiles(_levels(-3.0, 3.0), _OFF_GRID)))
+def test_the_mirror_image_gets_the_same_verdict(alpha, gamma, delta):
+    """-X_n is the chain with every profile reversed and delta negated.
+
+    The mirror image is the same chain seen from the other side, and the
+    default x grid is symmetric, so the verdict must not move. The
+    periods put no cell edge on a grid |x|, and the breakpoints lie
+    inside [-20, 20], far from the grid, where the mirror's half-open
+    cells would close on the other side.
+    """
+    mirror = make_chain(_mirrored(alpha), _mirrored(gamma),
+                        _map_values(_mirrored(delta), lambda v: -v))
+    assert classify(make_chain(alpha, gamma, delta)).verdict == classify(mirror).verdict
+
+
+def _opposite(v1, v2) -> bool:
+    """Decisive verdicts that no chain can both deserve."""
+    return {v1, v2} in ({"Transient", "Recurrent"}, {"Transient", "NullCandidate"},
+                        {"Transient", "Ergodic"}, {"NullCandidate", "Ergodic"})
+
+
+@settings(max_examples=80)
+@given(alpha=_profiles(_levels(0.3, 1.95)), gamma=_GAMMAS,
+       delta=st.one_of(st.just(_ZERO), _profiles(_levels(-3.0, 3.0))),
+       scale=st.sampled_from((0.1, 0.37, 3.1, 10.0)))
+def test_a_change_of_length_scale_never_flips_a_decisive_verdict(alpha, gamma, delta, scale):
+    """lambda X_n is the chain with lengths, gamma and delta times lambda.
+
+    A jump gamma S + delta from x becomes lambda gamma S + lambda delta
+    from lambda x, and a profile read at x / lambda has its periods and
+    breakpoints times lambda. Recurrence, transience and ergodicity do
+    not depend on the unit of length. The scan sees the chain on other
+    magnitudes, so a verdict may move to or from Inconclusive, but never
+    to its opposite.
+    """
+    def scaled(p, values=lambda v: v):
+        if p.kind == "periodic":
+            p = replace(p, period=p.period * scale)
+        elif p.kind == "piecewise":
+            p = replace(p, breakpoints=tuple(b * scale for b in p.breakpoints))
+        return _map_values(p, values)
+
+    zoomed = make_chain(scaled(alpha), scaled(gamma, lambda v: v * scale),
+                        scaled(delta, lambda v: v * scale))
+    before = classify(make_chain(alpha, gamma, delta)).verdict
+    assert not _opposite(before, classify(zoomed).verdict)
