@@ -11,24 +11,30 @@ callables are accepted behind an `unchecked` flag that marks downstream
 verdicts as conditional.
 
 simulate runs one path. It needs an enumerable alpha profile: each
-block of its random stream becomes a table of jumps, one row per alpha
-value, from one vectorised Chambers-Mallows-Stuck call. The path is
-stepped one profile cell at a time. p(x, dy) = f_x(y - x) dy changes
-only where alpha, gamma or delta changes, so between cell edges the
-chain is a plain random walk: ProfileFn.cell gives each value with a
-span [lo, hi) that provably keeps it, and a step looks a profile up
-again only once x has left that span. Every step thus uses exactly the
-values a lookup at x would give, in the same arithmetic, and a path is
-the same float for float however its lookups fall. A stay in one cell
-is a running sum, and simulate finishes a long one in numpy windows in
-the same operations and order. A path that reaches |x| >= FREEZE stays
-at +-FREEZE, the same rule the Monte Carlo ensembles in `mc` apply.
+block of its random stream gives one row of jumps per alpha value, from
+a vectorised Chambers-Mallows-Stuck call made when the block first
+reads that value. The path is stepped one profile cell at a time.
+p(x, dy) = f_x(y - x) dy changes only where alpha, gamma or delta
+changes, so between cell edges the chain is a plain random walk. A
+chain whose profiles are all constant, two-valued or piecewise has
+finitely many joint cells: simulate reads each cell's values once per
+call into one table, and a step that leaves its cell finds the next
+with one bisect. A periodic or custom profile is looked up through
+ProfileFn.cell, which gives each value with a span [lo, hi) that
+provably keeps it, and a step looks it up again only once x has left
+that span. Every step thus uses exactly the values a lookup at x would
+give, in the same arithmetic, and a path is the same float for float
+however its lookups fall. A stay in one cell is a running sum, and
+simulate finishes a long one in numpy windows in the same operations
+and order. A path that reaches |x| >= FREEZE stays at +-FREEZE, the
+same rule the Monte Carlo ensembles in `mc` apply.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,18 +267,22 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     states[0] is the state after the first step. default_rng(
     SeedSequence(seed)) is read in whole blocks of 4096 steps: 4096
     uniform angles on (-pi/2, pi/2), then 4096 standard exponentials, so
-    a longer run extends a shorter one. One cms_transform call per block
-    gives each step a jump J for every alpha value, and a step sets
-    x <- x + delta(x) + gamma(x) * J with J from the row of alpha(x).
+    a longer run extends a shorter one. A block's jumps at an alpha value
+    come from one cms_transform call, made when the block first reads
+    that value (_BlockJumps), and a step sets x <- x + delta(x) +
+    gamma(x) * J with J from the row of alpha(x).
 
-    Each profile is looked up (ProfileFn.cell) only when x has left the
-    span its last lookup gave. A span keeps its value throughout, so
+    A chain whose profiles are all constant, two-valued or piecewise has
+    finitely many joint cells. It builds their table once (_joint_cells),
+    and a step that leaves its cell reads the next one with one bisect.
+    A periodic or custom profile is looked up (ProfileFn.cell) only when
+    x has left the span its last lookup gave; custom gamma and delta
+    give empty spans, so they are looked up on every step. Either way
     every step uses the values a lookup at x would give, and the states
-    do not depend on how often the lookups run. A custom alpha
-    profile raises DomainError (custom gamma and delta are fine, looked
-    up on every step), and so do a non-finite x0 and an n_steps that is
-    not a whole number >= 1 (2.0 is 2). Once |x| >= FREEZE
-    or x is not finite, the path stays at +-FREEZE.
+    do not depend on how often the lookups run. A custom alpha profile
+    raises DomainError, and so do a non-finite x0 and an n_steps that is
+    not a whole number >= 1 (2.0 is 2). Once |x| >= FREEZE or x is not
+    finite, the path stays at +-FREEZE.
 
     Inside the joint span of the three profiles the chain is a plain
     random walk, so a long stay in one cell is a running sum. Short stays
@@ -285,38 +295,44 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     chain whose stays are all short never opens one.
     """
     n_steps = _count("n_steps", n_steps, 1)
-    a_fn = spec.alpha_profile
-    g_fn = spec.family.gamma_profile
-    d_fn = spec.family.delta_profile
+    profiles = (spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile)
+    a_fn, g_fn, d_fn = profiles
     alphas = a_fn.value_set()
     row_of = {a: i for i, a in enumerate(alphas)}
     a_col = np.array(alphas)[:, None]
+    x = float(x0)
+    if not -math.inf < x < math.inf:
+        raise DomainError(f"start point must be finite, got {x0}")
+    edges, cells = _joint_cells(profiles, row_of)
+    bisect_right = bisect.bisect_right
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     states = np.empty(n_steps)
     buf = np.empty(2 * _STEP_BLOCK + 1)  # one window: [x, d, g*J, d, g*J, ...]
-    x = float(x0)
     # nan spans hold no x, so the first step looks every profile up
-    a_lo = a_hi = g_lo = g_hi = d_lo = d_hi = math.nan
-    row = 0
+    lo = hi = a_lo = a_hi = g_lo = g_hi = d_lo = d_hi = math.nan
+    row = rows = None
     last = 0  # the step of the last lookup, counted from the block's start
     for start in range(0, n_steps, _STEP_BLOCK):
         u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, _STEP_BLOCK)
         e = rng.standard_exponential(_STEP_BLOCK)
-        table = cms_transform(a_col, u, e)
-        rows = None  # the table as Python floats, made once the per-step loop needs it
+        # after a block whose per-step loop read every alpha row, the next
+        # computes them all at once
+        rows = _BlockJumps(a_col, u, e, start > 0 and None not in rows.lists)
+        lists = rows.lists
         m = min(_STEP_BLOCK, n_steps - start)
         block = []  # the per-step loop's states, from states[start + j - len(block)]
         j = 0
         while j < m:
             if j - last > _HOLD:
-                lo = max(a_lo, g_lo, d_lo, _ABOVE_FREEZE)
-                hi = min(a_hi, g_hi, d_hi, FREEZE)
+                if cells is None:
+                    lo = max(a_lo, g_lo, d_lo, _ABOVE_FREEZE)
+                    hi = min(a_hi, g_hi, d_hi, FREEZE)
                 if lo <= x < hi:
                     at = start + j
                     states[at - len(block):at] = block
                     block = []
                     kept = _finish_stay(buf, states[at:start + m], x, d, g,
-                                        table[row, j:m], lo, hi, j - last - 1)
+                                        rows.array(row)[j:m], lo, hi, j - last - 1)
                     if kept:
                         x = float(states[at + kept - 1])
                         j += kept
@@ -328,33 +344,110 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
                 stop = m
             elif stop <= j:
                 stop = j + 1
-            if rows is None:
-                rows = table.tolist()
-                jumps = rows[row]
-            for j in range(j, stop):
-                if not a_lo <= x < a_hi:
-                    a_lo, a_hi, a = a_fn.cell(x)
-                    row = row_of[a]
-                    jumps = rows[row]
-                    last = j
-                if not g_lo <= x < g_hi:
-                    g_lo, g_hi, g = g_fn.cell(x)
-                    last = j
-                if not d_lo <= x < d_hi:
-                    d_lo, d_hi, d = d_fn.cell(x)
-                    last = j
-                x_new = x + d + g * jumps[j]
-                if not -FREEZE < x_new < FREEZE:
-                    # a nan jump (inf * 0 in the transform) keeps the old sign
-                    at = start + j
-                    states[at:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
-                    states[at - len(block):at] = block
-                    return Trajectory(float(x0), states, seed)
-                x = x_new
-                block.append(x)
+            if row is not None:
+                jumps = lists[row] or rows.floats(row)
+            if cells is not None:
+                for j in range(j, stop):
+                    if not lo <= x < hi:
+                        lo, hi, row, g, d = cells[bisect_right(edges, x)]
+                        jumps = lists[row] or rows.floats(row)
+                        last = j
+                    x_new = x + d + g * jumps[j]
+                    if not -FREEZE < x_new < FREEZE:
+                        return _frozen(x0, states, block, start + j, x, x_new, seed)
+                    x = x_new
+                    block.append(x)
+            else:
+                for j in range(j, stop):
+                    if not a_lo <= x < a_hi:
+                        a_lo, a_hi, a = a_fn.cell(x)
+                        row = row_of[a]
+                        jumps = lists[row] or rows.floats(row)
+                        last = j
+                    if not g_lo <= x < g_hi:
+                        g_lo, g_hi, g = g_fn.cell(x)
+                        last = j
+                    if not d_lo <= x < d_hi:
+                        d_lo, d_hi, d = d_fn.cell(x)
+                        last = j
+                    x_new = x + d + g * jumps[j]
+                    if not -FREEZE < x_new < FREEZE:
+                        return _frozen(x0, states, block, start + j, x, x_new, seed)
+                    x = x_new
+                    block.append(x)
             j = stop
         states[start + m - len(block):start + m] = block
         last -= _STEP_BLOCK
+    return Trajectory(float(x0), states, seed)
+
+
+def _joint_cells(profiles, row_of):
+    """simulate's table of joint cells: (edges, cells), or (None, None).
+
+    A chain whose profiles are all constant, two-valued or piecewise has
+    finitely many joint cells. edges is the sorted union of the
+    profiles' edges (0.0 for two-valued, the breakpoints for piecewise),
+    and cells[bisect_right(edges, x)] is (lo, hi, alpha row, gamma,
+    delta) for the cell that holds x: its span, clipped to the open span
+    of FREEZE, and the values ProfileFn.cell gives at one point of it.
+    No profile changes value inside a joint cell, so these are the values
+    a lookup at any x of the cell gives; -0.0 sorts as 0.0, into the cell
+    right of an edge at 0. A periodic or custom profile has no finite
+    union of edges, and gives (None, None).
+    """
+    if any(p.kind in ("periodic", "custom") for p in profiles):
+        return None, None
+    edges = sorted({b for p in profiles
+                    for b in ((0.0,) if p.kind == "two_valued" else p.breakpoints)})
+    # a cell is read at its left edge, the leftmost just below the first
+    # edge; below -max float, where that read would fall, no finite x lies
+    points = ([max(math.nextafter(edges[0], -math.inf), -sys.float_info.max), *edges]
+              if edges else [0.0])
+    bounds = [-math.inf, *edges, math.inf]
+    cells = []
+    for x, lo, hi in zip(points, bounds, bounds[1:]):
+        a, g, d = (p.cell(x)[2] for p in profiles)
+        cells.append((max(lo, _ABOVE_FREEZE), min(hi, FREEZE), row_of[a], g, d))
+    return edges, cells
+
+
+class _BlockJumps:
+    """One block's jumps at each alpha value, each row computed when first read.
+
+    array(row) is cms_transform of the row's 1x1 slice of the alpha
+    column against the block's angles and exponentials: the same floats
+    as that row of one broadcast call over the whole column. lists[row]
+    is the row as Python floats once floats(row) has made it, None
+    before, so the per-step loop reads `lists[row] or rows.floats(row)`.
+    A row the block never reads is never computed, and one that only a
+    window reads is never made a list. whole computes every row in the
+    one broadcast call up front, which saves the calls' fixed costs on a
+    block that reads them all.
+    """
+
+    def __init__(self, a_col, u, e, whole: bool):
+        self.a_col, self.u, self.e = a_col, u, e
+        self.arrays = list(cms_transform(a_col, u, e)) if whole else [None] * len(a_col)
+        self.lists = [None] * len(a_col)
+
+    def array(self, row: int) -> np.ndarray:
+        if self.arrays[row] is None:
+            self.arrays[row] = cms_transform(self.a_col[row:row + 1], self.u, self.e)[0]
+        return self.arrays[row]
+
+    def floats(self, row: int) -> list:
+        self.lists[row] = jumps = self.array(row).tolist()
+        return jumps
+
+
+def _frozen(x0, states, block, at, x, x_new, seed) -> Trajectory:
+    """The path whose step at left the open span of FREEZE: +-FREEZE from there on.
+
+    block holds the per-step loop's states before at. A nan step (inf *
+    0 in the transform) keeps the sign of the state before it.
+    """
+    states[at:] = math.copysign(FREEZE, x if math.isnan(x_new) else x_new)
+    states[at - len(block):at] = block
     return Trajectory(float(x0), states, seed)
 
 

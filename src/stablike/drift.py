@@ -280,32 +280,63 @@ class _Grid:
 
     Each profile is read once per grid, through ProfileFn.at. groups maps
     each regime, the (alpha, gamma, shift) triple, to the indices of the
-    x in it, and c to its tail constant c(alpha, gamma); prefs[moment]
-    holds the display prefactor |x|^(alpha + p)/c per x, with p = -1 for
-    the first-moment displays and 0 otherwise. outer masks the outer half
-    of the grid by |x|, and mag_of numbers each outer x by its rank among
-    the distinct outer magnitudes. Every scan over one (spec, x grid) and
-    classify's small-index check read their regimes here.
+    x in it, and c to its tail constant c(alpha, gamma). Every scan over
+    one (spec, x grid) and classify's small-index check read their
+    regimes here. What only the scans read is built when a scan first
+    reads it: prefs, outer and trend_cells.
     """
 
     def __init__(self, spec: ChainSpec, x_grid):
         self.xs = np.asarray(x_grid, dtype=float)
         if not (np.isfinite(self.xs) & (self.xs != 0.0)).all():
             raise DomainError("x must be finite and nonzero")
-        mags = np.abs(self.xs)
-        self.outer = mags >= np.median(mags)
-        self.mag_of = np.unique(mags[self.outer], return_inverse=True)[1]
         fam = spec.family
         profiles = (spec.alpha_profile, fam.gamma_profile, fam.delta_profile)
         self.groups = {}
         for i, key in enumerate(zip(*(p.at(self.xs).tolist() for p in profiles))):
             self.groups.setdefault(key, []).append(i)
         self.c = {key: tail_constant(StableParams(*key[:2])) for key in self.groups}
-        self.prefs = {moment: np.empty_like(self.xs) for moment in (False, True)}
+
+    @functools.cached_property
+    def prefs(self) -> dict:
+        """moment -> the display prefactor |x|^(alpha + p)/c per x.
+
+        p = -1 for the first-moment displays (moment True), 0 otherwise.
+        """
+        prefs = {moment: np.empty_like(self.xs) for moment in (False, True)}
         for key, idx in self.groups.items():
-            for moment, pref in self.prefs.items():
+            for moment, pref in prefs.items():
                 power = key[0] - 1.0 if moment else key[0]
                 pref[idx] = [abs(x) ** power / self.c[key] for x in self.xs[idx].tolist()]
+        return prefs
+
+    @functools.cached_property
+    def outer(self) -> np.ndarray:
+        """Mask of the outer half of the grid by |x|."""
+        mags = np.abs(self.xs)
+        return mags >= np.median(mags)
+
+    @functools.cached_property
+    def trend_cells(self) -> tuple:
+        """(cell_of, n_mags, last3): the outer x by regime and magnitude.
+
+        cell_of numbers each outer x by its regime r (in groups' order)
+        and the rank k of its |x| among the n_mags distinct outer
+        magnitudes, as r * n_mags + k. Each row of last3 holds the cells
+        of the three largest magnitudes of one regime; a regime with
+        fewer than 3 outer magnitudes has no row.
+        """
+        mags = np.abs(self.xs)
+        ranks = np.unique(mags[self.outer], return_inverse=True)[1]
+        n_mags = int(ranks.max()) + 1
+        regime = np.empty(len(self.xs), dtype=int)
+        for r, idx in enumerate(self.groups.values()):
+            regime[idx] = r
+        cell_of = regime[self.outer] * n_mags + ranks
+        present = np.unique(cell_of)  # sorted by regime, then by magnitude
+        per_regime = np.split(present, np.flatnonzero(np.diff(present // n_mags)) + 1)
+        last3 = [cells[-3:] for cells in per_regime if len(cells) >= 3]
+        return cell_of, n_mags, np.array(last3, dtype=int).reshape(-1, 3)
 
 
 def _cumulative(table: DensityTable, kern, v):
@@ -497,10 +528,11 @@ def tail_scan(
     threshold's own error estimate. The delta -> 0 gap needs two delta
     levels, so a delta_grid of fewer is refused: with one, the gap would
     read 0 and a display could fire on a single truncation. When the
-    per-magnitude aggregate is still moving toward the threshold side at
-    the grid edge with non-decaying increments, the limiting value is
-    not bracketed by any finite grid (trend_flag "diverging") and the
-    margin is -inf. Otherwise trend_flag is "extrapolated" whenever the
+    per-magnitude aggregate, or the per-magnitude value of any one
+    regime, is still moving toward the threshold side at the grid edge
+    with non-decaying increments, the limiting value is not bracketed by
+    any finite grid (trend_flag "diverging") and the margin is -inf.
+    Otherwise trend_flag is "extrapolated" whenever the
     |x| extrapolation widened the error, else "non-monotone" when the
     aggregate turns over the three smallest delta levels, which widens
     nothing.
@@ -577,26 +609,37 @@ def tail_scan(
     # has stopped drifting toward the threshold side. Geometric decay of
     # the increments gets extrapolated; non-decaying adverse increments
     # mean the limit is off the grid entirely (e.g. a d-term growing like
-    # a power of |x|), so the condition must never certify.
+    # a power of |x|), so the condition must never certify. The test runs
+    # first within each regime, on its three largest outer magnitudes: the
+    # aggregate can turn back when its last magnitude's x lies in another
+    # regime while every regime's value grows. A regime with fewer than 3
+    # outer magnitudes shows no trend of its own and is only aggregated.
     adverse = 1.0 if is_lt else -1.0
-    per_mag = np.full(grid.mag_of.max() + 1, -adverse * math.inf)
-    (np.maximum if is_lt else np.minimum).at(per_mag, grid.mag_of, lhs[-1, -1, outer])
-    per_mag = per_mag.tolist()
+    reduce = np.maximum if is_lt else np.minimum
+    cell_of, n_mags, last3 = grid.trend_cells
+    per_cell = np.full(len(grid.groups) * n_mags, -adverse * math.inf)
+    reduce.at(per_cell, cell_of, lhs[-1, -1, outer])
+    per_mag = reduce.reduce(per_cell.reshape(-1, n_mags), axis=0).tolist()
     cert = final
     x_gap = 0.0
     noise = 4.0 * worst_q + 1e-12 * (1.0 + abs(final))
-    if len(per_mag) >= 3:
+
+    def diverging(d1, d2):  # increments that grow, or do not shrink, toward the adverse side
+        return adverse * d2 > noise and (adverse * d1 <= noise or abs(d2) >= 0.95 * abs(d1))
+
+    if any(diverging(b - a, c - b) for a, b, c in per_cell[last3].tolist()):
+        trend = "diverging"
+    elif len(per_mag) >= 3:
         d1 = per_mag[-2] - per_mag[-3]
         d2 = per_mag[-1] - per_mag[-2]
-        if adverse * d2 > noise:
-            if adverse * d1 <= noise or abs(d2) >= 0.95 * abs(d1):
-                trend = "diverging"
-            else:
-                ratio = abs(d2) / abs(d1)
-                step = d2 * ratio / (1.0 - ratio)
-                cert = per_mag[-1] + step
-                x_gap = abs(step) + noise
-                trend = "extrapolated"  # the label that says the error was widened
+        if diverging(d1, d2):
+            trend = "diverging"
+        elif adverse * d2 > noise:
+            ratio = abs(d2) / abs(d1)
+            step = d2 * ratio / (1.0 - ratio)
+            cert = per_mag[-1] + step
+            x_gap = abs(step) + noise
+            trend = "extrapolated"  # the label that says the error was widened
 
     thr, thr_err = threshold_for(spec, condition_id, beta)
     if trend == "diverging":

@@ -45,8 +45,10 @@ streams, which gives the interval statistics and TV start a's law, and
 start b on tv_convergence's stream for it.
 
 invariant_histogram reads one path of chain.simulate (block-drawn
-stream, enumerable alpha only), which steps short stays in a profile
-cell one at a time and sums the rest of a stay past chain._HOLD steps
+stream, enumerable alpha only). A chain of finitely many cells, such as
+the two-valued ergodic example, finds each cell it enters in one table
+of the joint cells, built once per path. simulate steps short stays in
+a cell one at a time and sums the rest of a stay past chain._HOLD steps
 in numpy windows, float for float the same; the ensembles step every
 path on every step and also take a custom alpha.
 

@@ -416,3 +416,54 @@ def test_simulate_matches_the_per_step_loop(alpha, gamma, delta, start, n_steps,
     x0 = _nudged(x0, start.draw(st.integers(-2, 2)))
     got = simulate(spec, x0, n_steps, seed).states
     assert got.tobytes() == _simulate_per_step(spec, x0, n_steps, seed).tobytes()
+
+
+# chains of finitely many cells step through one joint table (chain._joint_cells)
+@pytest.mark.parametrize("spec", [
+    make_chain(ProfileFn.piecewise((-1.0, 2.0), (1.2, 0.7, 1.6)),
+               gamma=ProfileFn.piecewise((2.0,), (1.0, 0.4)),
+               delta=ProfileFn.piecewise((-1.0, 3.0), (0.3, -0.2, 0.1))),
+    make_chain(ProfileFn.two_valued(1.5, 1.8),
+               delta=ProfileFn.piecewise((0.0, 1.0), (0.5, -0.5, -0.6))),
+    make_chain(ProfileFn.piecewise((-1e20, 0.0), (0.9, 1.5, 1.8)),
+               delta=ProfileFn.two_valued(0.5, -0.5)),
+    make_chain(ProfileFn.piecewise((-1e299, 0.0), (1.2, 1.5, 1.8)),
+               gamma=ProfileFn.two_valued(1.0, 2.0)),
+    make_chain(ProfileFn.piecewise((-sys.float_info.max, 0.0), (1.2, 1.5, 1.8))),
+    make_chain(1.5, gamma=0.5, delta=0.2),
+], ids=["shared-breakpoint", "two-valued-beside-breakpoint-at-0", "leftmost-edge-1e20",
+        "leftmost-edge-1e299", "leftmost-edge-max-float", "no-edges"])
+def test_joint_cells_step_as_the_per_step_loop(spec):
+    # from -0.0, and on and just below each edge: -0.0 takes the cell right
+    # of an edge at 0, and a start below the first edge reads the leftmost cell
+    profiles = (spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile)
+    edges = sorted({x for p in profiles for x in _edges(p)})
+    below = [math.nextafter(x, -math.inf) for x in edges]
+    for x0 in filter(math.isfinite, [-0.0, 0.0, *edges, *below]):
+        for n_steps, seed in ((4097, 5), (9000, 2)):
+            got = simulate(spec, x0, n_steps, seed).states
+            assert got.tobytes() == _simulate_per_step(spec, x0, n_steps, seed).tobytes()
+
+
+def test_finitely_many_cells_are_looked_up_only_to_build_the_table(monkeypatch):
+    calls = []
+    cell = ProfileFn.cell
+    monkeypatch.setattr(ProfileFn, "cell", lambda p, x: calls.append(x) or cell(p, x))
+    spec = make_chain(ProfileFn.two_valued(1.5, 1.8),
+                      delta=ProfileFn.piecewise((-1.0, 0.0), (0.5, 0.0, -0.5)))
+    states = simulate(spec, 0.0, 20_000, 7).states
+    assert np.count_nonzero(np.diff(np.signbit(states))) > 1000  # the path crosses 0 often
+    assert len(calls) == 3 * 3  # each profile once in each of the 3 joint cells
+
+
+def test_a_one_row_transform_is_its_row_of_the_broadcast_one():
+    # simulate computes a block's jumps one alpha row at a time (chain._BlockJumps),
+    # and its states are those of one broadcast call over the alpha column
+    rng = default_rng(SeedSequence(5))
+    alphas = [0.002, 1.0, 1.9999, 0.5, 1.5, *rng.uniform(0.0, 2.0, 20)]
+    a_col = np.array(alphas)[:, None]
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, 4096)
+    e = rng.standard_exponential(4096)
+    table = cms_transform(a_col, u, e)
+    for i in range(len(alphas)):
+        assert cms_transform(a_col[i:i + 1], u, e)[0].tobytes() == table[i].tobytes()

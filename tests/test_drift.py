@@ -166,6 +166,27 @@ def test_tail_scan_flags_divergent_d_term():
     assert rep.margin == -math.inf
 
 
+def test_tail_scan_diverges_when_one_regime_diverges():
+    # mom_erg_b grows in every regime of this symmetric chain, but the
+    # largest |x| lies in an alpha = 1.46 cell, above the alpha = 1.239
+    # cells that carry the growth, so the aggregate over regimes turns back
+    spec = make_chain(ProfileFn.periodic(2.0, (1.239, 1.46)), gamma=2.54)
+    rep = tail_scan(spec, condition_id="mom_erg_b", beta=1.0)
+    assert rep.trend_flag == "diverging"
+    assert rep.margin == -math.inf
+
+
+def test_a_regime_of_fewer_than_three_outer_magnitudes_has_no_trend_row():
+    # x < -5e4 holds the outer |x| 10^4.75 and 10^5 only: that regime is
+    # aggregated but shows no trend of its own
+    grid = drift._Grid(make_chain(ProfileFn.piecewise((-5e4,), (1.2, 1.5))),
+                       default_x_grid())
+    cell_of, n_mags, last3 = grid.trend_cells
+    assert list(grid.groups) == [(1.2, 1.0, 0.0), (1.5, 1.0, 0.0)]
+    assert n_mags == 7 and len(cell_of) == 14
+    assert last3.tolist() == [[n_mags + 4, n_mags + 5, n_mags + 6]]
+
+
 def test_tail_scan_extrapolates_settling_trend():
     # shifted small-alpha walk: the transience display decays to zero
     # geometrically in |x|, so the scan certifies via extrapolation

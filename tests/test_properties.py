@@ -13,7 +13,6 @@ property's search runs again once its item is mended.
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -48,7 +47,6 @@ _OFF_GRID = st.sampled_from((1.3, 2.9, 7.7))
 _RECURRENT = ("Recurrent", "NullCandidate", "Ergodic")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a per-regime |x| trend test")
 @settings(max_examples=30)
 @given(alpha=_profiles(_levels(0.3, 0.95)), gamma=_GAMMAS,
        delta=_profiles(_levels(-3.0, 3.0)))
@@ -67,7 +65,6 @@ def test_index_below_one_with_bounded_drift_never_recurs(alpha, gamma, delta):
     assert verdict not in ("Recurrent", "NullCandidate", "Ergodic")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a per-regime |x| trend test")
 @settings(max_examples=30)
 @given(alpha=_profiles(_levels(1.05, 1.95)), gamma=_GAMMAS)
 @example(alpha=ProfileFn.periodic(2.0, (1.239, 1.46)),
