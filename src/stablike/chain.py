@@ -11,23 +11,22 @@ callables are accepted behind an `unchecked` flag that marks downstream
 verdicts as conditional.
 
 simulate runs one path. It needs an enumerable alpha profile: each
-block of its random stream gives one row of jumps per alpha value, from
-a vectorised Chambers-Mallows-Stuck call made when the block first
-reads that value. The path is stepped one profile cell at a time.
-p(x, dy) = f_x(y - x) dy changes only where alpha, gamma or delta
-changes, so between cell edges the chain is a plain random walk. A
-chain whose profiles are all constant, two-valued or piecewise has
-finitely many joint cells: simulate reads each cell's values once per
-call into one table, and a step that leaves its cell finds the next
-with one bisect. A periodic or custom profile is looked up through
-ProfileFn.cell, which gives each value with a span [lo, hi) that
-provably keeps it, and a step looks it up again only once x has left
-that span. Every step thus uses exactly the values a lookup at x would
-give, in the same arithmetic, and a path is the same float for float
-however its lookups fall. A stay in one cell is a running sum, and
-simulate finishes a long one in numpy windows in the same operations
-and order. A path that reaches |x| >= FREEZE stays at +-FREEZE, the
-same rule the Monte Carlo ensembles in `mc` apply.
+block of its random stream becomes a table of jumps, one row per alpha
+value, from one vectorised Chambers-Mallows-Stuck call. The path is
+stepped one profile cell at a time. p(x, dy) = f_x(y - x) dy changes
+only where alpha, gamma or delta changes, so between cell edges the
+chain is a plain random walk. A chain whose profiles are all constant,
+two-valued or piecewise has finitely many joint cells: simulate reads
+each cell's values once per call into one table, and a step that
+leaves its cell finds the next with one bisect. A periodic or custom
+profile is looked up through ProfileFn.cell, which gives each value
+with a span [lo, hi) that provably keeps it, and a step looks it up
+again only once x has left that span. Every step thus uses exactly the
+values a lookup at x would give, in the same arithmetic, and a path is
+the same float for float however its lookups fall. A stay in one cell
+is a running sum, and simulate finishes a long one in numpy windows in
+the same operations and order. A path that reaches |x| >= FREEZE stays
+at +-FREEZE, the same rule the Monte Carlo ensembles in `mc` apply.
 """
 
 from __future__ import annotations
@@ -267,10 +266,9 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     states[0] is the state after the first step. default_rng(
     SeedSequence(seed)) is read in whole blocks of 4096 steps: 4096
     uniform angles on (-pi/2, pi/2), then 4096 standard exponentials, so
-    a longer run extends a shorter one. A block's jumps at an alpha value
-    come from one cms_transform call, made when the block first reads
-    that value (_BlockJumps), and a step sets x <- x + delta(x) +
-    gamma(x) * J with J from the row of alpha(x).
+    a longer run extends a shorter one. One cms_transform call per block
+    gives each step a jump J for every alpha value, and a step sets
+    x <- x + delta(x) + gamma(x) * J with J from the row of alpha(x).
 
     A chain whose profiles are all constant, two-valued or piecewise has
     finitely many joint cells. It builds their table once (_joint_cells),
@@ -310,15 +308,13 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     buf = np.empty(2 * _STEP_BLOCK + 1)  # one window: [x, d, g*J, d, g*J, ...]
     # nan spans hold no x, so the first step looks every profile up
     lo = hi = a_lo = a_hi = g_lo = g_hi = d_lo = d_hi = math.nan
-    row = rows = None
+    row = 0
     last = 0  # the step of the last lookup, counted from the block's start
     for start in range(0, n_steps, _STEP_BLOCK):
         u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, _STEP_BLOCK)
         e = rng.standard_exponential(_STEP_BLOCK)
-        # after a block whose per-step loop read every alpha row, the next
-        # computes them all at once
-        rows = _BlockJumps(a_col, u, e, start > 0 and None not in rows.lists)
-        lists = rows.lists
+        table = cms_transform(a_col, u, e)
+        rows = None  # the table as Python floats, made once the per-step loop needs it
         m = min(_STEP_BLOCK, n_steps - start)
         block = []  # the per-step loop's states, from states[start + j - len(block)]
         j = 0
@@ -332,7 +328,7 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
                     states[at - len(block):at] = block
                     block = []
                     kept = _finish_stay(buf, states[at:start + m], x, d, g,
-                                        rows.array(row)[j:m], lo, hi, j - last - 1)
+                                        table[row, j:m], lo, hi, j - last - 1)
                     if kept:
                         x = float(states[at + kept - 1])
                         j += kept
@@ -344,13 +340,14 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
                 stop = m
             elif stop <= j:
                 stop = j + 1
-            if row is not None:
-                jumps = lists[row] or rows.floats(row)
+            if rows is None:
+                rows = table.tolist()
+                jumps = rows[row]
             if cells is not None:
                 for j in range(j, stop):
                     if not lo <= x < hi:
                         lo, hi, row, g, d = cells[bisect_right(edges, x)]
-                        jumps = lists[row] or rows.floats(row)
+                        jumps = rows[row]
                         last = j
                     x_new = x + d + g * jumps[j]
                     if not -FREEZE < x_new < FREEZE:
@@ -362,7 +359,7 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
                     if not a_lo <= x < a_hi:
                         a_lo, a_hi, a = a_fn.cell(x)
                         row = row_of[a]
-                        jumps = lists[row] or rows.floats(row)
+                        jumps = rows[row]
                         last = j
                     if not g_lo <= x < g_hi:
                         g_lo, g_hi, g = g_fn.cell(x)
@@ -409,35 +406,6 @@ def _joint_cells(profiles, row_of):
         a, g, d = (p.cell(x)[2] for p in profiles)
         cells.append((max(lo, _ABOVE_FREEZE), min(hi, FREEZE), row_of[a], g, d))
     return edges, cells
-
-
-class _BlockJumps:
-    """One block's jumps at each alpha value, each row computed when first read.
-
-    array(row) is cms_transform of the row's 1x1 slice of the alpha
-    column against the block's angles and exponentials: the same floats
-    as that row of one broadcast call over the whole column. lists[row]
-    is the row as Python floats once floats(row) has made it, None
-    before, so the per-step loop reads `lists[row] or rows.floats(row)`.
-    A row the block never reads is never computed, and one that only a
-    window reads is never made a list. whole computes every row in the
-    one broadcast call up front, which saves the calls' fixed costs on a
-    block that reads them all.
-    """
-
-    def __init__(self, a_col, u, e, whole: bool):
-        self.a_col, self.u, self.e = a_col, u, e
-        self.arrays = list(cms_transform(a_col, u, e)) if whole else [None] * len(a_col)
-        self.lists = [None] * len(a_col)
-
-    def array(self, row: int) -> np.ndarray:
-        if self.arrays[row] is None:
-            self.arrays[row] = cms_transform(self.a_col[row:row + 1], self.u, self.e)[0]
-        return self.arrays[row]
-
-    def floats(self, row: int) -> list:
-        self.lists[row] = jumps = self.array(row).tolist()
-        return jumps
 
 
 def _frozen(x0, states, block, at, x, x_new, seed) -> Trajectory:

@@ -75,6 +75,7 @@ from .thresholds import r1, r2, t as t_threshold
 
 _BLOCK = 1 << 14  # float64 entries of one x block's node temporary (128 KB); ~16 per rule cell
 _T_MAX = 1.0 - 2.0 ** -53  # largest double below 1
+_SETTLING = 0.95  # tail_scan's |x| trend: increments shrinking slower per grid step diverge
 
 @dataclass(frozen=True)
 class DriftKernel:
@@ -318,13 +319,15 @@ class _Grid:
 
     @functools.cached_property
     def trend_cells(self) -> tuple:
-        """(cell_of, n_mags, last3): the outer x by regime and magnitude.
+        """(cell_of, n_mags, last3, gaps): the outer x by regime and magnitude.
 
         cell_of numbers each outer x by its regime r (in groups' order)
         and the rank k of its |x| among the n_mags distinct outer
         magnitudes, as r * n_mags + k. Each row of last3 holds the cells
         of the three largest magnitudes of one regime; a regime with
-        fewer than 3 outer magnitudes has no row.
+        fewer than 3 outer magnitudes has no row. A regime's magnitudes
+        need not be neighbours in rank: gaps[i] holds the two rank steps
+        of row i, (1, 1) when its ranks are consecutive.
         """
         mags = np.abs(self.xs)
         ranks = np.unique(mags[self.outer], return_inverse=True)[1]
@@ -333,10 +336,33 @@ class _Grid:
         for r, idx in enumerate(self.groups.values()):
             regime[idx] = r
         cell_of = regime[self.outer] * n_mags + ranks
-        present = np.unique(cell_of)  # sorted by regime, then by magnitude
-        per_regime = np.split(present, np.flatnonzero(np.diff(present // n_mags)) + 1)
-        last3 = [cells[-3:] for cells in per_regime if len(cells) >= 3]
-        return cell_of, n_mags, np.array(last3, dtype=int).reshape(-1, 3)
+        present = np.zeros((len(self.groups), n_mags), dtype=bool)
+        present.flat[cell_of] = True
+        above = present[:, ::-1].cumsum(axis=1)[:, ::-1]  # a regime's magnitudes at or above k
+        regimes, ranks3 = np.nonzero(present & (above <= 3) & (above[:, :1] >= 3))
+        ranks3 = ranks3.reshape(-1, 3)
+        gaps = np.diff(ranks3, axis=1).tolist()
+        return cell_of, n_mags, regimes[::3, None] * n_mags + ranks3, gaps
+
+
+def _settling_ratio(ratio: float, g1: int, g2: int) -> float:
+    """The per-rank ratio r of a geometric trend whose increments over g1,
+    then g2 ranks of |x| have this ratio.
+
+    Such increments are C r^k (1 - r^g1) and C r^(k+g1) (1 - r^g2), so
+    ratio = r^g1 (1 - r^g2) / (1 - r^g1), which rises with r from 0 to
+    g2/g1 on [0, 1); r is found by bisection, to 1 when ratio >= g2/g1.
+    """
+    if g1 == g2 == 1:
+        return ratio
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        r = 0.5 * (lo + hi)
+        if r ** g1 * (1.0 - r ** g2) / (1.0 - r ** g1) < ratio:
+            lo = r
+        else:
+            hi = r
+    return hi
 
 
 def _cumulative(table: DensityTable, kern, v):
@@ -532,7 +558,9 @@ def tail_scan(
     regime, is still moving toward the threshold side at the grid edge
     with non-decaying increments, the limiting value is not bracketed by
     any finite grid (trend_flag "diverging") and the margin is -inf.
-    Otherwise trend_flag is "extrapolated" whenever the
+    Increments that settle toward the threshold side are extrapolated,
+    for the aggregate and each regime alike, and the most adverse limit
+    is certified. trend_flag is "extrapolated" whenever the
     |x| extrapolation widened the error, else "non-monotone" when the
     aggregate turns over the three smallest delta levels, which widens
     nothing.
@@ -612,11 +640,15 @@ def tail_scan(
     # a power of |x|), so the condition must never certify. The test runs
     # first within each regime, on its three largest outer magnitudes: the
     # aggregate can turn back when its last magnitude's x lies in another
-    # regime while every regime's value grows. A regime with fewer than 3
-    # outer magnitudes shows no trend of its own and is only aggregated.
+    # regime while every regime's value grows. Those magnitudes may skip
+    # ranks, so a regime's increments are read per rank (_settling_ratio).
+    # A regime that settles toward the adverse side is extrapolated like
+    # the aggregate, and the most adverse limit is certified. A regime
+    # with fewer than 3 outer magnitudes shows no trend of its own and is
+    # only aggregated.
     adverse = 1.0 if is_lt else -1.0
     reduce = np.maximum if is_lt else np.minimum
-    cell_of, n_mags, last3 = grid.trend_cells
+    cell_of, n_mags, last3, gaps = grid.trend_cells
     per_cell = np.full(len(grid.groups) * n_mags, -adverse * math.inf)
     reduce.at(per_cell, cell_of, lhs[-1, -1, outer])
     per_mag = reduce.reduce(per_cell.reshape(-1, n_mags), axis=0).tolist()
@@ -624,22 +656,38 @@ def tail_scan(
     x_gap = 0.0
     noise = 4.0 * worst_q + 1e-12 * (1.0 + abs(final))
 
-    def diverging(d1, d2):  # increments that grow, or do not shrink, toward the adverse side
-        return adverse * d2 > noise and (adverse * d1 <= noise or abs(d2) >= 0.95 * abs(d1))
+    def trend_step(d1, d2, g1=1, g2=1):
+        """How far the value moves on past its last: None when it does not
+        move toward the adverse side, inf when its increments there do
+        not shrink by _SETTLING a rank, else the geometric remainder."""
+        if adverse * d2 <= noise:
+            return None
+        if adverse * d1 <= noise:
+            return math.inf
+        ratio = _settling_ratio(abs(d2) / abs(d1), g1, g2)
+        if ratio >= _SETTLING:
+            return math.inf
+        ratio **= g2
+        return d2 * ratio / (1.0 - ratio)
 
-    if any(diverging(b - a, c - b) for a, b, c in per_cell[last3].tolist()):
+    limits = []  # (last value, step) of each regime's trend toward the adverse side
+    for (a, b, c), (g1, g2) in zip(per_cell[last3].tolist(), gaps):
+        step = trend_step(b - a, c - b, g1, g2)
+        if step is not None:
+            limits.append((c, step))
+    agg = None
+    if len(per_mag) >= 3:
+        agg = trend_step(per_mag[-2] - per_mag[-3], per_mag[-1] - per_mag[-2])
+    steps = [step for _, step in limits] + ([] if agg is None else [agg])
+    if math.inf in steps:
         trend = "diverging"
-    elif len(per_mag) >= 3:
-        d1 = per_mag[-2] - per_mag[-3]
-        d2 = per_mag[-1] - per_mag[-2]
-        if diverging(d1, d2):
-            trend = "diverging"
-        elif adverse * d2 > noise:
-            ratio = abs(d2) / abs(d1)
-            step = d2 * ratio / (1.0 - ratio)
-            cert = per_mag[-1] + step
-            x_gap = abs(step) + noise
-            trend = "extrapolated"  # the label that says the error was widened
+    elif steps:
+        if agg is not None:  # the aggregate's limit replaces the grid extremum
+            cert = per_mag[-1] + agg
+        worst = max if is_lt else min
+        cert = worst([cert] + [last + step for last, step in limits])
+        x_gap = max(abs(step) for step in steps) + noise
+        trend = "extrapolated"  # the label that says the error was widened
 
     thr, thr_err = threshold_for(spec, condition_id, beta)
     if trend == "diverging":

@@ -457,8 +457,9 @@ def test_finitely_many_cells_are_looked_up_only_to_build_the_table(monkeypatch):
 
 
 def test_a_one_row_transform_is_its_row_of_the_broadcast_one():
-    # simulate computes a block's jumps one alpha row at a time (chain._BlockJumps),
-    # and its states are those of one broadcast call over the alpha column
+    # a row computed alone is that row of the broadcast call over the alpha
+    # column, so simulate could compute only the rows a block reads and
+    # keep its states
     rng = default_rng(SeedSequence(5))
     alphas = [0.002, 1.0, 1.9999, 0.5, 1.5, *rng.uniform(0.0, 2.0, 20)]
     a_col = np.array(alphas)[:, None]

@@ -181,10 +181,66 @@ def test_a_regime_of_fewer_than_three_outer_magnitudes_has_no_trend_row():
     # aggregated but shows no trend of its own
     grid = drift._Grid(make_chain(ProfileFn.piecewise((-5e4,), (1.2, 1.5))),
                        default_x_grid())
-    cell_of, n_mags, last3 = grid.trend_cells
+    cell_of, n_mags, last3, gaps = grid.trend_cells
     assert list(grid.groups) == [(1.2, 1.0, 0.0), (1.5, 1.0, 0.0)]
     assert n_mags == 7 and len(cell_of) == 14
     assert last3.tolist() == [[n_mags + 4, n_mags + 5, n_mags + 6]]
+    assert gaps == [[1, 1]]
+
+
+def _regime_ranks(spec):
+    cell_of, n_mags, last3, gaps = drift._Grid(spec, default_x_grid()).trend_cells
+    assert gaps == np.diff(last3 % n_mags, axis=1).tolist()
+    return (last3 % n_mags).tolist()
+
+
+@pytest.mark.parametrize("g1, g2", [(1, 1), (1, 2), (2, 1), (1, 4), (3, 1)])
+def test_settling_ratio_reads_increments_per_rank(g1, g2):
+    # a geometric trend settling by 0.8 a rank reads 0.8 across any gaps;
+    # one growing linearly in rank reads 1, above the 0.95 cut
+    v = [-(0.8 ** k) for k in (0, g1, g1 + g2)]
+    ratio = drift._settling_ratio((v[2] - v[1]) / (v[1] - v[0]), g1, g2)
+    assert ratio == pytest.approx(0.8, abs=1e-9)
+    assert drift._settling_ratio(g2 / g1, g1, g2) >= 1.0 - 1e-9
+
+
+def test_a_regime_trend_that_skips_ranks_and_settles_does_not_diverge():
+    # the first regime's largest outer |x| have ranks 1, 2 and 6; its
+    # bnd_trans value moves 1.7e-6 over one rank, then 3.3e-6 over four,
+    # which settles per rank and reads above 0.95 only per increment
+    spec = make_chain(ProfileFn.two_valued(0.581, 0.826),
+                      gamma=ProfileFn.periodic(2.0, (1.55, 1.224)))
+    assert _regime_ranks(spec)[0] == [1, 2, 6]
+    rep = tail_scan(spec, condition_id="bnd_trans", beta=0.01)
+    assert rep.trend_flag == "extrapolated"
+    assert rep.margin > 2.0 * rep.scan_error
+
+
+def test_a_regime_settling_toward_the_threshold_is_extrapolated():
+    # every alpha is below 1, so this chain is transient; mom_erg_b rises
+    # in each regime, by about 0.95 of its last increment a rank, while the
+    # aggregate over regimes turns back at the largest |x|. The regimes'
+    # limits lie past the threshold, the grid's extremum does not
+    spec = make_chain(ProfileFn.periodic(1.0, (0.897, 0.868)), gamma=0.58,
+                      delta=ProfileFn.two_valued(2.672, -2.672))
+    rep = tail_scan(spec, condition_id="mom_erg_b", beta=0.818)
+    assert rep.trend_flag == "extrapolated"
+    assert rep.tail_sup_estimate < rep.threshold < rep.tail_sup_estimate + rep.scan_error
+    assert rep.margin < 0.0
+
+
+def test_a_regime_trend_that_skips_ranks_and_keeps_growing_diverges():
+    # each regime's largest outer |x| have ranks 3, 5 and 6, and its
+    # mom_erg_b value grows about as much per rank across the gap as
+    # after it; each gamma alone makes the same display diverge
+    spec = make_chain(1.057, gamma=ProfileFn.periodic(2.9, (1.789, 2.018, 0.809)))
+    assert _regime_ranks(spec) == [[3, 5, 6], [3, 5, 6]]
+    rep = tail_scan(spec, condition_id="mom_erg_b", beta=1.0)
+    assert rep.trend_flag == "diverging"
+    assert rep.margin == -math.inf
+    for gamma in (1.789, 2.018, 0.809):
+        alone = tail_scan(make_chain(1.057, gamma=gamma), condition_id="mom_erg_b", beta=1.0)
+        assert alone.trend_flag == "diverging"
 
 
 def test_tail_scan_extrapolates_settling_trend():
