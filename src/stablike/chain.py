@@ -6,27 +6,17 @@ the finite shift delta(x). From state x the chain jumps to x + J where
 J is S(alpha(x), gamma(x), delta(x)). Profiles taking finitely many
 values keep the heavy-tail uniformity assumptions valid by construction.
 These rules are checked here only, however a chain is built: ProfileFn
-checks each kind's shape and ChainSpec the profile values. Arbitrary
-callables are accepted behind an `unchecked` flag that marks downstream
-verdicts as conditional.
+checks each kind's fields and shape and ChainSpec the profile values.
+Arbitrary callables are accepted behind an `unchecked` flag that marks
+downstream verdicts as conditional.
 
-simulate runs one path. It needs an enumerable alpha profile: each
-block of its random stream becomes a table of jumps, one row per alpha
-value, from one vectorised Chambers-Mallows-Stuck call. The path is
-stepped one profile cell at a time. p(x, dy) = f_x(y - x) dy changes
-only where alpha, gamma or delta changes, so between cell edges the
-chain is a plain random walk. A chain whose profiles are all constant,
-two-valued or piecewise has finitely many joint cells: simulate reads
-each cell's values once per call into one table, and a step that
-leaves its cell finds the next with one bisect. A periodic or custom
-profile is looked up through ProfileFn.cell, which gives each value
-with a span [lo, hi) that provably keeps it, and a step looks it up
-again only once x has left that span. Every step thus uses exactly the
-values a lookup at x would give, in the same arithmetic, and a path is
-the same float for float however its lookups fall. A stay in one cell
-is a running sum, and simulate finishes a long one in numpy windows in
-the same operations and order. A path that reaches |x| >= FREEZE stays
-at +-FREEZE, the same rule the Monte Carlo ensembles in `mc` apply.
+simulate runs one path (an enumerable alpha profile only). Between the
+edges of its profiles the chain is a plain random walk, so simulate
+looks each profile up only when the path leaves the span its last
+lookup gave, and every step still uses the values a lookup at x would
+give; its docstring has the mechanics. A path that reaches
+|x| >= FREEZE stays at +-FREEZE, the same rule the Monte Carlo
+ensembles in `mc` apply.
 """
 
 from __future__ import annotations
@@ -34,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +35,9 @@ FREEZE = 1e300  # overflow guard: transient low-index chains overflow doubles
 _STEP_BLOCK = 4096  # steps per block of simulate's random stream
 _HOLD = 256  # steps a stay in one cell takes one at a time before simulate sums the rest
 _ABOVE_FREEZE = math.nextafter(-FREEZE, 0.0)  # the least state a path keeps
-_KINDS = ("constant", "two_valued", "periodic", "piecewise", "custom")
+# the fields each profile kind takes beside its kind
+_KINDS = {"constant": ("values",), "two_valued": ("values",), "periodic": ("values", "period"),
+          "piecewise": ("values", "breakpoints"), "custom": ("fn",)}
 
 
 @dataclass(frozen=True)
@@ -59,6 +51,10 @@ class ProfileFn:
       piecewise  breakpoints b_1 < ... < b_k with k+1 values; value[i] on
                  [b_i, b_{i+1}), value[0] left of b_1, value[k] from b_k on
       custom     arbitrary callable (no finiteness certification)
+
+    A kind takes only its own fields: values (all but custom), period
+    (periodic), breakpoints (piecewise) and fn (custom). Any other field
+    must keep its default, or the profile is refused with DomainError.
     """
 
     kind: str
@@ -68,16 +64,18 @@ class ProfileFn:
     fn: object = None
 
     def __post_init__(self):
-        """Check the kind's shape; cell, __call__ and at then index values safely."""
+        """Check the kind's fields and shape; cell, __call__ and at then index values safely."""
         if self.kind not in _KINDS:
-            raise DomainError(f"profile kind must be one of {_KINDS}, got {self.kind!r}")
+            raise DomainError(f"profile kind must be one of {tuple(_KINDS)}, got {self.kind!r}")
+        for f in fields(self)[1:]:  # every field but kind
+            if f.name not in _KINDS[self.kind] and getattr(self, f.name) != f.default:
+                raise DomainError(f"{self.kind} profile takes no {f.name}")
         if self.kind == "custom":
             if not callable(self.fn):
                 raise DomainError("custom profile needs a callable fn")
             return
         n = len(self.values)
-        want = {"constant": 1, "two_valued": 2, "periodic": n,
-                "piecewise": len(self.breakpoints) + 1}[self.kind]
+        want = n if self.kind == "periodic" else len(self.edges) + 1
         if not n or n != want:
             raise DomainError(f"{self.kind} profile takes {want or '>= 1'} value(s), got {n}")
         # a cell of width period / n must be a finite float > 0
@@ -123,14 +121,6 @@ class ProfileFn:
         if not -math.inf < x < math.inf:
             raise DomainError(f"profile position must be finite, got {x}")
         v = self.values
-        if self.kind == "constant":
-            return -math.inf, math.inf, v[0]
-        if self.kind == "two_valued":
-            return (-math.inf, 0.0, v[0]) if x < 0 else (0.0, math.inf, v[1])
-        if self.kind == "piecewise":
-            b = self.breakpoints
-            i = bisect.bisect_right(b, x)  # as searchsorted(side="right") in at
-            return (b[i - 1] if i else -math.inf), (b[i] if i < len(b) else math.inf), v[i]
         if self.kind == "periodic":
             n = len(v)
             cell_w = self.period / n
@@ -144,7 +134,20 @@ class ProfileFn:
             trim = 8.0 * math.ulp(abs(x) + self.period)
             lo, hi = x - (r - i * cell_w) + trim, x + (end - r) - trim
             return (lo, hi, v[i]) if lo <= x < hi else (x, x, v[i])
-        return x, x, float(self.fn(x))
+        if self.kind == "custom":
+            return x, x, float(self.fn(x))
+        b = self.edges
+        i = bisect.bisect_right(b, x)  # as searchsorted(side="right") in at; -0.0 is 0.0
+        return (b[i - 1] if i else -math.inf), (b[i] if i < len(b) else math.inf), v[i]
+
+    @property
+    def edges(self) -> tuple:
+        """Where a constant, two-valued or piecewise profile changes value.
+
+        (0.0,) for two-valued, the breakpoints otherwise (() for a
+        constant); values[i] holds on [edges[i - 1], edges[i]).
+        """
+        return (0.0,) if self.kind == "two_valued" else self.breakpoints
 
     def at(self, x) -> np.ndarray:
         """Vectorized lookup over an array of positions; the ensembles step through it.
@@ -216,21 +219,25 @@ class ChainSpec:
     def __post_init__(self):
         if self.unchecked:
             return
-        if self.alpha_profile.kind == "custom" or \
-                self.family.gamma_profile.kind == "custom" or \
-                self.family.delta_profile.kind == "custom":
+        if any(p.kind == "custom" for p in self.profiles):
             raise DomainError(
                 "custom profiles require the unchecked=True constructor flag"
             )
-        for a in self.alpha_profile.value_set():
+        a_fn, g_fn, d_fn = self.profiles
+        for a in a_fn.value_set():
             if not 0.0 < a < 2.0:
                 raise DomainError(f"alpha profile value {a} outside (0, 2)")
-        for g in self.family.gamma_profile.value_set():
+        for g in g_fn.value_set():
             if not 0.0 < g < math.inf:
                 raise DomainError(f"gamma profile value {g} must be finite and > 0")
-        for d in self.family.delta_profile.value_set():
+        for d in d_fn.value_set():
             if not np.isfinite(d):
                 raise DomainError(f"delta profile value {d} must be finite")
+
+    @property
+    def profiles(self) -> tuple:
+        """(alpha, gamma, delta): the chain's three profiles."""
+        return self.alpha_profile, self.family.gamma_profile, self.family.delta_profile
 
 
 @dataclass(frozen=True)
@@ -240,11 +247,23 @@ class Trajectory:
     seed: int
 
 
+def _whole(value) -> bool:
+    """value is a whole number (2.0 is one), and no bool, which would count as 0 or 1."""
+    return not isinstance(value, (bool, np.bool_)) and float(value).is_integer()
+
+
 def _count(name: str, value, least: int) -> int:
-    """value as an int if it is a whole number >= least (2.0 is 2); DomainError otherwise."""
-    if not (value >= least and float(value).is_integer()):
+    """value as an int if it is a whole number >= least; DomainError otherwise."""
+    if not (value >= least and _whole(value)):
         raise DomainError(f"{name} must be >= {least} and whole, got {value}")
     return int(value)
+
+
+def _start(x0: float) -> float:
+    """x0 as a float if it is finite; DomainError otherwise."""
+    if not -math.inf < x0 < math.inf:
+        raise DomainError(f"start point must be finite, got {x0}")
+    return float(x0)
 
 
 def make_chain(alpha, gamma=1.0, delta=0.0, unchecked: bool = False) -> ChainSpec:
@@ -279,8 +298,8 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     every step uses the values a lookup at x would give, and the states
     do not depend on how often the lookups run. A custom alpha profile
     raises DomainError, and so do a non-finite x0 and an n_steps that is
-    not a whole number >= 1 (2.0 is 2). Once |x| >= FREEZE or x is not
-    finite, the path stays at +-FREEZE.
+    not a whole number >= 1 (2.0 is 2; a bool is refused). Once |x| >= FREEZE
+    or x is not finite, the path stays at +-FREEZE.
 
     Inside the joint span of the three profiles the chain is a plain
     random walk, so a long stay in one cell is a running sum. Short stays
@@ -293,14 +312,11 @@ def simulate(spec: ChainSpec, x0: float, n_steps: int, seed: int) -> Trajectory:
     chain whose stays are all short never opens one.
     """
     n_steps = _count("n_steps", n_steps, 1)
-    profiles = (spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile)
-    a_fn, g_fn, d_fn = profiles
+    a_fn, g_fn, d_fn = profiles = spec.profiles
     alphas = a_fn.value_set()
     row_of = {a: i for i, a in enumerate(alphas)}
     a_col = np.array(alphas)[:, None]
-    x = float(x0)
-    if not -math.inf < x < math.inf:
-        raise DomainError(f"start point must be finite, got {x0}")
+    x = _start(x0)
     edges, cells = _joint_cells(profiles, row_of)
     bisect_right = bisect.bisect_right
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -383,27 +399,23 @@ def _joint_cells(profiles, row_of):
 
     A chain whose profiles are all constant, two-valued or piecewise has
     finitely many joint cells. edges is the sorted union of the
-    profiles' edges (0.0 for two-valued, the breakpoints for piecewise),
-    and cells[bisect_right(edges, x)] is (lo, hi, alpha row, gamma,
-    delta) for the cell that holds x: its span, clipped to the open span
-    of FREEZE, and the values ProfileFn.cell gives at one point of it.
-    No profile changes value inside a joint cell, so these are the values
-    a lookup at any x of the cell gives; -0.0 sorts as 0.0, into the cell
-    right of an edge at 0. A periodic or custom profile has no finite
-    union of edges, and gives (None, None).
+    profiles' edges (ProfileFn.edges), and cells[bisect_right(edges, x)]
+    is (lo, hi, alpha row, gamma, delta) for the cell that holds x: its
+    span, clipped to the open span of FREEZE, and the values
+    ProfileFn.cell gives at its left edge. No profile changes value
+    inside a joint cell, so these are the values a lookup at any x of
+    the cell gives; -0.0 sorts as 0.0, into the cell right of an edge at
+    0. A periodic or custom profile has no finite union of edges, and
+    gives (None, None).
     """
     if any(p.kind in ("periodic", "custom") for p in profiles):
         return None, None
-    edges = sorted({b for p in profiles
-                    for b in ((0.0,) if p.kind == "two_valued" else p.breakpoints)})
-    # a cell is read at its left edge, the leftmost just below the first
-    # edge; below -max float, where that read would fall, no finite x lies
-    points = ([max(math.nextafter(edges[0], -math.inf), -sys.float_info.max), *edges]
-              if edges else [0.0])
+    edges = sorted({b for p in profiles for b in p.edges})
     bounds = [-math.inf, *edges, math.inf]
     cells = []
-    for x, lo, hi in zip(points, bounds, bounds[1:]):
-        a, g, d = (p.cell(x)[2] for p in profiles)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # the leftmost cell is read at -max float; if that is its right edge, it holds no x
+        a, g, d = (p.cell(max(lo, -sys.float_info.max))[2] for p in profiles)
         cells.append((max(lo, _ABOVE_FREEZE), min(hi, FREEZE), row_of[a], g, d))
     return edges, cells
 

@@ -241,11 +241,7 @@ def _null_evidence(spec: ChainSpec, base_reports: dict) -> Evidence:
         margins[cid + "_null"] = margin
         if margin > 0.0 and margin >= 2.0 * err:
             holds = True
-    if (
-        spec.alpha_profile.kind == "constant"
-        and spec.family.gamma_profile.kind == "constant"
-        and spec.family.delta_profile.kind == "constant"
-    ):
+    if all(p.kind == "constant" for p in spec.profiles):
         caveats.append(
             "independent-increment chain: no finite invariant measure exists "
             "(structural fact about this family, not a scan result)"
@@ -357,7 +353,7 @@ def _two_valued_gap(spec: ChainSpec, caveats: list) -> float | None:
     None also inside the 0.1 exemption band around the critical sum; each
     outcome of the exact dichotomy appends its caveat.
     """
-    prof, dprof = spec.alpha_profile, spec.family.delta_profile
+    prof, _, dprof = spec.profiles
     if prof.kind != "two_valued" or dprof.kind == "custom" or set(dprof.value_set()) != {0.0}:
         return None
     gap = sum(prof.values) - 2.0

@@ -202,11 +202,8 @@ class RunConfig:
         """Fully-materialized config (defaults filled) for hashing/saving."""
         doc = {
             "schema_version": self.schema_version,
-            "chain": {
-                "alpha": _profile_to_dict(self.chain.alpha_profile),
-                "gamma": _profile_to_dict(self.chain.family.gamma_profile),
-                "delta": _profile_to_dict(self.chain.family.delta_profile),
-            },
+            "chain": dict(zip(("alpha", "gamma", "delta"),
+                              map(_profile_to_dict, self.chain.profiles))),
         }
         for name in SECTIONS:
             section = getattr(self, name)

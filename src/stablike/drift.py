@@ -291,10 +291,8 @@ class _Grid:
         self.xs = np.asarray(x_grid, dtype=float)
         if not (np.isfinite(self.xs) & (self.xs != 0.0)).all():
             raise DomainError("x must be finite and nonzero")
-        fam = spec.family
-        profiles = (spec.alpha_profile, fam.gamma_profile, fam.delta_profile)
         self.groups = {}
-        for i, key in enumerate(zip(*(p.at(self.xs).tolist() for p in profiles))):
+        for i, key in enumerate(zip(*(p.at(self.xs).tolist() for p in spec.profiles))):
             self.groups.setdefault(key, []).append(i)
         self.c = {key: tail_constant(StableParams(*key[:2])) for key in self.groups}
 

@@ -35,7 +35,7 @@ which may not survive a fork; when other Python threads are alive, as a
 fork copies none of them, whatever locks they hold; and where os.fork is
 missing.
 Counts (n_steps, n_paths, time points, burn-in) must be whole numbers;
-an integral float such as 2.0 is the count 2.
+an integral float such as 2.0 is the count 2, and a bool is no count.
 
 One reader (_read) takes every statistic off a block's states: each
 interval's return and occupation counts on every step, and the clipped
@@ -44,13 +44,8 @@ calls, steps two ensembles: one sweep from x0 on interval_stats'
 streams, which gives the interval statistics and TV start a's law, and
 start b on tv_convergence's stream for it.
 
-invariant_histogram reads one path of chain.simulate (block-drawn
-stream, enumerable alpha only). A chain of finitely many cells, such as
-the two-valued ergodic example, finds each cell it enters in one table
-of the joint cells, built once per path. simulate steps short stays in
-a cell one at a time and sums the rest of a stay past chain._HOLD steps
-in numpy windows, float for float the same; the ensembles step every
-path on every step and also take a custom alpha.
+invariant_histogram reads one path of chain.simulate, which needs an
+enumerable alpha profile; the ensembles also take a custom alpha.
 
 Heavy-tail guard: a path whose |state| reaches chain.FREEZE = 1e300 is
 frozen there, here and in simulate alike, and counted as non-returning;
@@ -77,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FREEZE, ChainSpec, _count, simulate
+from .chain import FREEZE, ChainSpec, _count, _start, _whole, simulate
 from .errors import DomainError
 from .stable import DensityGrid, cms_transform
 
@@ -134,7 +129,7 @@ def _ensemble(spec: ChainSpec, x0: float, n_paths: int, n_steps: int,
     alpha, gamma and delta through ProfileFn.at, apart from a constant, read once a block.
     """
     rng = np.random.default_rng(stream)
-    a_fn, g_fn, d_fn = spec.alpha_profile, spec.family.gamma_profile, spec.family.delta_profile
+    a_fn, g_fn, d_fn = spec.profiles
     lo, hi, _ = lanes.indices(n_paths)
     m = hi - lo
     # a constant is read once: alpha as one array, since a float exponent takes numpy's
@@ -201,9 +196,8 @@ def _workers(spec: ChainSpec, jobs) -> int:
     At most one per _MIN_LANES paths of the largest job, and 1, the caller alone, for
     fewer than _FORK_FLOOR path-steps, a custom profile, other live threads or no fork.
     """
-    kinds = (spec.alpha_profile.kind, spec.family.gamma_profile.kind,
-             spec.family.delta_profile.kind)
-    if (sum(n_steps * n for n_steps, _, n, _ in jobs) < _FORK_FLOOR or "custom" in kinds
+    if (sum(n_steps * n for n_steps, _, n, _ in jobs) < _FORK_FLOOR
+            or any(p.kind == "custom" for p in spec.profiles)
             or not hasattr(os, "fork") or threading.active_count() > 1):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -288,12 +282,6 @@ def _run(spec: ChainSpec, *jobs) -> list:
     return [[p for done, _ in results for i, p in done if i == j] for j in range(len(jobs))]
 
 
-def _start(x0: float) -> float:
-    if not -math.inf < x0 < math.inf:
-        raise DomainError(f"start point must be finite, got {x0}")
-    return float(x0)
-
-
 def _hist_edges(bin_width: float) -> np.ndarray:
     if not MIN_BIN_WIDTH <= bin_width < math.inf:
         raise DomainError(f"bin_width must be >= {MIN_BIN_WIDTH:g} (at most 10^6 bins) "
@@ -344,7 +332,7 @@ def _intervals(intervals, n_steps: int, n_paths: int) -> tuple:
 
 def _tv(time_points, n_paths: int, bin_width: float) -> tuple:
     """Checked tv_convergence arguments: (time points, n_paths, edges, TV of two starts)."""
-    tps = tuple(int(t) if float(t).is_integer() else 0 for t in time_points)
+    tps = tuple(int(t) if _whole(t) else 0 for t in time_points)
     if not tps or any(t < 1 for t in tps):
         raise DomainError("time_points must be positive whole step counts")
     if any(t2 <= t1 for t1, t2 in zip(tps, tps[1:])):
@@ -496,7 +484,7 @@ def invariant_histogram(
     n_steps = _count("n_steps", n_steps, 2)
     if burn_in is None:
         burn_in = n_steps // 2
-    if not (0 <= burn_in < n_steps and float(burn_in).is_integer()):
+    if not (0 <= burn_in < n_steps and _whole(burn_in)):
         raise DomainError(f"burn_in must be a whole number in [0, n_steps), got {burn_in}")
     edges = _hist_edges(bin_width)
     states = simulate(spec, x0, n_steps, seed).states[int(burn_in):]

@@ -1,5 +1,6 @@
 """Chain specification, profiles and the trajectory simulator."""
 
+import dataclasses
 import math
 import sys
 
@@ -108,12 +109,34 @@ def test_profile_rejects_a_bad_shape(kind, values, breakpoints, period):
 
 @st.composite
 def _profile_args(draw):
-    breakpoints = draw(st.lists(st.floats(), max_size=3)
-                       | st.lists(st.floats(), max_size=3).map(sorted))
+    # any shape, but only the kind's own fields: a stray field is refused
+    kind = draw(st.sampled_from(("constant", "two_valued", "periodic", "piecewise")))
+    breakpoints = []
+    if kind == "piecewise":
+        breakpoints = draw(st.lists(st.floats(), max_size=3)
+                           | st.lists(st.floats(), max_size=3).map(sorted))
     n = draw(st.sampled_from((0, 1, 2, 3, len(breakpoints) + 1)))
     values = draw(st.lists(st.floats(0.01, 1.99), min_size=n, max_size=n))
-    kind = draw(st.sampled_from(("constant", "two_valued", "periodic", "piecewise")))
-    return kind, tuple(values), tuple(breakpoints), draw(st.floats())
+    period = draw(st.floats()) if kind == "periodic" else 0.0
+    return kind, tuple(values), tuple(breakpoints), period
+
+
+_STRAY_FIELDS = {"values": (1.0,), "breakpoints": (3.0,), "period": 2.0, "fn": abs}
+
+
+@pytest.mark.parametrize("p, stray", [
+    (ProfileFn.constant(1.5), ("breakpoints", "period", "fn")),
+    (ProfileFn.two_valued(1.2, 1.6), ("breakpoints", "period", "fn")),
+    (ProfileFn.periodic(2.0, (1.1, 1.9)), ("breakpoints", "fn")),
+    (ProfileFn.piecewise((0.0,), (1.0, 1.5)), ("period", "fn")),
+    (ProfileFn.custom(abs), ("values", "breakpoints", "period")),
+], ids=["constant", "two_valued", "periodic", "piecewise", "custom"])
+def test_profile_refuses_a_field_its_kind_does_not_take(p, stray):
+    for name in stray:
+        with pytest.raises(DomainError, match=f"^{p.kind} profile takes no {name}$"):
+            dataclasses.replace(p, **{name: _STRAY_FIELDS[name]})
+    # a field at its default is absent
+    assert ProfileFn("two_valued", (1.2, 1.6), (), 0.0, None) == ProfileFn.two_valued(1.2, 1.6)
 
 
 def _check_cell(p, x):
@@ -306,7 +329,9 @@ _ON_THE_BREAKPOINT = dict(alpha=ProfileFn.piecewise((300.0,), (1.5, 0.7)), gamma
     # a block edge and the run's end each cut a window
     (make_chain(1.5), 2 * 4096 + 77),
     (make_chain(ProfileFn.two_valued(0.9, 0.8)), 2 * 4096 + 77),
-], ids=["breakpoint", "breakpoint-right-cell", "constant", "two-valued"])
+    # a periodic profile steps through per-profile spans, not the joint table
+    (make_chain(ProfileFn.periodic(200.0, (1.3, 1.6)), gamma=0.1), 2 * 4096 + 77),
+], ids=["breakpoint", "breakpoint-right-cell", "constant", "two-valued", "periodic"])
 def test_simulate_finishes_a_stay_as_the_per_step_loop(spec, n_steps):
     states = simulate(spec, 0.0, n_steps, 3).states
     assert states.tobytes() == _simulate_per_step(spec, 0.0, n_steps, 3).tobytes()
@@ -322,8 +347,9 @@ def test_simulate_needs_enumerable_alpha():
 
 
 def test_simulate_rejects_bad_lengths(sas15):
-    with pytest.raises(DomainError):
-        simulate(sas15, x0=0.0, n_steps=0, seed=1)
+    for bad in (0, True, np.True_):  # a bool is no step count
+        with pytest.raises(DomainError):
+            simulate(sas15, x0=0.0, n_steps=bad, seed=1)
 
 
 def _lookup_per_point(p, x):

@@ -69,14 +69,29 @@ def test_schema_version_enforced(smoke_config_text, tmp_path):
         load_config(str(bad))
 
 
-def test_save_load_fixed_point(smoke_config_text, tmp_path):
+@pytest.mark.parametrize("chain", [
+    None,
+    {"alpha": {"kind": "periodic", "values": [1.2, 1.7], "period": 3.0},
+     "gamma": {"kind": "two_valued", "values": [0.5, 2.0]}},
+    {"alpha": {"kind": "piecewise", "values": [1.2, 0.8, 1.7], "breakpoints": [-1.0, 2.5]},
+     "delta": {"kind": "piecewise", "values": [0.5, -0.5], "breakpoints": [0.0]}},
+], ids=["smoke", "periodic", "piecewise"])
+def test_save_load_fixed_point(smoke_config_text, tmp_path, chain):
     path, _ = smoke_config_text
+    if chain is not None:
+        doc = yaml.safe_load(path.read_text())
+        doc["chain"] = chain
+        path = tmp_path / "chain.yaml"
+        path.write_text(yaml.safe_dump(doc))
     cfg = load_config(str(path))
     p1 = tmp_path / "rt1.yaml"
     p2 = tmp_path / "rt2.yaml"
     save_config(cfg, str(p1))
-    save_config(load_config(str(p1)), str(p2))
+    reloaded = load_config(str(p1))
+    save_config(reloaded, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+    assert reloaded.chain == cfg.chain
+    assert reloaded.config_hash() == cfg.config_hash()
 
 
 def test_thresholds_subcommand_csv(smoke_config_text):
@@ -477,6 +492,11 @@ FIELD_PROBLEMS = [
      ["chain.alpha: periodic profile needs a finite period > 0, got inf"]),
     ("chain.alpha", {"breakpoints": [math.nan], "kind": "piecewise", "values": [1.5, 1.2]},
      ["chain.alpha: piecewise breakpoints must be finite and strictly increasing"]),
+    # a field the kind does not take (a two-valued profile's edge is 0)
+    ("chain.alpha", {"kind": "two_valued", "values": [1.2, 1.6], "breakpoints": [3.0]},
+     ["chain.alpha: two_valued profile takes no breakpoints"]),
+    ("chain.delta", {"period": 2.0, "kind": "constant", "values": [0.5]},
+     ["chain.delta: constant profile takes no period"]),
     ("chain.gamma", {"kind": "constant", "values": [math.inf]},
      ["chain: gamma profile value inf must be finite and > 0"]),
     ("chain.gamma", {"period": True, "kind": "periodic", "values": [1.0, 2.0]},

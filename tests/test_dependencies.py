@@ -27,3 +27,16 @@ def test_package_source_imports_no_scipy():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in mods), path.name
+
+
+def test_only_chain_reads_the_jump_family():
+    # ChainSpec.profiles is the one way from a chain to its (alpha, gamma,
+    # delta): no other module reads spec.family or its profile fields
+    sources = sorted((ROOT / "src" / "stablike").glob("*.py"))
+    assert sources
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sources if path.name != "chain.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("family", "gamma_profile", "delta_profile")]
+    assert not reads

@@ -374,6 +374,7 @@ def test_non_finite_start_is_refused_before_any_draw(monkeypatch, bad):
         raise AssertionError("stepped an ensemble from a non-finite start")
 
     monkeypatch.setattr(mc, "_ensemble", no_draws)
+    monkeypatch.setattr("stablike.chain.cms_transform", no_draws)
     spec, message = make_chain(1.5), "start point must be finite"
     ball = [mc._ball(10.0)]
     calls = [
@@ -384,6 +385,8 @@ def test_non_finite_start_is_refused_before_any_draw(monkeypatch, bad):
         lambda: tv_convergence(spec, 3.0, bad, (5,), 50, 0.5, seed=1),
         lambda: mc.diagnose(spec, bad, 3.0, ball, 100, (5,), 50, 0.5, seed=1),
         lambda: mc.diagnose(spec, 3.0, bad, ball, 100, (5,), 50, 0.5, seed=1),
+        lambda: simulate(spec, bad, 100, seed=1),
+        lambda: invariant_histogram(spec, bad, 100, None, 0.5, seed=1),
     ]
     for call in calls:
         with pytest.raises(DomainError, match=message):
@@ -409,10 +412,14 @@ def test_nan_bounds_and_fractional_counts_are_refused_before_any_draw(monkeypatc
             lambda: tv_convergence(spec, 3.0, -3.0, [2, nan], 4, 0.5, 1),
             lambda: tv_convergence(spec, 3.0, -3.0, [2, math.inf], 4, 0.5, 1),
             lambda: mc.diagnose(spec, 0.0, 3.0, [mc._ball(1.0)], 100, (5.5,), 4, 0.5, 1),
+            lambda: tv_convergence(spec, 3.0, -3.0, [True, 2], 4, 0.5, 1),
+            lambda: tv_convergence(spec, 3.0, -3.0, [np.True_, 2], 4, 0.5, 1),
         ],
         "burn_in must be a whole number": [
             lambda: invariant_histogram(spec, 0.0, 10, 2.5, 0.5, 1),
             lambda: invariant_histogram(spec, 0.0, 10, nan, 0.5, 1),
+            lambda: invariant_histogram(spec, 0.0, 10, True, 0.5, 1),
+            lambda: invariant_histogram(spec, 0.0, 10, np.True_, 0.5, 1),
         ],
     }
     for message, group in calls.items():
@@ -679,6 +686,8 @@ def test_fractional_and_nan_counts_are_refused_before_any_draw(monkeypatch):
         "n_paths must be >= 1 and whole": [
             lambda: return_stats(spec, 0.0, 1.0, 100, 4.5, 1),
             lambda: interval_stats(spec, 0.0, [mc._ball(1.0)], 100, nan, 1),
+            lambda: interval_stats(spec, 0.0, [mc._ball(1.0)], 100, True, 1),
+            lambda: interval_stats(spec, 0.0, [mc._ball(1.0)], 100, np.True_, 1),
         ],
         "n_paths must be >= 2 and whole": [
             lambda: tv_convergence(spec, 0.0, 1.0, (2,), 4.5, 0.5, 1),
@@ -689,7 +698,7 @@ def test_fractional_and_nan_counts_are_refused_before_any_draw(monkeypatch):
         for call in group:
             with pytest.raises(DomainError, match=message):
                 call()
-    for bad in (10.5, nan, math.inf):
+    for bad in (10.5, nan, math.inf, True, np.True_):
         with pytest.raises(DomainError, match="n_steps must be >= 1 and whole"):
             simulate(spec, 0.0, bad, 1)
     # a whole float is its count
